@@ -50,12 +50,6 @@
 //!   the abilene ingest feed at a deliberately tight budget.
 //! * `block_matvec` — the subspace-iteration block multiply at Geant
 //!   width: serial reference vs the scoped-thread row fan-out.
-//! * `refit_warm` — the Monitor's warm-started refit path: the partial
-//!   eigensolve at Geant width seeded cold (random block) vs warm (the
-//!   serving model's basis), and a whole `TrainingWindow` refit cold vs
-//!   warm with the per-round `RefitTrace` (downdated trimming rounds,
-//!   cycles to converge) recorded. Warm and cold fits are asserted
-//!   equivalent before timing.
 //! * `score_plane` — the fused scoring plane against the reference
 //!   project–reconstruct–residual chain it replaced on the serve path:
 //!   per-row `spe_reference` vs per-row `ScorePlan` vs the batched
@@ -65,11 +59,6 @@
 //!   SPE is asserted within 1e-10 relative of the reference (plus a
 //!   rounding floor scaled by the centered energy) and the batch entry
 //!   asserted bitwise equal to per-row scoring before anything is timed.
-//!
-//! `--refit-smoke` runs only the warm-refit comparison — a cold
-//! `TrainingWindow` fit against a warm fit seeded from a serving model,
-//! with their Q-thresholds asserted to agree to 1e-10 relative before
-//! any number is printed — and returns; nothing is written.
 //!
 //! `--ingest-smoke` runs only the ingest comparison — per-packet,
 //! combining, flow-record, and sharded paths, with their outputs asserted
@@ -87,14 +76,13 @@
 
 use entromine::linalg::kernel as lk;
 use entromine::linalg::{
-    block_matvec, block_matvec_serial, sym_eigen, sym_eigen_ql, FitStrategy, MomentAccumulator,
-    Pca, Spectrum,
+    block_matvec, block_matvec_serial, sym_eigen, sym_eigen_ql, FitStrategy, Pca,
 };
 use entromine::net::flow::{aggregate_bin, FlowRecord};
 use entromine::net::{PacketHeader, Topology};
 use entromine::subspace::{DimSelection, SubspaceModel};
 use entromine::synth::{Dataset, DatasetConfig};
-use entromine::{DiagnoserConfig, RefitTrace, TrainingWindow};
+use entromine::DiagnoserConfig;
 use entromine_bench::traffic_matrix;
 use entromine_entropy::kernel as ek;
 use entromine_entropy::{
@@ -683,141 +671,6 @@ fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
     }
 }
 
-/// Deterministic synthetic window feed for the warm-refit comparison:
-/// per-flow gains, a slow diurnal phase, hash jitter, and (optionally)
-/// one spiked bin so the trimming round has something to flag. RNG-free,
-/// so repeated calls with the same arguments build bit-identical windows.
-fn refit_window(
-    p: usize,
-    bins: std::ops::Range<usize>,
-    spike_bin: Option<usize>,
-) -> TrainingWindow {
-    let mut w = TrainingWindow::new(p, 64, 16).unwrap();
-    let gain = |i: usize| 1.0 + ((i * 37 + 11) % 101) as f64 / 101.0;
-    for bin in bins {
-        let phase = (bin as f64 / 48.0) * std::f64::consts::TAU;
-        let jit = |i: usize| {
-            let x = (bin as u64)
-                .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                .wrapping_add((i as u64).wrapping_mul(0x1405_7B7E_F767_814F));
-            ((x >> 33) % 1009) as f64 / 1009.0
-        };
-        let spike = if spike_bin == Some(bin) { 6.0 } else { 0.0 };
-        let bytes: Vec<f64> = (0..p)
-            .map(|i| {
-                1e5 * gain(i) * (1.0 + 0.1 * phase.sin())
-                    + 300.0 * jit(i)
-                    + if i == 3 { spike * 1e5 } else { 0.0 }
-            })
-            .collect();
-        let packets: Vec<f64> = bytes.iter().map(|b| b / 100.0).collect();
-        let entropy: Vec<f64> = (0..4 * p)
-            .map(|i| {
-                gain(i % p) * (2.0 + 0.2 * phase.cos())
-                    + 0.02 * jit(i)
-                    + if i % p == 3 { spike } else { 0.0 }
-            })
-            .collect();
-        w.push_bin(bin, &bytes, &packets, &entropy).unwrap();
-    }
-    w
-}
-
-/// Cold vs warm `TrainingWindow` refit with the per-round traces kept.
-struct RefitWindowBench {
-    flows: usize,
-    cold_ms: f64,
-    warm_ms: f64,
-    cold_trace: RefitTrace,
-    warm_trace: RefitTrace,
-    threshold_rel_max: f64,
-}
-
-/// Times a cold window fit against a warm fit seeded from a serving
-/// model one slide earlier, over the same 64-bin window with one spiked
-/// bin (so the trimming round exercises the moment downdate). Asserts
-/// the two fits' Q-thresholds agree to 1e-10 relative — and that the
-/// warm trace actually took the warm-seed and downdate paths — before
-/// returning, so a correctness regression fails the bench rather than
-/// skewing a number.
-fn bench_refit_window(p: usize, reps: usize) -> RefitWindowBench {
-    // Pin the partial engine: it is what the Monitor's Auto strategy
-    // dispatches to at production widths, and the only engine with a
-    // warm-seeded eigensolve (the dense fallbacks are cold by design).
-    let config = DiagnoserConfig {
-        dim: DimSelection::Fixed(10),
-        strategy: FitStrategy::Partial,
-        refit_rounds: 1,
-        ..DiagnoserConfig::default()
-    };
-    let serving = refit_window(p, 0..64, None).fit(&config).unwrap();
-    let target = refit_window(p, 16..80, Some(40));
-    let mut cold = None;
-    let cold_ms = best_ms_n(reps, || {
-        cold = Some(target.fit_warm(&config, None).unwrap())
-    });
-    let mut warm = None;
-    let warm_ms = best_ms_n(reps, || {
-        warm = Some(target.fit_warm(&config, Some(&serving)).unwrap());
-    });
-    let (cold_fit, cold_trace) = cold.unwrap();
-    let (warm_fit, warm_trace) = warm.unwrap();
-    let rel = |w: f64, c: f64| ((w - c) / c).abs();
-    let alpha = config.alpha;
-    let threshold_rel_max = [
-        rel(
-            warm_fit.bytes_model().threshold(alpha).unwrap(),
-            cold_fit.bytes_model().threshold(alpha).unwrap(),
-        ),
-        rel(
-            warm_fit.packets_model().threshold(alpha).unwrap(),
-            cold_fit.packets_model().threshold(alpha).unwrap(),
-        ),
-        rel(
-            warm_fit.entropy_model().threshold(alpha).unwrap(),
-            cold_fit.entropy_model().threshold(alpha).unwrap(),
-        ),
-    ]
-    .into_iter()
-    .fold(0.0, f64::max);
-    assert!(
-        threshold_rel_max <= 1e-10,
-        "warm window refit drifted from the cold spec: max Q-threshold rel err {threshold_rel_max:.2e}"
-    );
-    assert!(
-        warm_trace.any_warm(),
-        "partial-strategy warm refit must seed from the serving basis"
-    );
-    assert!(
-        warm_trace.rounds.iter().any(|r| r.downdated),
-        "the warm trimming round must take the downdate path on this feed"
-    );
-    RefitWindowBench {
-        flows: p,
-        cold_ms,
-        warm_ms,
-        cold_trace,
-        warm_trace,
-        threshold_rel_max,
-    }
-}
-
-/// `RefitTrace` rounds as a JSON array body.
-fn rounds_json(trace: &RefitTrace) -> String {
-    trace
-        .rounds
-        .iter()
-        .map(|r| {
-            format!(
-                "{{ \"training_bins\": {}, \"flagged_bins\": {}, \"warm_start\": {}, \
-                 \"downdated\": {}, \"cycles\": {}, \"ms\": {:.3} }}",
-                r.training_bins, r.flagged_bins, r.warm_start, r.downdated, r.cycles, r.ms
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 /// One width's scoring comparison: the reference
 /// project–reconstruct–residual chain vs the fused plan, per-row and
 /// batched, over the same probe rows in the same process.
@@ -1019,8 +872,8 @@ struct FaultRecoveryBench {
     /// returned the monitor to Fitted.
     storm_recovery_bins: usize,
     /// Refit-poisoning storm: huge-but-finite rows that pass every
-    /// finiteness gate, get absorbed, and overflow the window's moments
-    /// so every refit fails until the poisoned chunks roll out.
+    /// finiteness gate, get absorbed, and overflow the fit's centered
+    /// products so every refit fails until the poisoned chunks roll out.
     poison_bins: usize,
     /// Failed refit attempts along the exponential backoff chain.
     poison_failed_refits: u64,
@@ -1261,34 +1114,6 @@ fn print_score_plane(sp: &ScorePlaneBench) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--refit-smoke") {
-        // CI probe: one cold and one warm window refit at Abilene width
-        // (121 OD flows, 484 entropy columns), printed to the job log,
-        // written nowhere. bench_refit_window asserts warm and cold
-        // Q-thresholds agree to 1e-10 relative — and that the warm fit
-        // really took the warm-seed and downdate paths — before timing.
-        let b = bench_refit_window(121, 1);
-        println!(
-            "refit smoke ({} flows): cold {:.1} ms vs warm {:.1} ms ({:.2}x), \
-             max Q-threshold rel err {:.2e} (gate 1e-10)",
-            b.flows,
-            b.cold_ms,
-            b.warm_ms,
-            b.cold_ms / b.warm_ms,
-            b.threshold_rel_max,
-        );
-        for (label, trace) in [("cold", &b.cold_trace), ("warm", &b.warm_trace)] {
-            for (i, r) in trace.rounds.iter().enumerate() {
-                println!(
-                    "  {label} round {i}: {} bins ({} flagged), warm_start {}, \
-                     downdated {}, {} cycles, {:.1} ms",
-                    r.training_bins, r.flagged_bins, r.warm_start, r.downdated, r.cycles, r.ms,
-                );
-            }
-        }
-        println!("refit smoke: warm and cold window fits verified equivalent");
-        return;
-    }
     if args.iter().any(|a| a == "--ingest-smoke") {
         // CI probe: per-packet vs combining vs sharded over one feed,
         // printed to the job log, written nowhere. bench_ingest itself
@@ -1649,136 +1474,6 @@ fn main() {
          {threads} threads available)"
     );
 
-    // -- warm-started refit engine ---------------------------------------
-    // The eigensolve half of the Monitor's refit bill, isolated: the
-    // partial engine at Geant width seeded cold (random block, the
-    // pre-warm behavior) vs warm (the basis of a previous fit — exactly
-    // what `fit_warm` hands down from the serving model), swept over
-    // drift sizes. The warm win is logarithmic in the drift: the solver
-    // certifies every pair to a 1e-11 relative residual, so warm
-    // starting saves exactly the decades of contraction the serving
-    // basis already covers. The headline is the stationary refit (the
-    // scheduled-refit case where traffic did not materially drift and
-    // the serving basis re-certifies in ~1 cycle); the sweep records
-    // how the ratio decays as the window actually moves.
-    println!("refit warm-start (eigensolve at {geant_n}, window refit at 121 flows) ...");
-    let refit_seed = 0x5350_4543u64; // the partial engine's fit seed
-    let (rw_base, _) = Spectrum::partial_of(&bm_cov, partial_k, refit_seed).unwrap();
-    // Small drift: a 0.03% level shift on every other coordinate
-    // (congruence, stays symmetric PSD).
-    let mut rw_small = bm_cov.clone();
-    let rw_scale = |i: usize| if i.is_multiple_of(2) { 1.0003 } else { 1.0 };
-    for i in 0..geant_n {
-        for j in 0..geant_n {
-            rw_small[(i, j)] *= rw_scale(i) * rw_scale(j);
-        }
-    }
-    // Window slide: the covariance of the same synthetic traffic over
-    // rows 16..316 instead of 0..300 — the shape of a scheduled refit
-    // after one chunk of new bins displaced the oldest chunk.
-    let rw_slid_data = traffic_matrix(geant_t + 16, geant_n, 0xC0FFEE ^ (geant_n as u64));
-    let rw_slid = {
-        let mut acc = MomentAccumulator::new(geant_n);
-        for i in 16..geant_t + 16 {
-            acc.push(rw_slid_data.row(i)).unwrap();
-        }
-        acc.covariance().unwrap()
-    };
-    struct RwScenario {
-        name: &'static str,
-        cold_ms: f64,
-        warm_ms: f64,
-        cold_cycles: usize,
-        warm_cycles: usize,
-    }
-    let mut rw_scenarios = Vec::new();
-    let mut rw_eig_rel = 0.0f64;
-    for (name, cov, reps) in [
-        ("stationary", &bm_cov, 5usize),
-        ("level-shift-3e-4", &rw_small, 2),
-        ("window-slide-16-of-300", &rw_slid, 2),
-    ] {
-        let mut cold = None;
-        let cold_ms = best_ms_n(reps, || {
-            cold = Some(Spectrum::partial_of(cov, partial_k, refit_seed).unwrap());
-        });
-        let mut warm = None;
-        let warm_ms = best_ms_n(reps, || {
-            warm = Some(
-                Spectrum::partial_of_warm(cov, partial_k, refit_seed, Some(rw_base.vectors()))
-                    .unwrap(),
-            );
-        });
-        let (cold_spec, cold_info) = cold.unwrap();
-        let (warm_spec, warm_info) = warm.unwrap();
-        assert!(
-            cold_info.converged && warm_info.converged,
-            "both refit eigensolves must converge for the ratio to mean anything ({name})"
-        );
-        let lead = cold_spec.values()[0];
-        let rel = cold_spec
-            .values()
-            .iter()
-            .zip(warm_spec.values())
-            .map(|(c, w)| ((c - w) / lead).abs())
-            .fold(0.0, f64::max);
-        assert!(
-            rel <= 1e-8,
-            "warm and cold eigenvalues must agree ({name}: rel {rel:.2e})"
-        );
-        rw_eig_rel = rw_eig_rel.max(rel);
-        println!(
-            "  eigensolve {name}: cold {cold_ms:.1} ms ({} cycles) vs warm {warm_ms:.1} ms \
-             ({} cycles) = {:.2}x",
-            cold_info.iterations,
-            warm_info.iterations,
-            cold_ms / warm_ms,
-        );
-        rw_scenarios.push(RwScenario {
-            name,
-            cold_ms,
-            warm_ms,
-            cold_cycles: cold_info.iterations,
-            warm_cycles: warm_info.iterations,
-        });
-    }
-    let rw_headline = &rw_scenarios[0];
-    let rw_speedup = rw_headline.cold_ms / rw_headline.warm_ms;
-    assert!(
-        rw_speedup >= 3.0,
-        "warm-started stationary refit eigensolve must be at least 3x over cold at Geant \
-         width (got {rw_speedup:.2}x: cold {:.1} ms / warm {:.1} ms)",
-        rw_headline.cold_ms,
-        rw_headline.warm_ms,
-    );
-    let rw_scenarios_json = rw_scenarios
-        .iter()
-        .map(|s| {
-            format!(
-                "{{ \"drift\": \"{}\", \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \
-                 \"speedup\": {:.3}, \"cold_cycles\": {}, \"warm_cycles\": {} }}",
-                s.name,
-                s.cold_ms,
-                s.warm_ms,
-                s.cold_ms / s.warm_ms,
-                s.cold_cycles,
-                s.warm_cycles
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n      ");
-    // And the whole refit as the Monitor runs it: a TrainingWindow fit
-    // with trimming, cold vs warm-from-serving, traces kept.
-    let rww = bench_refit_window(121, 3);
-    let rww_speedup = rww.cold_ms / rww.warm_ms;
-    println!(
-        "  window refit ({} flows): cold {:.1} ms vs warm {:.1} ms ({rww_speedup:.2}x), \
-         max Q-threshold rel err {:.2e}",
-        rww.flows, rww.cold_ms, rww.warm_ms, rww.threshold_rel_max,
-    );
-    let rww_cold_rounds = rounds_json(&rww.cold_trace);
-    let rww_warm_rounds = rounds_json(&rww.warm_trace);
-
     // -- fused scoring plane ---------------------------------------------
     // The serve/calibrate/trim scoring bill: per-row reference chain vs
     // per-row ScorePlan vs the batch entry, best-of-5 within-run, with
@@ -1977,31 +1672,6 @@ fn main() {
     "speedup": {bm_speedup:.3},
     "note": "scoped-thread row fan-out; speedup is bounded by threads_available"
   }},
-  "refit_warm": {{
-    "eigensolve": {{
-      "n": {geant_n},
-      "k": {partial_k},
-      "headline_speedup_stationary": {rw_speedup:.3},
-      "max_eigenvalue_rel_err": {rw_eig_rel:.3e},
-      "scenarios": [
-      {rw_scenarios_json}
-      ]
-    }},
-    "window_refit": {{
-      "flows": {rww_flows},
-      "entropy_cols": {rww_cols},
-      "window_bins": 64,
-      "strategy": "Partial",
-      "refit_rounds": 1,
-      "cold_ms": {rww_cold_ms:.3},
-      "warm_ms": {rww_warm_ms:.3},
-      "speedup": {rww_speedup:.3},
-      "max_threshold_rel_err": {rww_rel:.3e},
-      "cold_rounds": [ {rww_cold_rounds} ],
-      "warm_rounds": [ {rww_warm_rounds} ]
-    }},
-    "note": "single core, within-run ratios; eigensolve stationary scenario is best-of-5, drift scenarios best-of-2, window refit best-of-3. eigensolve: the blocked subspace iteration at Geant width, cold random block vs a block seeded with a previous fit's basis — the Monitor's refit path seeds exactly this way from its serving model, and the win is cycles to converge (cold_cycles vs warm_cycles per scenario). The solver certifies every eigenpair to a 1e-11 relative residual either way, so the warm win is logarithmic in the drift: it is largest for the stationary scheduled refit (the serving basis re-certifies almost immediately) and decays as the window actually moves — this fixture's tail spectrum is a noise floor whose eigenvectors decorrelate under resampling, so the slide scenario is the pessimistic end. window_refit: TrainingWindow::fit vs fit_warm with a serving model one slide earlier at Abilene width; the warm trimming round downdates the flagged rows out of the round-0 Chan merge instead of re-accumulating every clean row, so compare the second entries of cold_rounds (re-accumulate, cold eigensolve) and warm_rounds (downdate, warm eigensolve); at this small width the eigensolves are cheap and warm overhead (basis re-orthonormalization, downdate guards) roughly cancels the cycle savings — the trace fields, not the wall-clock, are the story there. rounds come from the RefitTrace the Monitor surfaces in RefitReport. warm and cold fits are asserted equivalent (eigenvalues <= 1e-8, Q-thresholds <= 1e-10 relative) before timing"
-  }},
   "streaming_ingest": {{
     "flows": {p},
     "bins": {bins},
@@ -2111,7 +1781,7 @@ fn main() {
       "failed_refits": {fr_poison_failures},
       "recovery_bins": {fr_poison_recovery}
     }},
-    "note": "lifecycle monitor (24-bin warmup, 48-bin window, 8-bin chunks, refits every 8 scored bins, 16-bin staleness budget) behind the core::fault harness. noop_pin: the FaultPlan::none() wrap is asserted bitwise invisible (identical verdict/SPE bits) before timing; overhead is wrapped/direct. garbage_storm: 20 consecutive NaN bins are quarantined at the door, the serving model ages past its budget into Degraded (degraded_bins counts them), and recovery_bins is bins-to-Fitted after clean data resumes — bounded by one refit interval, asserted. refit_poisoning: huge-but-finite rows pass every finiteness gate, overflow the window's moments, and fail every refit; failed_refits counts the exponential-backoff attempts and recovery_bins is bins from the last poisoned bin to the healing swap — bounded by window roll-out plus the backoff cap. Both recovery latencies are deterministic lifecycle properties, so a change here is a degradation-layer regression, not host noise"
+    "note": "lifecycle monitor (24-bin warmup, 48-bin window, 8-bin chunks, refits every 8 scored bins, 16-bin staleness budget) behind the core::fault harness. noop_pin: the FaultPlan::none() wrap is asserted bitwise invisible (identical verdict/SPE bits) before timing; overhead is wrapped/direct. garbage_storm: 20 consecutive NaN bins are quarantined at the door, the serving model ages past its budget into Degraded (degraded_bins counts them), and recovery_bins is bins-to-Fitted after clean data resumes — bounded by one refit interval, asserted. refit_poisoning: huge-but-finite rows pass every finiteness gate, overflow the fit's centered products, and fail every refit; failed_refits counts the exponential-backoff attempts and recovery_bins is bins from the last poisoned bin to the healing swap — bounded by window roll-out plus the backoff cap. Both recovery latencies are deterministic lifecycle properties, so a change here is a degradation-layer regression, not host noise"
   }}
 }}
 "#,
@@ -2129,11 +1799,6 @@ fn main() {
         cluster_speedup = cluster_scalar_ms / cluster_active_ms,
         term_speedup = term_scalar_ms / term_active_ms,
         term_groups_n = term_groups.len(),
-        rww_flows = rww.flows,
-        rww_cols = 4 * rww.flows,
-        rww_cold_ms = rww.cold_ms,
-        rww_warm_ms = rww.warm_ms,
-        rww_rel = rww.threshold_rel_max,
         ing_flows = ingest_sharded.flows,
         ing_bins = ingest_sharded.bins,
         ing_packets = ingest_sharded.packets,

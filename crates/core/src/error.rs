@@ -15,9 +15,8 @@ pub enum DiagnosisError {
     /// Classification was asked for with invalid parameters.
     BadClassifier(&'static str),
     /// A measurement row carried NaN or infinite values. Surfaced instead
-    /// of silently poisoning streaming moments: one NaN pushed into a
-    /// [`MomentAccumulator`](entromine_linalg::MomentAccumulator) would
-    /// corrupt every later Chan merge of the training window.
+    /// of silently poisoning the training window: one retained NaN would
+    /// fail every later fit until the row rolled out.
     NonFiniteInput(&'static str),
 }
 

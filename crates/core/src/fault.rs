@@ -42,8 +42,8 @@ pub enum GarbageKind {
     /// `±Inf` (sign drawn from the seeded stream per position).
     Infinite,
     /// Huge but finite values (`~1e300`): these pass any finiteness gate
-    /// — they are real, scorable data — but square to `Inf` inside
-    /// moment accumulation, making every fit of a window that absorbed
+    /// — they are real, scorable data — but square to `Inf` inside the
+    /// fit's centered products, making every fit of a window that absorbed
     /// them fail until the poisoned chunk rolls out. The fault that
     /// exercises refit failure chains and retry backoff.
     HugeFinite,

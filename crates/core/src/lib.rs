@@ -83,10 +83,11 @@ pub use monitor::{
 };
 pub use pipeline::{
     DetectionMethods, Diagnoser, DiagnoserConfig, Diagnosis, DiagnosisReport, FittedDiagnoser,
+    RefitTrace, RoundTrace,
 };
 pub use report::{cluster_rows, label_breakdown, match_truth, ClusterRow, LabelRow, MatchOutcome};
 pub use stream::StreamingDiagnoser;
-pub use window::{RefitTrace, RoundTrace, TrainingWindow};
+pub use window::TrainingWindow;
 
 /// Re-exports of the [`DiagnoserConfig`] knob types, so pipeline callers
 /// need not reach into the subspace crate.

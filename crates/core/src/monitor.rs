@@ -35,9 +35,9 @@
 //!   exact code path batch diagnosis replays, then absorbed into the
 //!   sliding window.
 //! * **Refitting** — entered when a trigger fires, *after* the
-//!   triggering bin was scored: the window (whose chunks roll forward by
-//!   Chan-merged moments) is refitted with the full `refit_rounds`
-//!   trimming semantics, and the new model is swapped in **between
+//!   triggering bin was scored: the window's retained rows are refitted
+//!   with the full `refit_rounds` trimming semantics (the same
+//!   `fit_rounds` the batch fit runs), and the new model is swapped in **between
 //!   bins** — the bin that triggered the refit was judged by the old
 //!   model, the next bin by the new one, and no bin is ever scored twice
 //!   or stalled. A refit that fails (degenerate window) keeps the old
@@ -62,8 +62,8 @@
 //!
 //! * **Quarantine** — a bin whose rows carry NaN or infinite values is
 //!   never scored (a NaN makes every threshold comparison false, i.e. a
-//!   silent *Clean*) and never absorbed (one NaN poisons every later Chan
-//!   merge of the window). It is counted, reported as
+//!   silent *Clean*) and never absorbed (one retained NaN fails every
+//!   later fit of the window). It is counted, reported as
 //!   [`Verdict::Quarantined`], and the lifecycle moves on.
 //! * **Retry backoff** — a failed refit leaves the old model serving and
 //!   schedules the next automatic attempt after a bounded
@@ -77,9 +77,9 @@
 //!   [`MonitorStep::stale`], and surfaces the full picture through
 //!   [`Monitor::health`].
 
-use crate::pipeline::{DiagnoserConfig, Diagnosis, FittedDiagnoser};
+use crate::pipeline::{DiagnoserConfig, Diagnosis, FittedDiagnoser, RefitTrace};
 use crate::stream::{score_rows_against, thresholds_for};
-use crate::window::{RefitTrace, TrainingWindow};
+use crate::window::TrainingWindow;
 use crate::DiagnosisError;
 use entromine_entropy::FinalizedBin;
 use entromine_subspace::EmpiricalSharpness;
@@ -108,8 +108,8 @@ impl Default for DriftPolicy {
 
 /// Bounded exponential backoff for refit attempts after a failure.
 ///
-/// A failed refit means the window is unhealthy (degenerate moments, a
-/// poisoned chunk that slipped past ingest, too few usable bins). The
+/// A failed refit means the window is unhealthy (degenerate rows, a
+/// poisoned bin that slipped past ingest, too few usable bins). The
 /// trigger condition that fired it is usually still true on the next bin,
 /// so without a backoff the monitor would re-burn a full `O(window·p²)`
 /// fit per bin. The first retry waits `initial_bins`; each consecutive
@@ -186,7 +186,7 @@ pub struct MonitorConfig {
     /// Sliding training-window capacity in bins.
     pub window_bins: usize,
     /// Window roll granularity: the window drops its oldest `chunk_bins`
-    /// whenever it overflows, and refits Chan-merge the surviving chunks.
+    /// rows whenever it overflows.
     pub chunk_bins: usize,
     /// Scheduled refit cadence in scored bins; `None` disables scheduled
     /// refits.
@@ -279,8 +279,8 @@ pub struct RefitReport {
     /// quantile) — the structured "too few training bins for this alpha"
     /// signal.
     pub warnings: Vec<(&'static str, EmpiricalSharpness)>,
-    /// Per-round warm-start / downdate / convergence trace of the fit
-    /// (empty when the fit failed before producing a model).
+    /// Per-round trace of the fit (empty when the fit failed before
+    /// producing a model).
     pub trace: RefitTrace,
     /// Wall-clock of the whole fit attempt, milliseconds (covers failed
     /// attempts too). Observational only — never feeds back into the
@@ -302,8 +302,8 @@ pub enum Verdict {
     Anomalous(Box<Diagnosis>),
     /// The bin's rows carried NaN or infinite values: it was neither
     /// scored (a NaN silently defeats every threshold comparison) nor
-    /// absorbed into the training window (one NaN poisons every later
-    /// Chan merge). Counted in [`Monitor::quarantined_bins`].
+    /// absorbed into the training window (one retained NaN fails every
+    /// later fit). Counted in [`Monitor::quarantined_bins`].
     Quarantined,
 }
 
@@ -648,7 +648,7 @@ impl Monitor {
         self.bins_observed += 1;
         // Quarantine gate: a non-finite row can neither be scored (NaN
         // defeats every threshold comparison — a silent Clean) nor
-        // absorbed (one NaN poisons every later Chan merge of the
+        // absorbed (one retained NaN fails every later fit of the
         // window). Refuse it up front, count it, and keep the lifecycle
         // moving — the backoff still drains and pending triggers still
         // fire, so a garbage storm cannot stall recovery.
@@ -763,12 +763,9 @@ impl Monitor {
         let window_bins = self.window.len();
         let alpha = self.config.diagnoser.alpha;
         let fit_start = std::time::Instant::now();
-        // The serving model seeds the refit's eigensolves — on the small
-        // drift a refit cadence implies, the warm basis converges in a
-        // couple of Rayleigh–Ritz cycles instead of a cold iteration.
         let result = self
             .window
-            .fit_warm(&self.config.diagnoser, self.fitted.as_ref())
+            .fit(&self.config.diagnoser)
             .and_then(|(fitted, trace)| Ok((thresholds_for(&fitted, alpha)?, fitted, trace)));
         let fit_ms = fit_start.elapsed().as_secs_f64() * 1e3;
         let report = match result {
@@ -977,9 +974,9 @@ mod tests {
     #[test]
     fn non_finite_bins_are_quarantined_and_cannot_flip_the_model() {
         // The regression the quarantine exists for: a NaN row used to
-        // flow straight into the window's moment accumulators, poisoning
-        // every later Chan merge and flipping every subsequent refit into
-        // failure. Now it must be refused at the door — the monitor that
+        // flow straight into the training window, flipping every
+        // subsequent refit into failure until it rolled out. Now it must
+        // be refused at the door — the monitor that
         // saw the NaN bin stays bitwise identical to one that never did.
         let config = tiny_config();
         let mut poisoned = Monitor::new(4, config).unwrap();
@@ -1018,7 +1015,7 @@ mod tests {
     fn failing_refits_back_off_exponentially_until_the_window_heals() {
         // A garbage bin of huge-but-finite values passes the quarantine
         // gate (it is real, scorable data — and it alarms) but overflows
-        // the window's comoments to Inf, so every fit fails until the
+        // the fit's centered products to Inf, so every fit fails until the
         // poisoned chunk rolls out. The monitor must keep serving the old
         // model and retry on the RetryPolicy's doubling cadence — 4, 8,
         // then 16 bins (capped at the window) — never once per bin.

@@ -14,10 +14,12 @@
 use crate::stream::StreamingDiagnoser;
 use crate::DiagnosisError;
 use entromine_entropy::AccumulatorPolicy;
+use entromine_linalg::Mat;
 use entromine_subspace::{
     DimSelection, FitStrategy, FlowContribution, MultiwayModel, SubspaceModel, ThresholdPolicy,
 };
 use entromine_synth::Dataset;
+use std::time::Instant;
 
 /// Configuration of the diagnosis pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -41,10 +43,10 @@ pub struct DiagnoserConfig {
     /// with the current models.
     pub max_excluded_fraction: f64,
     /// Which eigensolver engine fits the three models. The default,
-    /// [`FitStrategy::Auto`], dispatches per matrix shape (Gram for wide
-    /// training windows, partial-spectrum for thin requests against wide
-    /// covariances, dense QL otherwise); [`FitStrategy::Full`] pins the
-    /// dense reference oracle. All engines agree to round-off.
+    /// [`FitStrategy::Auto`], dispatches per matrix shape (Gram when a
+    /// training window has fewer rows than columns, the dense solve
+    /// otherwise); [`FitStrategy::Full`] pins the dense reference oracle.
+    /// All engines agree to round-off.
     pub strategy: FitStrategy,
     /// How `alpha` becomes an SPE threshold:
     /// [`ThresholdPolicy::JacksonMudholkar`] (the paper's analytic
@@ -80,17 +82,16 @@ impl Default for DiagnoserConfig {
 
 impl DiagnoserConfig {
     /// The configured dimension selection, capped below `cols` so small
-    /// networks fit with the default config. Shared by the batch fit and
-    /// the rolling-window fit so the two can never disagree.
-    pub(crate) fn capped_dim(&self, cols: usize) -> DimSelection {
+    /// networks fit with the default config.
+    fn capped_dim(&self, cols: usize) -> DimSelection {
         match self.dim {
             DimSelection::Fixed(m) => DimSelection::Fixed(m.min(cols.saturating_sub(1)).max(1)),
             other => other,
         }
     }
 
-    /// Rejects a non-finite or out-of-`(0, 1)` alpha — the shared fit-time
-    /// validation of every fit entry point.
+    /// Rejects a non-finite or out-of-`(0, 1)` alpha — the shared
+    /// validation of the fit path and the monitor's constructor.
     pub(crate) fn validate_alpha(&self) -> Result<(), DiagnosisError> {
         if !self.alpha.is_finite() || self.alpha <= 0.0 || self.alpha >= 1.0 {
             return Err(DiagnosisError::BadConfig(
@@ -222,73 +223,176 @@ impl Diagnoser {
     /// misconfigured pipeline fails loudly before any model exists rather
     /// than misbehaving bin by bin.
     pub fn fit(&self, dataset: &Dataset) -> Result<FittedDiagnoser, DiagnosisError> {
-        self.config.validate_alpha()?;
-        if dataset.n_bins() < 4 {
-            return Err(DiagnosisError::BadDataset(
-                "need at least 4 bins to model variation",
-            ));
-        }
-        if dataset.n_flows() < 2 {
-            // The subspace method models correlation across an ensemble of
-            // OD flows; one flow has no ensemble (and the volume matrices
-            // would have no residual dimensions).
-            return Err(DiagnosisError::BadDataset(
-                "need at least 2 OD flows for ensemble modeling",
-            ));
-        }
-        let n_bins = dataset.n_bins();
-        let mut rows: Vec<usize> = (0..n_bins).collect();
-        let mut fitted = self.fit_on_rows(dataset, &rows)?;
+        fit_rounds(
+            &self.config,
+            dataset.volumes.bytes(),
+            dataset.volumes.packets(),
+            &dataset.tensor.unfold(),
+        )
+        .map(|(fitted, _)| fitted)
+    }
+}
 
-        for _ in 0..self.config.refit_rounds {
-            // Flag suspicious bins with the current models, then refit
-            // without them. Trimming combines two statistics: SPE (the
-            // paper's detection test) and Hotelling's T² on the
-            // normal-subspace scores — an anomaly strong enough to have
-            // been absorbed as a principal axis is invisible to SPE but
-            // has an extreme score along that axis, which T² exposes.
-            let flagged = fitted.suspicious_bins(dataset, self.config.alpha)?;
-            if flagged.is_empty() {
-                break;
-            }
-            if flagged.len() as f64 > self.config.max_excluded_fraction * n_bins as f64 {
-                // Implausibly many exclusions: trust the current fit.
-                break;
-            }
-            let clean: Vec<usize> = (0..n_bins).filter(|b| !flagged.contains(b)).collect();
-            if clean.len() == rows.len() || clean.len() < 4 {
-                break;
-            }
-            rows = clean;
-            fitted = self.fit_on_rows(dataset, &rows)?;
-        }
-        Ok(fitted)
+/// Diagnostics for one round of a fit: how many rows it trained on, how
+/// many the previous round's suspicion gate excluded, and what the
+/// eigensolves cost. Purely observational — the fitted models are a
+/// function of the training rows and the config alone, never of these
+/// measurements.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundTrace {
+    /// Rows the round trained on.
+    pub training_bins: usize,
+    /// Rows the previous round's suspicion gate excluded (0 in round 0).
+    pub flagged_bins: usize,
+    /// Always `false`: the warm-started eigensolve is gone. The field
+    /// survives only because the frozen `bench_e2e` recorder reads it;
+    /// the next benchmark PR removes it together with that read.
+    pub warm_start: bool,
+    /// Always `false`: moment downdating is gone. Kept for the same
+    /// reason as [`warm_start`](Self::warm_start).
+    pub downdated: bool,
+    /// Total Rayleigh–Ritz cycles across the round's three eigensolves
+    /// (0 when every model took the Gram or the dense engine).
+    pub cycles: usize,
+    /// Wall-clock of the round (trimming scan included), milliseconds.
+    /// Timing only — it never feeds back into the fit.
+    pub ms: f64,
+}
+
+/// Per-round trace of one window fit, surfaced to operators through
+/// [`RefitReport`](crate::RefitReport).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RefitTrace {
+    /// One entry per executed fit round, in order (round 0 first).
+    pub rounds: Vec<RoundTrace>,
+}
+
+impl RefitTrace {
+    /// Total wall-clock across all rounds, milliseconds.
+    pub fn total_ms(&self) -> f64 {
+        self.rounds.iter().map(|r| r.ms).sum()
     }
 
-    fn fit_on_rows(
-        &self,
-        dataset: &Dataset,
-        rows: &[usize],
-    ) -> Result<FittedDiagnoser, DiagnosisError> {
-        let p = dataset.n_flows();
-        let strategy = self.config.strategy;
-        let bytes = dataset.volumes.bytes().select_rows(rows);
-        let packets = dataset.volumes.packets().select_rows(rows);
-        let bytes_model = SubspaceModel::fit_with(&bytes, self.config.capped_dim(p), strategy)?;
-        let packets_model = SubspaceModel::fit_with(&packets, self.config.capped_dim(p), strategy)?;
-        let entropy_model = MultiwayModel::fit_on_rows_with(
-            &dataset.tensor,
-            self.config.capped_dim(4 * p),
-            rows,
-            strategy,
-        )?;
+    fn record(
+        &mut self,
+        fitted: &FittedDiagnoser,
+        training_bins: usize,
+        flagged_bins: usize,
+        start: Instant,
+    ) {
+        let cycles = [
+            fitted.bytes_model.pca(),
+            fitted.packets_model.pca(),
+            fitted.entropy_model.inner().pca(),
+        ]
+        .iter()
+        .map(|pca| pca.diagnostics().cycles)
+        .sum();
+        self.rounds.push(RoundTrace {
+            training_bins,
+            flagged_bins,
+            warm_start: false,
+            downdated: false,
+            cycles,
+            ms: start.elapsed().as_secs_f64() * 1e3,
+        });
+    }
+}
+
+/// **The** "training rows → fitted pipeline" algorithm, shared by the
+/// batch [`Diagnoser::fit`] (rows of a [`Dataset`]) and the rolling
+/// [`TrainingWindow::fit`](crate::TrainingWindow::fit) (rows the window
+/// retained): a round-0 fit on every row, then up to
+/// [`refit_rounds`](DiagnoserConfig::refit_rounds) clean-training rounds
+/// that drop the rows the current models find suspicious and refit on the
+/// rest, one [`RoundTrace`] per executed round.
+///
+/// `bytes` and `packets` are `t × p`, `entropy_raw` is the raw unfolded
+/// `t × 4p` matrix, all over the same `t` bins. Every round fits through
+/// [`SubspaceModel::fit_with`] / [`MultiwayModel::fit_unfolded`], so the
+/// engine follows the round's shape under [`FitStrategy::Auto`] — Gram
+/// when the round has fewer rows than columns, the dense covariance
+/// solve otherwise — and every model is calibrated on its own training rows.
+/// The result is a pure function of the three matrices and the config.
+///
+/// # Errors
+///
+/// `BadConfig` on an invalid `alpha`; `BadDataset` with fewer than 4 rows
+/// or fewer than 2 flows; any fit or scoring error from the subspace
+/// layer.
+pub(crate) fn fit_rounds(
+    config: &DiagnoserConfig,
+    bytes: &Mat,
+    packets: &Mat,
+    entropy_raw: &Mat,
+) -> Result<(FittedDiagnoser, RefitTrace), DiagnosisError> {
+    config.validate_alpha()?;
+    let n_bins = bytes.rows();
+    if n_bins < 4 {
+        return Err(DiagnosisError::BadDataset(
+            "need at least 4 bins to model variation",
+        ));
+    }
+    let p = bytes.cols();
+    if p < 2 {
+        // The subspace method models correlation across an ensemble of
+        // OD flows; one flow has no ensemble (and the volume matrices
+        // would have no residual dimensions).
+        return Err(DiagnosisError::BadDataset(
+            "need at least 2 OD flows for ensemble modeling",
+        ));
+    }
+    let fit_on = |rows: &[usize]| -> Result<FittedDiagnoser, DiagnosisError> {
+        let strategy = config.strategy;
         Ok(FittedDiagnoser {
-            config: self.config,
-            bytes_model,
-            packets_model,
-            entropy_model,
+            config: *config,
+            bytes_model: SubspaceModel::fit_with(
+                &bytes.select_rows(rows),
+                config.capped_dim(p),
+                strategy,
+            )?,
+            packets_model: SubspaceModel::fit_with(
+                &packets.select_rows(rows),
+                config.capped_dim(p),
+                strategy,
+            )?,
+            entropy_model: MultiwayModel::fit_unfolded(
+                entropy_raw.select_rows(rows),
+                config.capped_dim(4 * p),
+                strategy,
+            )?,
         })
+    };
+
+    let mut trace = RefitTrace::default();
+    let round_start = Instant::now();
+    let mut rows: Vec<usize> = (0..n_bins).collect();
+    let mut fitted = fit_on(&rows)?;
+    trace.record(&fitted, rows.len(), 0, round_start);
+
+    for _ in 0..config.refit_rounds {
+        let round_start = Instant::now();
+        // Flag suspicious bins with the current models, then refit
+        // without them. Every round re-judges *all* bins, so a bin
+        // excluded by one round can return in the next.
+        let flags = fitted.suspicion_flags(bytes, packets, entropy_raw)?;
+        let clean: Vec<usize> = (0..n_bins).filter(|&bin| !flags[bin]).collect();
+        let flagged = n_bins - clean.len();
+        if flagged == 0 {
+            break;
+        }
+        if flagged as f64 > config.max_excluded_fraction * n_bins as f64 {
+            // Implausibly many exclusions: trust the current fit.
+            break;
+        }
+        if clean.len() == rows.len() || clean.len() < 4 {
+            break;
+        }
+        rows = clean;
+        fitted = fit_on(&rows)?;
+        trace.record(&fitted, rows.len(), flagged, round_start);
     }
+    Ok((fitted, trace))
 }
 
 /// A fitted pipeline, ready to score bins.
@@ -300,93 +404,52 @@ pub struct FittedDiagnoser {
     entropy_model: MultiwayModel,
 }
 
-/// Precomputed trimming thresholds (SPE + Hotelling's T² per detector):
-/// the per-row suspicion test of the clean-training refit loop, shared by
-/// the batch fit and the rolling-window fit.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SuspicionGate {
-    t_bytes: f64,
-    t_packets: f64,
-    t_entropy: f64,
-    t2_bytes: f64,
-    t2_packets: f64,
-    t2_entropy: f64,
-}
-
 impl FittedDiagnoser {
     /// The configuration the pipeline was built with.
     pub fn config(&self) -> &DiagnoserConfig {
         &self.config
     }
 
-    /// Builds the trimming gate for this model set at confidence `alpha`.
-    pub(crate) fn suspicion_gate(&self, alpha: f64) -> Result<SuspicionGate, DiagnosisError> {
-        let policy = self.config.threshold_policy;
-        Ok(SuspicionGate {
-            t_bytes: self.bytes_model.threshold_with(alpha, policy)?,
-            t_packets: self.packets_model.threshold_with(alpha, policy)?,
-            t_entropy: self.entropy_model.threshold_with(alpha, policy)?,
-            t2_bytes: self.bytes_model.t2_threshold(alpha),
-            t2_packets: self.packets_model.t2_threshold(alpha),
-            t2_entropy: self.entropy_model.inner().t2_threshold(alpha),
-        })
-    }
-
-    /// One suspicion flag per `(bytes, packets, entropy)` row triple:
-    /// whether the bin looks suspicious under SPE *or* Hotelling's T² for
-    /// any of the three detectors — the row test the clean-training refit
-    /// excludes on, shared by the batch refit loop and the rolling-window
-    /// fit. Each model scans its rows in one batched single-pass
-    /// `(SPE, T²)` sweep ([`SubspaceModel::spe_t2_batch`]) over shared
-    /// scratch: one axis-matrix pass per model per row instead of the
-    /// three the separate statistic calls paid.
-    pub(crate) fn suspicion_flags<'r>(
+    /// One flag per bin: whether it looks suspicious under SPE *or*
+    /// Hotelling's T² for any of the three detectors, at the configured
+    /// `alpha` and threshold policy — the row test the clean-training
+    /// rounds of [`fit_rounds`] exclude on. SPE is the paper's detection
+    /// test; an anomaly strong enough to have been absorbed as a principal
+    /// axis is invisible to it but has an extreme score along that axis,
+    /// which T² exposes. Each model scans its rows in one batched
+    /// single-pass `(SPE, T²)` sweep ([`SubspaceModel::spe_t2_batch`]).
+    fn suspicion_flags(
         &self,
-        gate: &SuspicionGate,
-        rows: impl IntoIterator<Item = (&'r [f64], &'r [f64], &'r [f64])>,
+        bytes: &Mat,
+        packets: &Mat,
+        entropy_raw: &Mat,
     ) -> Result<Vec<bool>, DiagnosisError> {
-        let mut bytes_rows = Vec::new();
-        let mut packets_rows = Vec::new();
-        let mut entropy_rows = Vec::new();
-        for (b, p, e) in rows {
-            bytes_rows.push(b);
-            packets_rows.push(p);
-            entropy_rows.push(e);
-        }
-        let mut flags = vec![false; bytes_rows.len()];
-        let mut pairs = Vec::with_capacity(bytes_rows.len());
+        let alpha = self.config.alpha;
+        let policy = self.config.threshold_policy;
+        let mut flags = vec![false; bytes.rows()];
+        let mut pairs = Vec::with_capacity(bytes.rows());
+        let mut mark = |pairs: &[(f64, f64)], t_spe: f64, t_t2: f64| {
+            for (flag, &(spe, t2)) in flags.iter_mut().zip(pairs) {
+                *flag |= spe > t_spe || t2 > t_t2;
+            }
+        };
+        let t_spe = self.bytes_model.threshold_with(alpha, policy)?;
         self.bytes_model
-            .spe_t2_batch(bytes_rows.iter().copied(), &mut pairs)?;
-        for (flag, &(spe, t2)) in flags.iter_mut().zip(&pairs) {
-            *flag = spe > gate.t_bytes || t2 > gate.t2_bytes;
-        }
+            .spe_t2_batch(bytes.row_iter(), &mut pairs)?;
+        mark(&pairs, t_spe, self.bytes_model.t2_threshold(alpha));
+        let t_spe = self.packets_model.threshold_with(alpha, policy)?;
         self.packets_model
-            .spe_t2_batch(packets_rows.iter().copied(), &mut pairs)?;
-        for (flag, &(spe, t2)) in flags.iter_mut().zip(&pairs) {
-            *flag = *flag || spe > gate.t_packets || t2 > gate.t2_packets;
-        }
+            .spe_t2_batch(packets.row_iter(), &mut pairs)?;
+        mark(&pairs, t_spe, self.packets_model.t2_threshold(alpha));
+        let t_spe = self.entropy_model.threshold_with(alpha, policy)?;
         self.entropy_model
-            .spe_t2_batch(entropy_rows.iter().copied(), &mut pairs)?;
-        for (flag, &(spe, t2)) in flags.iter_mut().zip(&pairs) {
-            *flag = *flag || spe > gate.t_entropy || t2 > gate.t2_entropy;
-        }
+            .spe_t2_batch(entropy_raw.row_iter(), &mut pairs)?;
+        mark(
+            &pairs,
+            t_spe,
+            self.entropy_model.inner().t2_threshold(alpha),
+        );
         Ok(flags)
-    }
-
-    /// Assembles a fitted pipeline from already-fitted models — the back
-    /// door the rolling-window fit uses (it has no `Dataset`).
-    pub(crate) fn from_parts(
-        config: DiagnoserConfig,
-        bytes_model: SubspaceModel,
-        packets_model: SubspaceModel,
-        entropy_model: MultiwayModel,
-    ) -> Self {
-        FittedDiagnoser {
-            config,
-            bytes_model,
-            packets_model,
-            entropy_model,
-        }
     }
 
     /// Structured empirical-threshold sharpness warnings at confidence
@@ -469,37 +532,6 @@ impl FittedDiagnoser {
             diagnoses,
             thresholds: scorer.thresholds(),
         })
-    }
-
-    /// Bins that look suspicious under SPE *or* Hotelling's T² for any of
-    /// the three detectors — the trimming set for clean-training refits,
-    /// a replay of [`suspicion_flags`](Self::suspicion_flags) over the
-    /// dataset's rows.
-    fn suspicious_bins(
-        &self,
-        dataset: &Dataset,
-        alpha: f64,
-    ) -> Result<std::collections::HashSet<usize>, DiagnosisError> {
-        let gate = self.suspicion_gate(alpha)?;
-        let entropy_rows: Vec<Vec<f64>> = (0..dataset.n_bins())
-            .map(|bin| dataset.tensor.unfolded_row(bin))
-            .collect();
-        let flags = self.suspicion_flags(
-            &gate,
-            (0..dataset.n_bins()).map(|bin| {
-                (
-                    dataset.volumes.bytes().row(bin),
-                    dataset.volumes.packets().row(bin),
-                    entropy_rows[bin].as_slice(),
-                )
-            }),
-        )?;
-        Ok(flags
-            .iter()
-            .enumerate()
-            .filter(|&(_, &flagged)| flagged)
-            .map(|(bin, _)| bin)
-            .collect())
     }
 
     /// The residual-magnitude series of all three detectors — the axes of

@@ -1,106 +1,27 @@
 //! The sliding training window of a rolling-model monitor.
 //!
 //! A deployment that refits as traffic drifts needs to hold "the last W
-//! bins" in a form a fit can consume. Re-pushing W rows of width `4p`
-//! into fresh moment accumulators on every refit costs `O(W·p²)`; a
-//! [`TrainingWindow`] instead accumulates **chunks** — each chunk owns
-//! its own [`MomentAccumulator`]s (bytes, packets) and [`MultiwayFitter`]
-//! (entropy) over `chunk_bins` consecutive bins — and a refit merges the
-//! live chunks with Chan's pairwise moment combination, `O(K·p²)` for `K`
-//! chunks. Rolling the window forward is dropping the oldest chunk:
-//! subtraction-free, numerically safe, and exactly what the Chan merge
-//! was built for.
+//! bins" in a form a fit can consume. A [`TrainingWindow`] is exactly
+//! that and nothing more: a bounded queue of each bin's three measurement
+//! rows. A refit copies the retained rows into three matrices and hands
+//! them to the same `fit_rounds` the batch
+//! [`Diagnoser`](crate::Diagnoser) runs — so the window has no fitting
+//! logic of its own, and a window fit is a function of the retained rows
+//! only (not of how they were chunked or how far the window has rolled).
 //!
-//! The raw rows are retained alongside the moments (bounded by the
-//! window capacity) because two parts of the fit cannot run on moments
-//! alone: the clean-training trimming rounds (`refit_rounds`) must score
-//! and exclude individual bins, and [`ThresholdPolicy::Empirical`] needs
-//! the training-SPE order statistics.
+//! Rolling the window forward drops the oldest `chunk_bins` rows at once,
+//! so the window length moves in a sawtooth instead of sliding by one
+//! bin per push.
 //!
 //! [`fit`](TrainingWindow::fit) is **the** window-fit code path: the
 //! online [`Monitor`](crate::Monitor) calls it at every refit, and an
 //! offline replay that pushes the same bins through a fresh window gets
 //! bit-identical models — the property the monitor-lifecycle suite pins.
-//!
-//! [`MomentAccumulator`]: entromine_linalg::MomentAccumulator
-//! [`MultiwayFitter`]: entromine_subspace::MultiwayFitter
-//! [`ThresholdPolicy::Empirical`]: entromine_subspace::ThresholdPolicy::Empirical
 
-use crate::pipeline::{DiagnoserConfig, FittedDiagnoser};
+use crate::pipeline::{fit_rounds, DiagnoserConfig, FittedDiagnoser, RefitTrace};
 use crate::DiagnosisError;
-use entromine_linalg::MomentAccumulator;
-use entromine_subspace::{MultiwayFitter, SubspaceModel};
+use entromine_linalg::Mat;
 use std::collections::VecDeque;
-use std::time::Instant;
-
-/// Diagnostics for one fit round of [`TrainingWindow::fit_warm`]: how the
-/// round's moments were produced, whether the eigensolves were seeded
-/// from a previous basis, and what they cost. Purely observational — the
-/// fitted models are a function of the push history and the warm seed
-/// alone, never of these measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundTrace {
-    /// Rows the round trained on.
-    pub training_bins: usize,
-    /// Rows the previous round's suspicion gate excluded (0 in round 0).
-    pub flagged_bins: usize,
-    /// Whether any of the round's three eigensolves was warm-started
-    /// from a previous model's basis (and actually ran the partial
-    /// engine — dense fallbacks report cold).
-    pub warm_start: bool,
-    /// Whether the round's moments came from downdating the flagged rows
-    /// out of the round-0 merge (`false`: re-accumulated the clean rows).
-    pub downdated: bool,
-    /// Total Rayleigh–Ritz cycles across the round's three eigensolves
-    /// (0 when every model took a dense engine).
-    pub cycles: usize,
-    /// Wall-clock of the round, milliseconds. Timing only — it never
-    /// feeds back into the fit.
-    pub ms: f64,
-}
-
-/// Per-round trace of one [`TrainingWindow::fit_warm`] call, surfaced to
-/// operators through [`RefitReport`](crate::RefitReport).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RefitTrace {
-    /// One entry per executed fit round, in order (round 0 first).
-    pub rounds: Vec<RoundTrace>,
-}
-
-impl RefitTrace {
-    /// Total wall-clock across all rounds, milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.rounds.iter().map(|r| r.ms).sum()
-    }
-
-    /// Whether any round's eigensolve ran warm-started.
-    pub fn any_warm(&self) -> bool {
-        self.rounds.iter().any(|r| r.warm_start)
-    }
-
-    fn record(
-        &mut self,
-        fitted: &FittedDiagnoser,
-        training_bins: usize,
-        flagged_bins: usize,
-        downdated: bool,
-        start: Instant,
-    ) {
-        let diags = [
-            fitted.bytes_model().pca().diagnostics(),
-            fitted.packets_model().pca().diagnostics(),
-            fitted.entropy_model().inner().pca().diagnostics(),
-        ];
-        self.rounds.push(RoundTrace {
-            training_bins,
-            flagged_bins,
-            warm_start: diags.iter().any(|d| d.warm_start),
-            downdated,
-            cycles: diags.iter().map(|d| d.cycles).sum(),
-            ms: start.elapsed().as_secs_f64() * 1e3,
-        });
-    }
-}
 
 /// One training bin's retained measurement rows.
 #[derive(Debug, Clone)]
@@ -111,45 +32,23 @@ struct WindowRow {
     entropy_raw: Vec<f64>,
 }
 
-/// One chunk of the window: moments plus retained rows over up to
-/// `chunk_bins` consecutive pushes.
-#[derive(Debug, Clone)]
-struct WindowChunk {
-    bytes: MomentAccumulator,
-    packets: MomentAccumulator,
-    entropy: MultiwayFitter,
-    rows: Vec<WindowRow>,
-}
-
-impl WindowChunk {
-    fn new(n_flows: usize) -> Result<Self, DiagnosisError> {
-        Ok(WindowChunk {
-            bytes: MomentAccumulator::new(n_flows),
-            packets: MomentAccumulator::new(n_flows),
-            // Dimension and engine are re-selected at fit time.
-            entropy: MultiwayFitter::new(n_flows, entromine_subspace::DimSelection::Fixed(1))?,
-            rows: Vec::new(),
-        })
-    }
-}
-
-/// A sliding, chunked training window over scored bins: Chan-merged
-/// chunk moments plus retained rows, fitted by one auditable code path.
+/// A sliding training window over scored bins: the retained rows of the
+/// last `capacity_bins` bins, fitted by the one shared fit path.
 #[derive(Debug, Clone)]
 pub struct TrainingWindow {
     n_flows: usize,
     capacity_bins: usize,
     chunk_bins: usize,
-    chunks: VecDeque<WindowChunk>,
+    rows: VecDeque<WindowRow>,
 }
 
 impl TrainingWindow {
     /// An empty window for `n_flows` OD flows holding at most
     /// `capacity_bins` bins, rolled forward in `chunk_bins` granules.
     ///
-    /// Because rolling drops whole chunks, the effective window length
-    /// stays within `[capacity_bins - chunk_bins + 1, capacity_bins]`
-    /// once full.
+    /// Because rolling drops `chunk_bins` rows at once, the effective
+    /// window length stays within
+    /// `[capacity_bins - chunk_bins + 1, capacity_bins]` once full.
     ///
     /// # Errors
     ///
@@ -180,7 +79,7 @@ impl TrainingWindow {
             n_flows,
             capacity_bins,
             chunk_bins,
-            chunks: VecDeque::new(),
+            rows: VecDeque::new(),
         })
     }
 
@@ -191,12 +90,12 @@ impl TrainingWindow {
 
     /// Bins currently held.
     pub fn len(&self) -> usize {
-        self.chunks.iter().map(|c| c.rows.len()).sum()
+        self.rows.len()
     }
 
     /// `true` when no bin has been absorbed.
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.rows.is_empty()
     }
 
     /// Maximum bins held before the oldest chunk rolls out.
@@ -211,24 +110,21 @@ impl TrainingWindow {
 
     /// The bin indices currently in the window, oldest first.
     pub fn bins(&self) -> Vec<usize> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.rows.iter().map(|r| r.bin))
-            .collect()
+        self.rows.iter().map(|r| r.bin).collect()
     }
 
     /// Absorbs one bin's measurement rows: byte and packet counts per
     /// flow (length `p`) and the raw unfolded entropy row (length `4p`).
-    /// Rolls the oldest chunk out once the capacity is exceeded.
+    /// Rolls the oldest `chunk_bins` rows out once the capacity is
+    /// exceeded.
     ///
     /// # Errors
     ///
     /// `BadDataset` on a row-length mismatch; `NonFiniteInput` when any
     /// row carries a NaN or infinite value. The non-finite rejection
-    /// happens before any chunk state is touched: one absorbed NaN would
-    /// silently poison the chunk's moments and every later Chan merge,
-    /// making **every** subsequent fit of this window fail until the
-    /// poisoned chunk rolls out.
+    /// happens before the window is touched: one retained NaN would make
+    /// **every** subsequent fit of this window fail until the poisoned
+    /// row rolls out.
     pub fn push_bin(
         &mut self,
         bin: usize,
@@ -248,38 +144,29 @@ impl TrainingWindow {
                 "window rows must be finite; quarantine NaN/Inf bins upstream",
             ));
         }
-        let need_new = self
-            .chunks
-            .back()
-            .is_none_or(|c| c.rows.len() >= self.chunk_bins);
-        if need_new {
-            self.chunks.push_back(WindowChunk::new(p)?);
-        }
-        let chunk = self.chunks.back_mut().expect("chunk just ensured");
-        chunk.bytes.push(bytes_row).map_err(subspace_err)?;
-        chunk.packets.push(packets_row).map_err(subspace_err)?;
-        chunk.entropy.push_row(entropy_raw)?;
-        chunk.rows.push(WindowRow {
+        self.rows.push_back(WindowRow {
             bin,
             bytes: bytes_row.to_vec(),
             packets: packets_row.to_vec(),
             entropy_raw: entropy_raw.to_vec(),
         });
-        while self.len() > self.capacity_bins && self.chunks.len() > 1 {
-            self.chunks.pop_front();
+        if self.rows.len() > self.capacity_bins {
+            self.rows.drain(..self.chunk_bins);
         }
         Ok(())
     }
 
-    /// Fits the three subspace models on the window's current contents —
-    /// merged chunk moments for the first round, then the configured
-    /// clean-training trimming rounds (`refit_rounds`, same semantics and
-    /// same row test as the batch [`Diagnoser`](crate::Diagnoser)), with
-    /// every round's models calibrated on its training rows so
+    /// Fits the three subspace models on the window's current contents
+    /// through the shared fit path — a round-0 fit on every retained row,
+    /// then the configured clean-training trimming rounds
+    /// (`refit_rounds`), exactly as the batch
+    /// [`Diagnoser`](crate::Diagnoser) does — and returns the models with
+    /// the per-round [`RefitTrace`]. Every round's models are calibrated
+    /// on its training rows, so
     /// [`ThresholdPolicy::Empirical`](entromine_subspace::ThresholdPolicy::Empirical)
     /// works out of the box.
     ///
-    /// The result is a pure function of the pushed-bin history and the
+    /// The models are a pure function of the retained rows and the
     /// config: an offline replay of the same pushes produces bit-identical
     /// models, which is what makes online refits auditable.
     ///
@@ -287,201 +174,21 @@ impl TrainingWindow {
     ///
     /// `BadConfig` on an invalid `alpha`; `BadDataset` with fewer than 4
     /// bins; any fit error from the subspace layer.
-    pub fn fit(&self, config: &DiagnoserConfig) -> Result<FittedDiagnoser, DiagnosisError> {
-        self.fit_warm(config, None).map(|(fitted, _)| fitted)
-    }
-
-    /// [`fit`](Self::fit) with the warm refit engine engaged: when a
-    /// `serving` model is supplied, round 0 seeds its three eigensolves
-    /// from that model's basis, each trimming round seeds from the
-    /// previous round's basis, and trimmed-round moments are produced by
-    /// *downdating* the flagged rows out of the round-0 Chan merge
-    /// (`O(flagged · p²)`) instead of re-accumulating every clean row
-    /// (`O(bins · p²)`). When the downdate guard refuses (too large a
-    /// removed fraction, or catastrophic cancellation on a variance), the
-    /// round silently falls back to re-accumulation.
-    ///
-    /// With `serving = None` this is exactly the cold [`fit`](Self::fit)
-    /// path — the executable spec the warm engine is pinned against.
-    /// Either way the result is a deterministic pure function of the push
-    /// history, the config, and the warm seed: an offline replay that
-    /// pushes the same bins and supplies the same serving model gets
-    /// bit-identical models.
-    ///
-    /// # Errors
-    ///
-    /// As [`fit`](Self::fit).
-    pub fn fit_warm(
+    pub fn fit(
         &self,
         config: &DiagnoserConfig,
-        serving: Option<&FittedDiagnoser>,
     ) -> Result<(FittedDiagnoser, RefitTrace), DiagnosisError> {
-        config.validate_alpha()?;
-        let n_bins = self.len();
-        if n_bins < 4 {
-            return Err(DiagnosisError::BadDataset(
-                "need at least 4 bins to model variation",
-            ));
+        let (n, p) = (self.rows.len(), self.n_flows);
+        let mut bytes = Mat::zeros(n, p);
+        let mut packets = Mat::zeros(n, p);
+        let mut entropy_raw = Mat::zeros(n, 4 * p);
+        for (i, row) in self.rows.iter().enumerate() {
+            bytes.row_mut(i).copy_from_slice(&row.bytes);
+            packets.row_mut(i).copy_from_slice(&row.packets);
+            entropy_raw.row_mut(i).copy_from_slice(&row.entropy_raw);
         }
-        let rows: Vec<&WindowRow> = self.chunks.iter().flat_map(|c| c.rows.iter()).collect();
-        let mut trace = RefitTrace::default();
-        let round_start = Instant::now();
-
-        // Round 0: Chan-merge the chunk moments — the cheap path that
-        // makes routine refits O(chunks · p²) instead of O(bins · p²).
-        let mut chunks = self.chunks.iter();
-        let first = chunks.next().expect("non-empty window");
-        let mut bytes = first.bytes.clone();
-        let mut packets = first.packets.clone();
-        let mut entropy = first.entropy.clone();
-        for c in chunks {
-            bytes.merge(&c.bytes).map_err(subspace_err)?;
-            packets.merge(&c.packets).map_err(subspace_err)?;
-            entropy.merge(&c.entropy)?;
-        }
-        // The warm engine keeps the round-0 merge so trimming rounds can
-        // downdate flagged rows from it; the cold path never needs it.
-        let merged = serving
-            .is_some()
-            .then(|| (bytes.clone(), packets.clone(), entropy.clone()));
-        let mut fitted = self.fit_models(config, &bytes, &packets, entropy, &rows, serving)?;
-        trace.record(&fitted, rows.len(), 0, false, round_start);
-
-        for _ in 0..config.refit_rounds {
-            let round_start = Instant::now();
-            // Same trimming statistic as the batch pipeline: SPE or
-            // Hotelling's T² on any detector, scanned as one batched
-            // single-pass (SPE, T²) sweep per model over shared scratch.
-            let gate = fitted.suspicion_gate(config.alpha)?;
-            let flags = fitted.suspicion_flags(
-                &gate,
-                rows.iter().map(|r| {
-                    (
-                        r.bytes.as_slice(),
-                        r.packets.as_slice(),
-                        r.entropy_raw.as_slice(),
-                    )
-                }),
-            )?;
-            let mut clean: Vec<&WindowRow> = Vec::with_capacity(rows.len());
-            let mut flagged_rows: Vec<&WindowRow> = Vec::new();
-            for (row, &suspicious) in rows.iter().zip(&flags) {
-                if suspicious {
-                    flagged_rows.push(row);
-                } else {
-                    clean.push(row);
-                }
-            }
-            let flagged = flagged_rows.len();
-            if flagged == 0 {
-                break;
-            }
-            if flagged as f64 > config.max_excluded_fraction * n_bins as f64 {
-                // Implausibly many exclusions: trust the current fit.
-                break;
-            }
-            if clean.len() < 4 {
-                break;
-            }
-            // Trimmed rounds have no precomputed chunk moments. Warm
-            // engine: remove the flagged rows from the round-0 merge via
-            // Chan downdating (all three accumulators or none — a refusal
-            // from any guard falls back wholesale). Cold engine, or a
-            // guarded refusal: re-accumulate the surviving rows.
-            let mut downdate = None;
-            if let Some((bytes0, packets0, entropy0)) = &merged {
-                let (rem_bytes, rem_packets, rem_entropy) = self.accumulate_rows(&flagged_rows)?;
-                let mut bytes = bytes0.clone();
-                let mut packets = packets0.clone();
-                let mut entropy = entropy0.clone();
-                let accepted = bytes.try_downdate(&rem_bytes).map_err(subspace_err)?
-                    && packets.try_downdate(&rem_packets).map_err(subspace_err)?
-                    && entropy.try_downdate(&rem_entropy)?;
-                if accepted {
-                    downdate = Some((bytes, packets, entropy));
-                }
-            }
-            let downdated = downdate.is_some();
-            let (bytes, packets, entropy) = match downdate {
-                Some(moments) => moments,
-                None => self.accumulate_rows(&clean)?,
-            };
-            // Each trimming round seeds from the round that flagged its
-            // exclusions — the basis drifts by at most those few rows.
-            let warm = serving.is_some().then_some(&fitted);
-            fitted = self.fit_models(config, &bytes, &packets, entropy, &clean, warm)?;
-            trace.record(&fitted, clean.len(), flagged, downdated, round_start);
-        }
-        Ok((fitted, trace))
+        fit_rounds(config, &bytes, &packets, &entropy_raw)
     }
-
-    /// Fresh moment accumulators over exactly `rows`.
-    fn accumulate_rows(
-        &self,
-        rows: &[&WindowRow],
-    ) -> Result<(MomentAccumulator, MomentAccumulator, MultiwayFitter), DiagnosisError> {
-        let p = self.n_flows;
-        let mut bytes = MomentAccumulator::new(p);
-        let mut packets = MomentAccumulator::new(p);
-        let mut entropy = MultiwayFitter::new(p, entromine_subspace::DimSelection::Fixed(1))?;
-        for row in rows {
-            bytes.push(&row.bytes).map_err(subspace_err)?;
-            packets.push(&row.packets).map_err(subspace_err)?;
-            entropy.push_row(&row.entropy_raw)?;
-        }
-        Ok((bytes, packets, entropy))
-    }
-
-    /// One fit round: models from moments (eigensolves seeded from
-    /// `warm`'s bases when supplied), calibrated on the round's training
-    /// rows.
-    fn fit_models(
-        &self,
-        config: &DiagnoserConfig,
-        bytes: &MomentAccumulator,
-        packets: &MomentAccumulator,
-        entropy: MultiwayFitter,
-        training_rows: &[&WindowRow],
-        warm: Option<&FittedDiagnoser>,
-    ) -> Result<FittedDiagnoser, DiagnosisError> {
-        let p = self.n_flows;
-        let strategy = config.strategy;
-        let mut bytes_model = SubspaceModel::fit_from_moments_warm(
-            bytes,
-            config.capped_dim(p),
-            strategy,
-            warm.map(|f| f.bytes_model()),
-        )?;
-        let mut packets_model = SubspaceModel::fit_from_moments_warm(
-            packets,
-            config.capped_dim(p),
-            strategy,
-            warm.map(|f| f.packets_model()),
-        )?;
-        let mut entropy_model = entropy
-            .with_dim(config.capped_dim(4 * p))
-            .with_strategy(strategy)
-            .finish_warm(warm.map(|f| f.entropy_model()))?;
-        // Streamed fits are born uncalibrated; the retained rows supply
-        // the training-SPE order statistics (in the same units each model
-        // scores in), matching the batch fit's auto-calibration.
-        bytes_model.calibrate_with_rows(training_rows.iter().map(|r| r.bytes.as_slice()))?;
-        packets_model.calibrate_with_rows(training_rows.iter().map(|r| r.packets.as_slice()))?;
-        entropy_model
-            .calibrate_with_raw_rows(training_rows.iter().map(|r| r.entropy_raw.as_slice()))?;
-        Ok(FittedDiagnoser::from_parts(
-            *config,
-            bytes_model,
-            packets_model,
-            entropy_model,
-        ))
-    }
-}
-
-/// The linalg error path of the window plumbing, routed through the same
-/// conversion the subspace layer uses.
-fn subspace_err(e: entromine_linalg::LinalgError) -> DiagnosisError {
-    DiagnosisError::Subspace(entromine_subspace::SubspaceError::from(e))
 }
 
 #[cfg(test)]
@@ -527,7 +234,7 @@ mod tests {
         feed(&mut w, 0..12, 1);
         assert_eq!(w.len(), 12);
         assert_eq!(w.bins().first(), Some(&0));
-        // One more bin: the oldest chunk (bins 0..4) rolls out.
+        // One more bin: the oldest chunk_bins rows (bins 0..4) roll out.
         feed(&mut w, 12..13, 1);
         assert_eq!(w.len(), 9);
         assert_eq!(w.bins().first(), Some(&4));
@@ -570,8 +277,8 @@ mod tests {
             refit_rounds: 0,
             ..Default::default()
         };
-        let fa = w.fit(&config).unwrap();
-        let fb = pristine.fit(&config).unwrap();
+        let (fa, _) = w.fit(&config).unwrap();
+        let (fb, _) = pristine.fit(&config).unwrap();
         let probe = vec![1.5; 3];
         assert_eq!(
             fa.bytes_model().spe(&probe).unwrap(),
@@ -601,8 +308,8 @@ mod tests {
         let mut b = TrainingWindow::new(5, 60, 16).unwrap();
         feed(&mut a, 0..90, 3);
         feed(&mut b, 0..90, 3);
-        let fa = a.fit(&config).unwrap();
-        let fb = b.fit(&config).unwrap();
+        let (fa, _) = a.fit(&config).unwrap();
+        let (fb, _) = b.fit(&config).unwrap();
         let probe_bytes = vec![1.0e5; 5];
         let probe_entropy = vec![2.0; 20];
         assert_eq!(
@@ -629,7 +336,7 @@ mod tests {
         };
         let mut w = TrainingWindow::new(5, 100, 25).unwrap();
         feed(&mut w, 0..100, 4);
-        let fitted = w.fit(&config).unwrap();
+        let (fitted, _) = w.fit(&config).unwrap();
         // Empirical thresholds are available immediately — the window fit
         // calibrated every model on its training rows.
         assert!(fitted

@@ -177,6 +177,12 @@ macro_rules! tier_common_methods {
             delegate!(self, b => b.late_events())
         }
 
+        /// Offers refused for lying beyond the far-future horizon (a
+        /// refused batch counts once).
+        pub fn rejected_events(&self) -> u64 {
+            delegate!(self, b => b.rejected_events())
+        }
+
         /// Bins finalized so far.
         pub fn finalized_bins(&self) -> u64 {
             delegate!(self, b => b.finalized_bins())
@@ -268,6 +274,48 @@ mod tests {
             .unwrap();
         sharded.offer_packets(&batch).unwrap();
         assert_eq!(sharded.finish(), bins[0]);
+    }
+
+    /// A 4-bin horizon and a batch whose second packet lies far beyond
+    /// it: the batch is refused whole and must count exactly once.
+    fn beyond_horizon_fixture() -> (StreamConfig, [(usize, PacketHeader); 2]) {
+        (
+            StreamConfig::new(2).with_horizon(4),
+            [(0, pkt(1, 80, 10)), (1, pkt(2, 80, 300 * 1000))],
+        )
+    }
+
+    const BOTH_TIERS: [AccumulatorPolicy; 2] = [
+        AccumulatorPolicy::Exact,
+        AccumulatorPolicy::Sketched { budget: 64 },
+    ];
+
+    #[test]
+    fn serial_facade_forwards_far_future_refusals() {
+        let (cfg, batch) = beyond_horizon_fixture();
+        for policy in BOTH_TIERS {
+            let mut plane = policy.streaming(cfg.clone()).unwrap();
+            assert!(matches!(
+                plane.offer_packets(&batch),
+                Err(StreamError::BeyondHorizon { .. })
+            ));
+            assert_eq!(plane.rejected_events(), 1, "{policy:?}");
+            assert_eq!(plane.late_events(), 0);
+        }
+    }
+
+    #[test]
+    fn sharded_facade_forwards_far_future_refusals() {
+        let (cfg, batch) = beyond_horizon_fixture();
+        for policy in BOTH_TIERS {
+            let mut plane = policy.sharded(cfg.clone(), 2).unwrap();
+            assert!(matches!(
+                plane.offer_packets(&batch),
+                Err(StreamError::BeyondHorizon { .. })
+            ));
+            assert_eq!(plane.rejected_events(), 1, "{policy:?}");
+            assert_eq!(plane.late_events(), 0);
+        }
     }
 
     #[test]

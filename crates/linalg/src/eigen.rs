@@ -1182,44 +1182,6 @@ pub fn top_k_eigen_detailed(
     k: usize,
     seed: u64,
 ) -> Result<(SymEigen, TopKInfo), LinalgError> {
-    top_k_eigen_impl(a, k, seed, None)
-}
-
-/// [`top_k_eigen_detailed`] **warm-started** from a previous eigenbasis.
-///
-/// `warm` is an `n × c` matrix whose columns seed the leading columns of
-/// the iteration block (a previous model's eigenvectors, typically); the
-/// block is padded to its oversampled width with the same seeded random
-/// draws the cold start would use for those slots, then re-orthonormalized
-/// — so a stale, non-orthogonal, or rank-deficient guess degrades
-/// gracefully toward the cold iteration instead of failing. When the
-/// matrix drifted only a few percent since `warm` was computed, the
-/// leading Ritz pairs pass the residual test within 1–2 cycles instead of
-/// a cold iteration's dozens.
-///
-/// The result is a deterministic pure function of `(a, k, seed, warm)`:
-/// same inputs, bitwise-same output. A guess with the wrong row count is
-/// ignored entirely (cold behavior, bit for bit); extra guess columns
-/// beyond the block width are ignored.
-///
-/// # Errors
-///
-/// Same as [`top_k_eigen_detailed`].
-pub fn top_k_eigen_detailed_warm(
-    a: &Mat,
-    k: usize,
-    seed: u64,
-    warm: &Mat,
-) -> Result<(SymEigen, TopKInfo), LinalgError> {
-    top_k_eigen_impl(a, k, seed, Some(warm))
-}
-
-fn top_k_eigen_impl(
-    a: &Mat,
-    k: usize,
-    seed: u64,
-    warm: Option<&Mat>,
-) -> Result<(SymEigen, TopKInfo), LinalgError> {
     if a.rows() != a.cols() {
         return Err(LinalgError::NotSquare { shape: a.shape() });
     }
@@ -1231,15 +1193,8 @@ fn top_k_eigen_impl(
     }
     let block = (k + OVERSAMPLE).min(n);
     let mut rng = StdRng::seed_from_u64(seed);
-    // A warm guess of the wrong height cannot seed an n-dimensional basis.
-    let warm_cols = warm
-        .filter(|g| g.rows() == n)
-        .map_or(0, |g| g.cols().min(block));
     let mut q: Vec<Vec<f64>> = (0..block)
-        .map(|col| match warm {
-            Some(g) if col < warm_cols => (0..n).map(|i| g[(i, col)]).collect(),
-            _ => (0..n).map(|_| rng.random::<f64>() - 0.5).collect(),
-        })
+        .map(|_| (0..n).map(|_| rng.random::<f64>() - 0.5).collect())
         .collect();
     orthonormalize(&mut q, &[], &mut rng);
 

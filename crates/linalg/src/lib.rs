@@ -26,16 +26,13 @@
 //!   residual eigenvalues.
 //! * [`Pca`] — principal component analysis over the rows of a data matrix
 //!   (columns are variables), as used to split traffic into normal and
-//!   residual subspaces. Four fit engines behind the [`FitStrategy`]
+//!   residual subspaces. Three fit engines behind the [`FitStrategy`]
 //!   dispatcher ([`Pca::fit_with`]): the dense covariance eigenproblem
 //!   ([`Pca::fit`]), the `rows × rows` Gram eigenproblem for wide matrices
-//!   ([`Pca::fit_gram`]), the partial-spectrum engine for thin requests
-//!   against wide covariances ([`Pca::fit_partial`]), and a streaming fit
-//!   from incremental moments ([`Pca::fit_from_moments`]).
+//!   ([`Pca::fit_gram`]), and the opt-in partial-spectrum engine
+//!   ([`Pca::fit_partial`]).
 //! * [`MomentAccumulator`] — Welford-style online mean + covariance over a
-//!   row stream, the substrate of the streaming fit phase: rows are
-//!   absorbed as they are finalized and the `t × n` training matrix never
-//!   materializes.
+//!   row stream (no fit path consumes it; the benches time its push).
 //! * [`ScorePlan`] — the fused scoring plane: allocation-free SPE via the
 //!   norm identity `‖x−μ‖² − Σⱼ sⱼ²` with a cancellation guard and a
 //!   batch entry point, built from a fitted model by [`Pca::score_plan`].
@@ -90,7 +87,7 @@ pub mod stats;
 
 pub use eigen::{
     block_matvec, block_matvec_serial, sym_eigen, sym_eigen_ql, top_k_eigen, top_k_eigen_detailed,
-    top_k_eigen_detailed_warm, SymEigen, TopKInfo,
+    SymEigen, TopKInfo,
 };
 pub use error::LinalgError;
 pub use matrix::Mat;

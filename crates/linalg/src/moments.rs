@@ -3,13 +3,17 @@
 //! The batch pipeline forms a `t × n` matrix and re-scans it to build the
 //! column means and sample covariance. [`MomentAccumulator`] computes the
 //! same two statistics **one row at a time** — Welford's online mean update
-//! plus a rank-one update of the centered co-moment matrix — so a model can
-//! be fitted from a stream of finalized bins without the `t × n` matrix
-//! ever existing. Memory is `O(n²)` for the co-moment triangle, independent
-//! of how many rows flow through.
+//! plus a rank-one update of the centered co-moment matrix — so the
+//! moments of a stream of finalized bins are available without the
+//! `t × n` matrix ever existing. Memory is `O(n²)` for the co-moment
+//! triangle, independent of how many rows flow through.
 //!
 //! Two accumulators over disjoint row sets can be [`merge`]d (Chan's
-//! pairwise combination), which is what a sharded ingest path needs.
+//! pairwise combination).
+//!
+//! No fit path consumes the accumulator: every model is fitted from
+//! retained rows ([`Pca::fit_with`](crate::Pca::fit_with)). It is kept as
+//! the substrate the benches time (`linalg.moments.push`).
 //!
 //! The streamed covariance is algebraically identical to
 //! [`Mat::covariance`] but not bitwise so (the update order differs);
@@ -181,136 +185,6 @@ impl MomentAccumulator {
         Ok(())
     }
 
-    /// Removes another accumulator's rows from this one — the inverse of
-    /// [`merge`](Self::merge), Chan's pairwise update run backwards.
-    /// `removed` must cover rows that were previously pushed (or merged)
-    /// into `self`; the surviving moments are recovered in `O(n²)` no
-    /// matter how many rows survive, which is what makes trimming-round
-    /// refits cheap when only a handful of bins are flagged.
-    ///
-    /// Downdating subtracts large nearly-equal quantities, so it is only
-    /// numerically safe while the surviving rows keep most of the
-    /// accumulated signal. The method **refuses** — returning
-    /// `Ok(false)` with `self` untouched — when
-    ///
-    /// * the removed rows are more than
-    ///   [`DOWNDATE_MAX_FRACTION`](Self::DOWNDATE_MAX_FRACTION) of the
-    ///   total, or
-    /// * any downdated diagonal co-moment would come out negative or
-    ///   retain less than `2⁻³⁰` of its pre-downdate magnitude — the
-    ///   subtraction would cancel away too many significant bits to
-    ///   trust the survivors.
-    ///
-    /// On refusal the caller re-accumulates the surviving rows from
-    /// scratch (the fallback `TrainingWindow::fit` takes); the refusal
-    /// itself is cheap — one `O(n)` candidate pass, no state change.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if dimensions differ;
-    /// [`LinalgError::Domain`] if `removed` holds at least every row
-    /// (downdating everything leaves no moments to stand on).
-    pub fn try_downdate(&mut self, removed: &MomentAccumulator) -> Result<bool, LinalgError> {
-        let n = self.dim();
-        if removed.dim() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "moment downdate",
-                lhs: (1, n),
-                rhs: (1, removed.dim()),
-            });
-        }
-        if removed.count == 0 {
-            return Ok(true);
-        }
-        if removed.count >= self.count {
-            return Err(LinalgError::Domain {
-                what: "downdate must leave at least one row",
-            });
-        }
-        let (total, nb) = (self.count as f64, removed.count as f64);
-        let na = total - nb;
-        if nb > total * Self::DOWNDATE_MAX_FRACTION {
-            return Ok(false);
-        }
-        // δ = μ_removed − μ_survivors, with the survivor mean recovered
-        // from μ = (na·μa + nb·μb) / total. `delta` is pure scratch, so
-        // writing it before the guard decides is not a state change.
-        for ((d, m), &mb) in self.delta.iter_mut().zip(&self.mean).zip(&removed.mean) {
-            *d = (mb - m) * (total / na);
-        }
-        let scale = na * nb / total;
-        // Guard pass before any mutation: every downdated variance must
-        // stay nonnegative and keep enough significant bits.
-        for i in 0..n {
-            let before = self.comoment[(i, i)];
-            let di = self.delta[i];
-            let after = before - removed.comoment[(i, i)] - scale * di * di;
-            if after < 0.0 || (before > 0.0 && after < before * Self::DOWNDATE_REL_FLOOR) {
-                return Ok(false);
-            }
-        }
-        for (m, &d) in self.mean.iter_mut().zip(&self.delta) {
-            // μa = μ − (nb/total)·(total/na)·(μb − μa) = μ − δ·nb/total.
-            *m -= d * nb / total;
-        }
-        for i in 0..n {
-            let di = self.delta[i];
-            let out_row = &mut self.comoment.row_mut(i)[i..];
-            for ((o, &mb), &dj) in out_row
-                .iter_mut()
-                .zip(&removed.comoment.row(i)[i..])
-                .zip(&self.delta[i..])
-            {
-                *o -= mb + di * dj * scale;
-            }
-        }
-        self.count -= removed.count;
-        Ok(true)
-    }
-
-    /// Largest fraction of rows [`try_downdate`](Self::try_downdate)
-    /// will remove; past this the surviving moments are reconstructed
-    /// from a minority of the signal and re-accumulation is both safer
-    /// and barely slower.
-    pub const DOWNDATE_MAX_FRACTION: f64 = 0.5;
-
-    /// A downdated variance must keep at least this fraction of its
-    /// pre-downdate magnitude (`2⁻³⁰`: at most 30 of the 52 mantissa
-    /// bits cancelled) or the downdate refuses.
-    const DOWNDATE_REL_FLOOR: f64 = 1.0 / (1u64 << 30) as f64;
-
-    /// Rescales variable `i` by `scales[i]`, as if every absorbed row had
-    /// been multiplied elementwise by `scales` before pushing: the mean
-    /// scales linearly, the co-moments bilinearly.
-    ///
-    /// The multiway subspace method uses this to apply its unit-energy
-    /// feature normalization *after* streaming raw rows — the divisors are
-    /// only known once the training window closes.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if `scales.len() != self.dim()`.
-    pub fn scale_cols(&mut self, scales: &[f64]) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if scales.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "moment scale",
-                lhs: (1, scales.len()),
-                rhs: (1, n),
-            });
-        }
-        for (m, &s) in self.mean.iter_mut().zip(scales) {
-            *m *= s;
-        }
-        for i in 0..n {
-            let si = scales[i];
-            for (o, &sj) in self.comoment.row_mut(i)[i..].iter_mut().zip(&scales[i..]) {
-                *o *= si * sj;
-            }
-        }
-        Ok(())
-    }
-
     /// The sample covariance `Σ (x - μ)(x - μ)ᵀ / (count - 1)` of
     /// everything pushed so far.
     ///
@@ -410,90 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_then_downdate_round_trips() {
-        let x = random_mat(120, 9, 7);
-        let mut survivors = MomentAccumulator::new(9);
-        let mut removed = MomentAccumulator::new(9);
-        for (i, row) in x.row_iter().enumerate() {
-            if i < 100 {
-                survivors.push(row).unwrap();
-            } else {
-                removed.push(row).unwrap();
-            }
-        }
-        let mut merged = survivors.clone();
-        merged.merge(&removed).unwrap();
-        assert!(merged.try_downdate(&removed).unwrap());
-        assert_eq!(merged.count(), survivors.count());
-        for (a, b) in merged.mean().iter().zip(survivors.mean()) {
-            assert!((a - b).abs() < 1e-9, "downdated mean diverged: {a} vs {b}");
-        }
-        let down_cov = merged.covariance().unwrap();
-        let ref_cov = survivors.covariance().unwrap();
-        assert!(down_cov.max_abs_diff(&ref_cov).unwrap() < 1e-7);
-    }
-
-    #[test]
-    fn downdate_of_empty_is_a_noop() {
-        let x = random_mat(30, 4, 8);
-        let mut acc = MomentAccumulator::from_rows(&x);
-        let before = acc.covariance().unwrap();
-        assert!(acc.try_downdate(&MomentAccumulator::new(4)).unwrap());
-        assert_eq!(acc.count(), 30);
-        assert_eq!(acc.covariance().unwrap(), before);
-    }
-
-    #[test]
-    fn downdate_everything_is_an_error() {
-        let x = random_mat(10, 3, 9);
-        let mut acc = MomentAccumulator::from_rows(&x);
-        let all = acc.clone();
-        assert!(acc.try_downdate(&all).is_err());
-        let mut more = MomentAccumulator::from_rows(&x);
-        more.push(&[1.0, 2.0, 3.0]).unwrap();
-        assert!(
-            acc.try_downdate(&more).is_err(),
-            "removing more rows than held"
-        );
-        assert!(
-            acc.try_downdate(&MomentAccumulator::new(2)).is_err(),
-            "shape mismatch"
-        );
-        assert_eq!(acc.count(), 10, "failed downdates must not mutate");
-    }
-
-    #[test]
-    fn downdate_to_one_row_trips_the_bit_loss_guard() {
-        // Two rows, remove one: the surviving co-moment is exactly zero,
-        // i.e. total cancellation — the guard must refuse, untouched.
-        let mut acc = MomentAccumulator::new(2);
-        acc.push(&[1.0, 5.0]).unwrap();
-        acc.push(&[3.0, -2.0]).unwrap();
-        let mut removed = MomentAccumulator::new(2);
-        removed.push(&[3.0, -2.0]).unwrap();
-        assert!(!acc.try_downdate(&removed).unwrap());
-        assert_eq!(acc.count(), 2);
-        assert_eq!(acc.mean(), &[2.0, 1.5]);
-    }
-
-    #[test]
-    fn downdate_refuses_past_the_fraction_cap() {
-        let x = random_mat(100, 5, 10);
-        let mut majority = MomentAccumulator::new(5);
-        let mut acc = MomentAccumulator::new(5);
-        for (i, row) in x.row_iter().enumerate() {
-            acc.push(row).unwrap();
-            if i < 60 {
-                majority.push(row).unwrap();
-            }
-        }
-        let before = acc.covariance().unwrap();
-        assert!(!acc.try_downdate(&majority).unwrap());
-        assert_eq!(acc.count(), 100);
-        assert_eq!(acc.covariance().unwrap(), before, "refusal must not mutate");
-    }
-
-    #[test]
     fn errors_on_misuse() {
         let mut acc = MomentAccumulator::new(3);
         assert!(acc.push(&[1.0, 2.0]).is_err());
@@ -501,28 +291,6 @@ mod tests {
         acc.push(&[1.0, 2.0, 3.0]).unwrap();
         assert!(acc.covariance().is_err(), "one row has no covariance");
         assert!(acc.merge(&MomentAccumulator::new(2)).is_err());
-    }
-
-    #[test]
-    fn scaling_moments_equals_scaling_rows() {
-        let x = random_mat(60, 4, 5);
-        let scales = [2.0, 0.5, -1.0, 3.0];
-        let mut scaled_moments = MomentAccumulator::from_rows(&x);
-        scaled_moments.scale_cols(&scales).unwrap();
-
-        let mut scaled_rows = MomentAccumulator::new(4);
-        for row in x.row_iter() {
-            let scaled: Vec<f64> = row.iter().zip(&scales).map(|(v, s)| v * s).collect();
-            scaled_rows.push(&scaled).unwrap();
-        }
-        for (a, b) in scaled_moments.mean().iter().zip(scaled_rows.mean()) {
-            assert!((a - b).abs() < 1e-10);
-        }
-        let ca = scaled_moments.covariance().unwrap();
-        let cb = scaled_rows.covariance().unwrap();
-        assert!(ca.max_abs_diff(&cb).unwrap() < 1e-8);
-
-        assert!(scaled_moments.scale_cols(&[1.0]).is_err());
     }
 
     #[test]

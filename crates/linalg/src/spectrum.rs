@@ -45,7 +45,7 @@
 //!
 //! [`top_k_eigen_detailed`]: crate::top_k_eigen_detailed
 
-use crate::eigen::{top_k_eigen_detailed, top_k_eigen_detailed_warm, SymEigen, TopKInfo};
+use crate::eigen::{top_k_eigen_detailed, SymEigen, TopKInfo};
 use crate::{LinalgError, Mat};
 
 /// The residual power sums `φ₁, φ₂, φ₃` of a covariance spectrum past a
@@ -237,30 +237,8 @@ impl Spectrum {
     ///
     /// Shape and domain errors from [`top_k_eigen_detailed`].
     pub fn partial_of(cov: &Mat, k: usize, seed: u64) -> Result<(Self, TopKInfo), LinalgError> {
-        Self::partial_of_warm(cov, k, seed, None)
-    }
-
-    /// [`partial_of`](Self::partial_of) with an optional **warm start**:
-    /// `warm` columns (a previous spectrum's eigenbasis, typically) seed
-    /// the subspace iteration's block via [`top_k_eigen_detailed_warm`],
-    /// so a few percent of drift converges in 1–2 Rayleigh–Ritz cycles.
-    /// `None` is the cold start, bit for bit. Deflation and the exact
-    /// tail power sums are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Shape and domain errors from [`top_k_eigen_detailed`].
-    pub fn partial_of_warm(
-        cov: &Mat,
-        k: usize,
-        seed: u64,
-        warm: Option<&Mat>,
-    ) -> Result<(Self, TopKInfo), LinalgError> {
         let n = cov.rows();
-        let (top, info) = match warm {
-            Some(guess) => top_k_eigen_detailed_warm(cov, k, seed, guess)?,
-            None => top_k_eigen_detailed(cov, k, seed)?,
-        };
+        let (top, info) = top_k_eigen_detailed(cov, k, seed)?;
         // Deflate: D = C − Σ_j λ_j v_j v_jᵀ. Entries of D live at the
         // residual scale, so the tail traces computed from it never
         // suffer the S_i − Σλ^i cancellation.

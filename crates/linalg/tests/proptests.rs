@@ -6,8 +6,7 @@
 //! monotonicity/symmetry of the normal quantile.
 
 use entromine_linalg::{
-    stats, sym_eigen, sym_trace_cubed, top_k_eigen_detailed, top_k_eigen_detailed_warm, Mat,
-    MomentAccumulator, Pca,
+    stats, sym_eigen, sym_trace_cubed, top_k_eigen_detailed, Mat, MomentAccumulator, Pca,
 };
 use proptest::prelude::*;
 
@@ -218,53 +217,6 @@ proptest! {
             (a.phi3 - b.phi3).abs() < 1e-8 * scale * scale * scale,
             "{} vs {}", a.phi3, b.phi3
         );
-    }
-
-    #[test]
-    fn warm_started_top_k_matches_cold(a in psd_strategy(14, 20), k in 1usize..7) {
-        let (cold, _) = top_k_eigen_detailed(&a, k, 99).unwrap();
-        // Seeding with the answer itself must converge almost immediately
-        // and land on the same eigenvalues.
-        let (warm, info) = top_k_eigen_detailed_warm(&a, k, 99, &cold.vectors).unwrap();
-        prop_assert!(info.converged, "{:?}", info);
-        prop_assert!(info.iterations <= 3, "perfect guess took {} cycles", info.iterations);
-        let lead = cold.values[0].max(1e-12);
-        for i in 0..k {
-            prop_assert!(
-                (warm.values[i] - cold.values[i]).abs() < 1e-8 * lead,
-                "pair {}: warm {} vs cold {}", i, warm.values[i], cold.values[i]
-            );
-        }
-        let vtv = warm.vectors.transpose().matmul(&warm.vectors).unwrap();
-        prop_assert!(vtv.max_abs_diff(&Mat::identity(k)).unwrap() < 1e-8);
-    }
-
-    #[test]
-    fn downdate_inverts_merge_or_refuses_cleanly(m in mat_strategy(40, 5), nb in 1usize..20) {
-        // Moment downdate is merge run backwards: removing the merged-in
-        // rows must land back on the never-merged survivors — or, when the
-        // numerical-safety guard trips, refuse without touching anything.
-        let mut survivors = MomentAccumulator::new(5);
-        let mut removed = MomentAccumulator::new(5);
-        for (i, row) in m.row_iter().enumerate() {
-            if i < 40 - nb { survivors.push(row).unwrap() } else { removed.push(row).unwrap() }
-        }
-        let mut merged = survivors.clone();
-        merged.merge(&removed).unwrap();
-        let before = merged.covariance().unwrap();
-        if merged.try_downdate(&removed).unwrap() {
-            prop_assert_eq!(merged.count(), survivors.count());
-            for (a, b) in merged.mean().iter().zip(survivors.mean()) {
-                prop_assert!((a - b).abs() < 1e-8, "mean {} vs {}", a, b);
-            }
-            let down = merged.covariance().unwrap();
-            let reference = survivors.covariance().unwrap();
-            prop_assert!(down.max_abs_diff(&reference).unwrap() < 1e-6);
-        } else {
-            prop_assert_eq!(merged.count(), 40);
-            let untouched = merged.covariance().unwrap();
-            prop_assert_eq!(untouched.as_slice(), before.as_slice());
-        }
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use crate::qstat::{empirical_quantile, q_threshold_from_power_sums, ThresholdPolicy};
 use crate::SubspaceError;
-use entromine_linalg::{
-    reference_score_forced, AxisRequest, FitStrategy, Mat, MomentAccumulator, Pca, ScorePlan,
-};
+use entromine_linalg::{reference_score_forced, AxisRequest, FitStrategy, Mat, Pca, ScorePlan};
 
 /// How the dimension of the normal subspace is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,11 +64,9 @@ pub struct Detection {
 /// counts, packet counts, or unfolded entropy). The leading `m` principal
 /// axes span the normal subspace; everything else is residual.
 ///
-/// Matrix fits additionally **calibrate** the model: the training rows'
-/// SPE order statistics are retained (sorted), which is what the
-/// [`ThresholdPolicy::Empirical`] threshold consumes. Streamed fits have
-/// no rows to score and stay uncalibrated until
-/// [`calibrate_with_rows`](Self::calibrate_with_rows) runs.
+/// Every fit also **calibrates** the model: the training rows' SPE order
+/// statistics are retained (sorted), which is what the
+/// [`ThresholdPolicy::Empirical`] threshold consumes.
 #[derive(Debug, Clone)]
 pub struct SubspaceModel {
     pca: Pca,
@@ -80,16 +76,16 @@ pub struct SubspaceModel {
     /// norm identity) unless `ENTROMINE_FORCE_REFERENCE_SCORE` pins the
     /// process to the reference chain.
     plan: ScorePlan,
-    /// Sorted (ascending) SPEs of the training rows, when known.
-    calibration: Option<Vec<f64>>,
+    /// Sorted (ascending) SPEs of the training rows.
+    calibration: Vec<f64>,
 }
 
 impl SubspaceModel {
     /// Fits the model to `x` and selects the normal-subspace dimension,
     /// with the fit engine chosen by [`FitStrategy::Auto`] — wide
-    /// training windows dispatch to the Gram path, thin requests against
-    /// wide covariances to the partial-spectrum path, everything else to
-    /// the dense oracle. Thresholds agree across engines to round-off.
+    /// training windows (rows < cols) dispatch to the Gram path,
+    /// everything else to the dense solve. Thresholds agree across
+    /// engines to round-off.
     ///
     /// # Errors
     ///
@@ -115,83 +111,6 @@ impl SubspaceModel {
             ));
         }
         let pca = Pca::fit_with(x, strategy, dim.request())?;
-        let mut model = Self::from_pca(pca, dim)?;
-        // Matrix fits calibrate for free: one O(t·n·m) scoring pass over
-        // data already in hand, batched through the scoring plane.
-        let mut spes = Vec::with_capacity(x.rows());
-        model.spe_batch(x.row_iter(), &mut spes)?;
-        spes.sort_by(|a, b| a.partial_cmp(b).expect("SPEs are finite"));
-        model.calibration = Some(spes);
-        Ok(model)
-    }
-
-    /// Fits the model from streamed moments instead of a materialized
-    /// matrix — the fit phase of the streaming pipeline. Rows are absorbed
-    /// into a [`MomentAccumulator`] as bins finalize; when the training
-    /// window closes this turns the running mean/covariance into the same
-    /// model `fit` would have produced (up to round-off in the streamed
-    /// covariance).
-    ///
-    /// The streamed model is **uncalibrated** (no rows were retained):
-    /// Jackson–Mudholkar thresholds work immediately, the empirical policy
-    /// needs a [`calibrate_with_rows`](Self::calibrate_with_rows) pass.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`fit`](Self::fit); fewer than two absorbed rows
-    /// is `BadInput`.
-    pub fn fit_from_moments(
-        moments: &MomentAccumulator,
-        dim: DimSelection,
-    ) -> Result<Self, SubspaceError> {
-        Self::fit_from_moments_with(moments, dim, FitStrategy::Auto)
-    }
-
-    /// Like [`fit_from_moments`](Self::fit_from_moments) with an explicit
-    /// engine choice. The Gram engine needs raw rows and is rejected here.
-    pub fn fit_from_moments_with(
-        moments: &MomentAccumulator,
-        dim: DimSelection,
-        strategy: FitStrategy,
-    ) -> Result<Self, SubspaceError> {
-        Self::fit_from_moments_warm(moments, dim, strategy, None)
-    }
-
-    /// [`fit_from_moments_with`](Self::fit_from_moments_with)
-    /// **warm-started** from a previous model: the old eigenbasis seeds
-    /// the partial engine's subspace iteration, so a model refitted over
-    /// a slightly drifted window converges in a couple of Rayleigh–Ritz
-    /// cycles instead of a cold iteration. `None` — and every engine
-    /// without an iteration to seed — reproduces the cold fit bit for
-    /// bit; [`Pca::diagnostics`] on the result reports what actually
-    /// happened.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`fit_from_moments_with`](Self::fit_from_moments_with).
-    pub fn fit_from_moments_warm(
-        moments: &MomentAccumulator,
-        dim: DimSelection,
-        strategy: FitStrategy,
-        warm: Option<&SubspaceModel>,
-    ) -> Result<Self, SubspaceError> {
-        dim.validate()?;
-        if moments.count() < 2 {
-            return Err(SubspaceError::BadInput(
-                "need at least two timepoints to model variation",
-            ));
-        }
-        let basis = warm.map(|model| model.pca.spectrum().vectors());
-        Self::from_pca(
-            Pca::fit_from_moments_warm(moments, strategy, dim.request(), basis)?,
-            dim,
-        )
-    }
-
-    /// Shared back half of every fit path: dimension selection and
-    /// residual-space validation over an already-fitted PCA.
-    fn from_pca(pca: Pca, dim: DimSelection) -> Result<Self, SubspaceError> {
-        dim.validate()?;
         let n = pca.dim();
         let m = match dim {
             DimSelection::Fixed(m) => m,
@@ -212,12 +131,19 @@ impl SubspaceModel {
             });
         }
         let plan = pca.score_plan(m)?;
-        Ok(SubspaceModel {
+        let mut model = SubspaceModel {
             pca,
             m,
             plan,
-            calibration: None,
-        })
+            calibration: Vec::new(),
+        };
+        // Calibration is one O(t·n·m) scoring pass over data already in
+        // hand, batched through the scoring plane.
+        let mut spes = Vec::with_capacity(x.rows());
+        model.spe_batch(x.row_iter(), &mut spes)?;
+        spes.sort_by(|a, b| a.partial_cmp(b).expect("SPEs are finite"));
+        model.calibration = spes;
+        Ok(model)
     }
 
     /// The eigenvalue floor below which an axis counts as zero-variance
@@ -226,54 +152,18 @@ impl SubspaceModel {
         1e-12 * self.pca.total_variance().max(1e-300)
     }
 
-    /// Installs an externally computed, already-sorted calibration sample.
-    /// The multiway wrapper uses this to calibrate from raw rows it scored
-    /// through its own divisor-folded plan.
-    pub(crate) fn set_calibration(&mut self, sorted_spes: Vec<f64>) {
-        self.calibration = Some(sorted_spes);
-    }
-
-    /// Supplies (or replaces) the empirical calibration of a streamed fit
-    /// by scoring an iterator of training rows — the second pass a
-    /// streaming deployment runs when it wants
-    /// [`ThresholdPolicy::Empirical`] thresholds.
-    ///
-    /// # Errors
-    ///
-    /// `BadInput` when `rows` is empty; shape errors from scoring.
-    pub fn calibrate_with_rows<'r>(
-        &mut self,
-        rows: impl IntoIterator<Item = &'r [f64]>,
-    ) -> Result<(), SubspaceError> {
-        let mut spes = Vec::new();
-        self.spe_batch(rows, &mut spes)?;
-        if spes.is_empty() {
-            return Err(SubspaceError::BadInput(
-                "empirical calibration needs at least one training row",
-            ));
-        }
-        spes.sort_by(|a, b| a.partial_cmp(b).expect("SPEs are finite"));
-        self.calibration = Some(spes);
-        Ok(())
-    }
-
-    /// The sorted training-SPE sample behind the empirical threshold, if
-    /// the model is calibrated.
-    pub fn calibration(&self) -> Option<&[f64]> {
-        self.calibration.as_deref()
+    /// The sorted training-SPE sample behind the empirical threshold.
+    pub fn calibration(&self) -> &[f64] {
+        &self.calibration
     }
 
     /// Structured sharpness warning for an empirical threshold at `alpha`:
     /// `Some` when the calibration sample is too small to resolve the
     /// requested quantile (see
     /// [`EmpiricalSharpness`](crate::EmpiricalSharpness)), `None` when the
-    /// sample suffices or the model carries no calibration at all (the
-    /// threshold call reports that case as
-    /// [`SubspaceError::NotCalibrated`]).
+    /// sample suffices.
     pub fn empirical_sharpness(&self, alpha: f64) -> Option<crate::EmpiricalSharpness> {
-        self.calibration
-            .as_deref()
-            .and_then(|sample| crate::qstat::empirical_sharpness(sample.len(), alpha))
+        crate::qstat::empirical_sharpness(self.calibration.len(), alpha)
     }
 
     /// Dimension of the normal subspace.
@@ -392,9 +282,7 @@ impl SubspaceModel {
     ///
     /// # Errors
     ///
-    /// `BadAlpha` outside `(0, 1)`; [`SubspaceError::NotCalibrated`] for
-    /// the empirical policy on an uncalibrated (streamed, uncalibrated)
-    /// model.
+    /// `BadAlpha` outside `(0, 1)`.
     pub fn threshold_with(
         &self,
         alpha: f64,
@@ -414,11 +302,7 @@ impl SubspaceModel {
                 if !(alpha > 0.0 && alpha < 1.0) {
                     return Err(SubspaceError::BadAlpha(alpha));
                 }
-                let sample = self
-                    .calibration
-                    .as_deref()
-                    .ok_or(SubspaceError::NotCalibrated)?;
-                empirical_quantile(sample, alpha)
+                empirical_quantile(&self.calibration, alpha)
             }
         }
     }
@@ -661,31 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn moments_fit_matches_batch_fit() {
-        let x = synthetic_traffic(400, 10, 0.3, 9);
-        let batch = SubspaceModel::fit(&x, DimSelection::Fixed(3)).unwrap();
-        let mut acc = entromine_linalg::MomentAccumulator::new(10);
-        for row in x.row_iter() {
-            acc.push(row).unwrap();
-        }
-        let streamed = SubspaceModel::fit_from_moments(&acc, DimSelection::Fixed(3)).unwrap();
-        assert_eq!(streamed.normal_dim(), 3);
-        // Same spectrum, same thresholds, same residual magnitudes — to
-        // round-off (the streamed covariance is Welford, not two-pass).
-        let ta = batch.threshold(0.999).unwrap();
-        let tb = streamed.threshold(0.999).unwrap();
-        assert!((ta - tb).abs() < 1e-6 * (1.0 + ta), "{ta} vs {tb}");
-        for bin in [0usize, 123, 399] {
-            let a = batch.spe(x.row(bin)).unwrap();
-            let b = streamed.spe(x.row(bin)).unwrap();
-            assert!((a - b).abs() < 1e-6 * (1.0 + a), "{a} vs {b}");
-        }
-        // Too few rows is rejected like a too-short matrix.
-        let short = entromine_linalg::MomentAccumulator::new(10);
-        assert!(SubspaceModel::fit_from_moments(&short, DimSelection::Fixed(2)).is_err());
-    }
-
-    #[test]
     fn variance_fraction_validated_at_fit_time() {
         let x = synthetic_traffic(100, 6, 0.2, 10);
         for bad in [0.0, 1.0, -0.3, 1.5, f64::NAN, f64::INFINITY] {
@@ -717,7 +576,7 @@ mod tests {
     fn empirical_threshold_covers_its_training_window() {
         let x = synthetic_traffic(500, 12, 0.5, 21);
         let model = SubspaceModel::fit(&x, DimSelection::Fixed(3)).unwrap();
-        assert_eq!(model.calibration().map(<[f64]>::len), Some(500));
+        assert_eq!(model.calibration().len(), 500);
         for alpha in [0.95, 0.99] {
             let t = model
                 .threshold_with(alpha, ThresholdPolicy::Empirical)
@@ -747,38 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_fit_needs_explicit_calibration_for_empirical() {
-        let x = synthetic_traffic(300, 10, 0.3, 22);
-        let mut acc = entromine_linalg::MomentAccumulator::new(10);
-        for row in x.row_iter() {
-            acc.push(row).unwrap();
-        }
-        let mut model = SubspaceModel::fit_from_moments(&acc, DimSelection::Fixed(3)).unwrap();
-        assert!(model.calibration().is_none());
-        // JM works immediately; the empirical policy refuses honestly...
-        assert!(model.threshold(0.999).is_ok());
-        assert!(matches!(
-            model.threshold_with(0.999, ThresholdPolicy::Empirical),
-            Err(SubspaceError::NotCalibrated)
-        ));
-        // ...until a calibration pass replays the training rows.
-        model.calibrate_with_rows(x.row_iter()).unwrap();
-        let t = model
-            .threshold_with(0.99, ThresholdPolicy::Empirical)
-            .unwrap();
-        assert!(t.is_finite() && t > 0.0);
-        // The streamed-then-calibrated threshold matches the matrix fit's.
-        let batch = SubspaceModel::fit(&x, DimSelection::Fixed(3)).unwrap();
-        let tb = batch
-            .threshold_with(0.99, ThresholdPolicy::Empirical)
-            .unwrap();
-        assert!((t - tb).abs() < 1e-6 * (1.0 + tb), "{t} vs {tb}");
-        // Empty calibration input is rejected.
-        let mut fresh = SubspaceModel::fit_from_moments(&acc, DimSelection::Fixed(3)).unwrap();
-        assert!(fresh.calibrate_with_rows(std::iter::empty()).is_err());
-    }
-
-    #[test]
     fn sharpness_warning_reflects_calibration_size() {
         let x = synthetic_traffic(300, 8, 0.4, 30);
         let model = SubspaceModel::fit(&x, DimSelection::Fixed(2)).unwrap();
@@ -787,14 +614,6 @@ mod tests {
         let warn = model.empirical_sharpness(0.999).expect("must warn");
         assert_eq!(warn.training_bins, 300);
         assert_eq!(warn.required_bins, 1000);
-        // Uncalibrated streamed fits have nothing to warn about — the
-        // empirical threshold itself errors with NotCalibrated.
-        let mut acc = entromine_linalg::MomentAccumulator::new(8);
-        for row in x.row_iter() {
-            acc.push(row).unwrap();
-        }
-        let streamed = SubspaceModel::fit_from_moments(&acc, DimSelection::Fixed(2)).unwrap();
-        assert!(streamed.empirical_sharpness(0.999).is_none());
     }
 
     #[test]

@@ -19,10 +19,6 @@ pub enum SubspaceError {
     BadAlpha(f64),
     /// The input matrix is unusable (empty, or too few rows to model).
     BadInput(&'static str),
-    /// An empirical threshold was requested from a model without a
-    /// training-SPE calibration (streamed fits stay uncalibrated until
-    /// an explicit calibration pass).
-    NotCalibrated,
 }
 
 impl fmt::Display for SubspaceError {
@@ -40,12 +36,6 @@ impl fmt::Display for SubspaceError {
                 write!(f, "confidence level alpha={a} must be in (0, 1)")
             }
             SubspaceError::BadInput(what) => write!(f, "bad input: {what}"),
-            SubspaceError::NotCalibrated => write!(
-                f,
-                "empirical threshold requires a training-SPE calibration \
-                 (matrix fits calibrate automatically; streamed fits need \
-                 calibrate_with_rows)"
-            ),
         }
     }
 }

@@ -23,9 +23,9 @@
 //! The detector is deliberately split into a **fit phase** and a **score
 //! phase**:
 //!
-//! * Fit once — from a materialized matrix ([`SubspaceModel::fit`],
-//!   [`MultiwayModel::fit`]) or from a row stream without ever holding the
-//!   matrix ([`SubspaceModel::fit_from_moments`], [`MultiwayFitter`]).
+//! * Fit once — from the training rows ([`SubspaceModel::fit_with`];
+//!   [`MultiwayModel::fit_unfolded`] for raw unfolded entropy rows, which
+//!   the tensor entry points delegate to).
 //! * Score cheaply — [`SubspaceModel::score_row`] /
 //!   [`MultiwayModel::score_row`] evaluate one observation against a
 //!   precomputed Q-threshold in `O(n·m)`, and the [`RowScorer`] /
@@ -45,7 +45,7 @@ mod qstat;
 pub use detector::{Detection, DimSelection, RowScorer, SubspaceModel};
 pub use error::SubspaceError;
 pub use ident::FlowContribution;
-pub use multiway::{MultiwayFitter, MultiwayModel, MultiwayScorer};
+pub use multiway::{MultiwayModel, MultiwayScorer};
 pub use qstat::{
     empirical_quantile, empirical_sharpness, q_statistic_threshold, q_threshold_from_power_sums,
     EmpiricalSharpness, ThresholdPolicy,

@@ -11,7 +11,7 @@ use crate::ident::{identify_greedy, FlowContribution};
 use crate::qstat::ThresholdPolicy;
 use crate::SubspaceError;
 use entromine_entropy::EntropyTensor;
-use entromine_linalg::{reference_score_forced, FitStrategy, Mat, MomentAccumulator, ScorePlan};
+use entromine_linalg::{reference_score_forced, FitStrategy, Mat, ScorePlan};
 
 /// A fitted multiway subspace model over an entropy tensor.
 #[derive(Debug, Clone)]
@@ -29,30 +29,6 @@ pub struct MultiwayModel {
     plan: ScorePlan,
 }
 
-/// Builds the divisor-folded scoring plane and assembles the model — the
-/// shared back half of the batch ([`MultiwayModel::fit_on_rows_with`]) and
-/// streamed ([`MultiwayFitter::finish_warm`]) construction sites.
-fn assemble(
-    model: SubspaceModel,
-    divisors: [f64; 4],
-    n_flows: usize,
-) -> Result<MultiwayModel, SubspaceError> {
-    let mut per_col = vec![0.0; 4 * n_flows];
-    for (k, &d) in divisors.iter().enumerate() {
-        per_col[k * n_flows..(k + 1) * n_flows].fill(d);
-    }
-    let plan = model
-        .pca()
-        .score_plan(model.normal_dim())?
-        .with_divisors(per_col)?;
-    Ok(MultiwayModel {
-        model,
-        divisors,
-        n_flows,
-        plan,
-    })
-}
-
 impl MultiwayModel {
     /// Unfolds, normalizes, and fits.
     ///
@@ -67,7 +43,7 @@ impl MultiwayModel {
 
     /// Like [`fit`](Self::fit) with an explicit fit engine (the unfolded
     /// `t × 4p` matrix is the widest in the pipeline — at Geant width the
-    /// Gram and partial-spectrum engines are what make refits routine).
+    /// Gram engine is what makes refits routine).
     pub fn fit_with(
         tensor: &EntropyTensor,
         dim: DimSelection,
@@ -98,18 +74,43 @@ impl MultiwayModel {
         rows: &[usize],
         strategy: FitStrategy,
     ) -> Result<Self, SubspaceError> {
-        let p = tensor.n_flows();
-        if p == 0 {
-            return Err(SubspaceError::BadInput("tensor has no OD flows"));
-        }
-        if rows.is_empty() {
-            return Err(SubspaceError::BadInput("no rows to fit on"));
-        }
-        let mut unfolded = Mat::zeros(rows.len(), 4 * p);
+        let mut unfolded = Mat::zeros(rows.len(), 4 * tensor.n_flows());
         for (dst, &bin) in rows.iter().enumerate() {
             unfolded
                 .row_mut(dst)
                 .copy_from_slice(&tensor.unfolded_row(bin));
+        }
+        Self::fit_unfolded(unfolded, dim, strategy)
+    }
+
+    /// Fits the model to raw (un-normalized) unfolded rows, one `4p`-wide
+    /// row per training bin — the constructor every other fit delegates
+    /// to, and the one a rolling window calls with its retained rows.
+    /// Normalizes each feature block to unit energy over exactly these
+    /// rows (consuming the matrix: normalization happens in place), then
+    /// applies the single-way method, which also calibrates the model on
+    /// the same rows.
+    ///
+    /// # Errors
+    ///
+    /// `BadInput` for an empty matrix, a width that is not a positive
+    /// multiple of 4, or a feature block whose energy overflows (a
+    /// huge-but-finite row would otherwise normalize everything else to
+    /// zero and fit a silently degenerate model); otherwise the
+    /// conditions of [`SubspaceModel::fit_with`].
+    pub fn fit_unfolded(
+        mut unfolded: Mat,
+        dim: DimSelection,
+        strategy: FitStrategy,
+    ) -> Result<Self, SubspaceError> {
+        let p = unfolded.cols() / 4;
+        if p == 0 || unfolded.cols() != 4 * p {
+            return Err(SubspaceError::BadInput(
+                "row length must be 4p (one value per feature per flow)",
+            ));
+        }
+        if unfolded.rows() == 0 {
+            return Err(SubspaceError::BadInput("no rows to fit on"));
         }
         let mut divisors = [1.0f64; 4];
         for (k, d) in divisors.iter_mut().enumerate() {
@@ -117,6 +118,11 @@ impl MultiwayModel {
             for bin in 0..unfolded.rows() {
                 let block = &unfolded.row(bin)[k * p..(k + 1) * p];
                 energy += block.iter().map(|v| v * v).sum::<f64>();
+            }
+            if !energy.is_finite() {
+                return Err(SubspaceError::BadInput(
+                    "feature energy is not finite (non-finite or overflowing rows)",
+                ));
             }
             // A feature with zero energy everywhere (e.g. ICMP-only traffic
             // has all-zero ports) is left unscaled rather than divided by 0.
@@ -131,7 +137,20 @@ impl MultiwayModel {
             }
         }
         let model = SubspaceModel::fit_with(&unfolded, dim, strategy)?;
-        assemble(model, divisors, p)
+        let mut per_col = vec![0.0; 4 * p];
+        for (k, &d) in divisors.iter().enumerate() {
+            per_col[k * p..(k + 1) * p].fill(d);
+        }
+        let plan = model
+            .pca()
+            .score_plan(model.normal_dim())?
+            .with_divisors(per_col)?;
+        Ok(MultiwayModel {
+            model,
+            divisors,
+            n_flows: p,
+            plan,
+        })
     }
 
     /// Number of OD flows `p`.
@@ -270,40 +289,14 @@ impl MultiwayModel {
 
     /// The detection threshold under an explicit [`ThresholdPolicy`].
     /// The empirical policy reads the inner model's training-SPE
-    /// calibration, which matrix fits populate automatically (in
-    /// normalized entropy units — the same units every scored row is
-    /// normalized into).
+    /// calibration (in normalized entropy units — the same units every
+    /// scored row is normalized into).
     pub fn threshold_with(
         &self,
         alpha: f64,
         policy: ThresholdPolicy,
     ) -> Result<f64, SubspaceError> {
         self.model.threshold_with(alpha, policy)
-    }
-
-    /// Calibrates the model for [`ThresholdPolicy::Empirical`] from raw
-    /// (un-normalized) unfolded training rows — the post-hoc pass a
-    /// streamed fit runs over replayed training bins.
-    ///
-    /// # Errors
-    ///
-    /// `BadInput` when `rows` is empty or a row is not `4p` long.
-    pub fn calibrate_with_raw_rows<'r>(
-        &mut self,
-        rows: impl IntoIterator<Item = &'r [f64]>,
-    ) -> Result<(), SubspaceError> {
-        // One divisor-folded batch pass — no normalized copies of the
-        // training window are ever materialized.
-        let mut spes = Vec::new();
-        self.spe_batch(rows, &mut spes)?;
-        if spes.is_empty() {
-            return Err(SubspaceError::BadInput(
-                "empirical calibration needs at least one training row",
-            ));
-        }
-        spes.sort_by(|a, b| a.partial_cmp(b).expect("SPEs are finite"));
-        self.model.set_calibration(spes);
-        Ok(())
     }
 
     /// Structured sharpness warning for an empirical threshold at
@@ -452,226 +445,6 @@ impl MultiwayScorer<'_> {
     /// Scores one raw unfolded row, tagging any detection with `bin`.
     pub fn score(&self, bin: usize, raw: &[f64]) -> Result<Option<Detection>, SubspaceError> {
         self.model.score_row(bin, raw, self.threshold)
-    }
-}
-
-/// Streaming fit phase for the multiway model: raw unfolded rows are
-/// absorbed one at a time and the `t × 4p` training matrix never exists.
-///
-/// The batch fit normalizes each feature submatrix to unit energy before
-/// forming the covariance; a stream cannot do that up front because the
-/// divisors are only known once the window closes. The trick is that
-/// unit-energy normalization is a per-column *scaling*, and scaling
-/// commutes with moment accumulation: raw moments plus per-feature energy
-/// sums are accumulated online, and [`finish`](Self::finish) rescales the
-/// moments by the final divisors before the eigensolve. The resulting
-/// model matches [`MultiwayModel::fit`] to round-off.
-#[derive(Debug, Clone)]
-pub struct MultiwayFitter {
-    moments: MomentAccumulator,
-    /// Running per-feature energies `Σ_rows Σ_block v²`.
-    energies: [f64; 4],
-    n_flows: usize,
-    dim: DimSelection,
-    strategy: FitStrategy,
-}
-
-impl MultiwayFitter {
-    /// A fitter for `n_flows` OD flows with the given dimension selection.
-    ///
-    /// The eventual eigensolve uses [`FitStrategy::Auto`] — which, for
-    /// wide accumulators and thin requests, is the partial-spectrum
-    /// engine: exactly the frequent-refit path the streaming pipeline
-    /// needs at scale. Use [`with_strategy`](Self::with_strategy) to pin
-    /// an engine (the Gram engine is unavailable without raw rows).
-    ///
-    /// # Errors
-    ///
-    /// `BadInput` if `n_flows` is zero.
-    pub fn new(n_flows: usize, dim: DimSelection) -> Result<Self, SubspaceError> {
-        if n_flows == 0 {
-            return Err(SubspaceError::BadInput("tensor has no OD flows"));
-        }
-        Ok(MultiwayFitter {
-            moments: MomentAccumulator::new(4 * n_flows),
-            energies: [0.0; 4],
-            n_flows,
-            dim,
-            strategy: FitStrategy::Auto,
-        })
-    }
-
-    /// Pins the fit engine used by [`finish`](Self::finish).
-    pub fn with_strategy(mut self, strategy: FitStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Re-selects the normal-subspace dimension used by
-    /// [`fit`](Self::fit) / [`finish`](Self::finish). Rolling-window
-    /// monitors accumulate chunks long before fitting; this lets the
-    /// dimension be chosen at fit time without re-absorbing the window.
-    pub fn with_dim(mut self, dim: DimSelection) -> Self {
-        self.dim = dim;
-        self
-    }
-
-    /// Number of rows absorbed so far.
-    pub fn count(&self) -> usize {
-        self.moments.count()
-    }
-
-    /// Number of OD flows `p` the fitter was built for.
-    pub fn n_flows(&self) -> usize {
-        self.n_flows
-    }
-
-    /// Merges another fitter over a **disjoint** row set into this one:
-    /// Chan's pairwise moment combination plus energy sums. This is the
-    /// window-roll primitive of a rolling-model monitor — each window
-    /// chunk streams into its own fitter, and a refit merges the
-    /// surviving chunks instead of replaying their rows.
-    ///
-    /// The merged fitter keeps `self`'s dimension selection and engine.
-    ///
-    /// # Errors
-    ///
-    /// `BadInput` if the flow counts differ.
-    pub fn merge(&mut self, other: &MultiwayFitter) -> Result<(), SubspaceError> {
-        if other.n_flows != self.n_flows {
-            return Err(SubspaceError::BadInput(
-                "cannot merge fitters over different flow counts",
-            ));
-        }
-        self.moments.merge(&other.moments)?;
-        for (e, &o) in self.energies.iter_mut().zip(&other.energies) {
-            *e += o;
-        }
-        Ok(())
-    }
-
-    /// Absorbs one raw (un-normalized) unfolded row of length `4p`.
-    ///
-    /// # Errors
-    ///
-    /// `BadInput` on a wrong row length or a non-finite value — rejected
-    /// before the energy sums are touched, so a refused row leaves the
-    /// fitter exactly as it was (energies and moments always describe
-    /// the same row set).
-    pub fn push_row(&mut self, raw: &[f64]) -> Result<(), SubspaceError> {
-        let p = self.n_flows;
-        if raw.len() != 4 * p {
-            return Err(SubspaceError::BadInput(
-                "row length must be 4p (one value per feature per flow)",
-            ));
-        }
-        if !raw.iter().all(|v| v.is_finite()) {
-            return Err(SubspaceError::BadInput("non-finite value in unfolded row"));
-        }
-        for (k, e) in self.energies.iter_mut().enumerate() {
-            *e += raw[k * p..(k + 1) * p].iter().map(|v| v * v).sum::<f64>();
-        }
-        self.moments.push(raw).map_err(SubspaceError::from)
-    }
-
-    /// Closes the training window: computes the unit-energy divisors,
-    /// rescales the streamed moments, and fits the subspace model.
-    ///
-    /// # Errors
-    ///
-    /// `BadInput` with fewer than two absorbed rows; otherwise the same
-    /// conditions as [`MultiwayModel::fit`].
-    pub fn finish(self) -> Result<MultiwayModel, SubspaceError> {
-        self.finish_warm(None)
-    }
-
-    /// [`finish`](Self::finish) **warm-started** from a previously fitted
-    /// multiway model: its eigenbasis seeds the subspace iteration of
-    /// this fit's eigensolve. The basis lives in the unit-energy
-    /// normalized coordinates both fits share (each fit rescales its raw
-    /// moments before the eigensolve), so the old axes are directly
-    /// reusable even though the two windows' divisors differ slightly.
-    /// `None` is the cold fit, bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`finish`](Self::finish); a warm model over a different
-    /// flow count is `BadInput`.
-    pub fn finish_warm(
-        mut self,
-        warm: Option<&MultiwayModel>,
-    ) -> Result<MultiwayModel, SubspaceError> {
-        if self.moments.count() < 2 {
-            return Err(SubspaceError::BadInput(
-                "need at least two timepoints to model variation",
-            ));
-        }
-        if let Some(prev) = warm {
-            if prev.n_flows != self.n_flows {
-                return Err(SubspaceError::BadInput(
-                    "warm-start model covers a different flow count",
-                ));
-            }
-        }
-        let p = self.n_flows;
-        let mut divisors = [1.0f64; 4];
-        for (d, &energy) in divisors.iter_mut().zip(&self.energies) {
-            // Zero-energy features are left unscaled, as in the batch fit.
-            *d = if energy > 0.0 { energy.sqrt() } else { 1.0 };
-        }
-        let mut scales = vec![0.0; 4 * p];
-        for (k, &d) in divisors.iter().enumerate() {
-            for s in &mut scales[k * p..(k + 1) * p] {
-                *s = 1.0 / d;
-            }
-        }
-        self.moments.scale_cols(&scales)?;
-        let model = SubspaceModel::fit_from_moments_warm(
-            &self.moments,
-            self.dim,
-            self.strategy,
-            warm.map(|prev| &prev.model),
-        )?;
-        assemble(model, divisors, p)
-    }
-
-    /// Removes a previously merged-in fitter's rows — the inverse of
-    /// [`merge`](Self::merge), built on
-    /// [`MomentAccumulator::try_downdate`]. Energy sums subtract exactly
-    /// (clamped at zero against round-off); the moment downdate carries
-    /// the numerical-safety guard, and a refusal (`Ok(false)`) leaves
-    /// `self` fully untouched so the caller can re-accumulate instead.
-    ///
-    /// This is the trimming-round primitive: round 0's merged window
-    /// minus this round's flagged bins, in `O(p²)` instead of
-    /// `O(bins·p²)`.
-    ///
-    /// # Errors
-    ///
-    /// `BadInput` if the flow counts differ; moment-downdate domain
-    /// errors (removing every row) pass through.
-    pub fn try_downdate(&mut self, removed: &MultiwayFitter) -> Result<bool, SubspaceError> {
-        if removed.n_flows != self.n_flows {
-            return Err(SubspaceError::BadInput(
-                "cannot downdate fitters over different flow counts",
-            ));
-        }
-        if !self.moments.try_downdate(&removed.moments)? {
-            return Ok(false);
-        }
-        for (e, &o) in self.energies.iter_mut().zip(&removed.energies) {
-            *e = (*e - o).max(0.0);
-        }
-        Ok(true)
-    }
-
-    /// Like [`finish`](Self::finish) without consuming the fitter — the
-    /// rolling-window entry point, where the same accumulated window must
-    /// survive to be merged into the *next* refit. Costs one clone of the
-    /// accumulated moments; callers done with the fitter should prefer
-    /// `finish`.
-    pub fn fit(&self) -> Result<MultiwayModel, SubspaceError> {
-        self.clone().finish()
     }
 }
 
@@ -830,104 +603,41 @@ mod tests {
     }
 
     #[test]
-    fn streaming_fit_matches_batch_fit() {
+    fn unfolded_rows_fit_matches_tensor_fit() {
+        // The tensor entry points delegate to the raw-rows constructor:
+        // same rows in, bit-identical model out.
         let tensor = build_tensor(200, 5, 0.2, 9, None);
         let batch = MultiwayModel::fit(&tensor, DimSelection::Fixed(2)).unwrap();
-        let mut fitter = MultiwayFitter::new(5, DimSelection::Fixed(2)).unwrap();
-        for bin in 0..tensor.n_bins() {
-            fitter.push_row(&tensor.unfolded_row(bin)).unwrap();
-        }
-        assert_eq!(fitter.count(), 200);
-        let streamed = fitter.finish().unwrap();
-        // Identical divisors (bit-for-bit: same sums in the same order).
-        assert_eq!(streamed.divisors(), batch.divisors());
-        // Thresholds and residuals agree to streamed-covariance round-off.
-        let ta = batch.threshold(0.999).unwrap();
-        let tb = streamed.threshold(0.999).unwrap();
-        assert!((ta - tb).abs() < 1e-6 * (1.0 + ta), "{ta} vs {tb}");
+        let rows =
+            MultiwayModel::fit_unfolded(tensor.unfold(), DimSelection::Fixed(2), FitStrategy::Auto)
+                .unwrap();
+        assert_eq!(rows.n_flows(), 5);
+        assert_eq!(rows.divisors(), batch.divisors());
+        assert_eq!(
+            rows.threshold(0.999).unwrap(),
+            batch.threshold(0.999).unwrap()
+        );
+        assert_eq!(rows.inner().calibration(), batch.inner().calibration());
         for bin in [0usize, 77, 199] {
             let row = tensor.unfolded_row(bin);
-            let a = batch.spe(&row).unwrap();
-            let b = streamed.spe(&row).unwrap();
-            assert!((a - b).abs() < 1e-6 * (1.0 + a), "{a} vs {b}");
+            assert_eq!(rows.spe(&row).unwrap(), batch.spe(&row).unwrap());
         }
     }
 
     #[test]
-    fn merged_chunk_fitters_match_one_big_fitter() {
-        // The window-roll primitive: three chunk fitters over disjoint row
-        // ranges, Chan-merged, must agree with a single fitter that
-        // absorbed every row — same divisors bit-for-bit (energy sums are
-        // associative enough to test to round-off) and matching models.
-        let tensor = build_tensor(240, 6, 0.2, 11, None);
-        let mut whole = MultiwayFitter::new(6, DimSelection::Fixed(2)).unwrap();
-        let mut chunks: Vec<MultiwayFitter> = (0..3)
-            .map(|_| MultiwayFitter::new(6, DimSelection::Fixed(2)).unwrap())
-            .collect();
-        for bin in 0..tensor.n_bins() {
-            let row = tensor.unfolded_row(bin);
-            whole.push_row(&row).unwrap();
-            chunks[bin / 80].push_row(&row).unwrap();
-        }
-        let mut merged = chunks[0].clone();
-        merged.merge(&chunks[1]).unwrap();
-        merged.merge(&chunks[2]).unwrap();
-        assert_eq!(merged.count(), 240);
-        assert_eq!(merged.n_flows(), 6);
-
-        let a = whole.fit().unwrap();
-        let b = merged.fit().unwrap();
-        for (da, db) in a.divisors().iter().zip(b.divisors()) {
-            assert!((da - db).abs() < 1e-9 * da.abs().max(1.0));
-        }
-        let ta = a.threshold(0.999).unwrap();
-        let tb = b.threshold(0.999).unwrap();
-        assert!((ta - tb).abs() < 1e-6 * (1.0 + ta), "{ta} vs {tb}");
-        for bin in [0usize, 100, 239] {
-            let row = tensor.unfolded_row(bin);
-            let sa = a.spe(&row).unwrap();
-            let sb = b.spe(&row).unwrap();
-            assert!((sa - sb).abs() < 1e-6 * (1.0 + sa), "{sa} vs {sb}");
-        }
-        // Mismatched widths refuse to merge.
-        let narrow = MultiwayFitter::new(3, DimSelection::Fixed(1)).unwrap();
-        assert!(merged.merge(&narrow).is_err());
-    }
-
-    #[test]
-    fn fit_does_not_consume_and_equals_finish() {
-        let tensor = build_tensor(60, 4, 0.3, 12, None);
-        let mut fitter = MultiwayFitter::new(4, DimSelection::Fixed(1)).unwrap();
-        for bin in 0..tensor.n_bins() {
-            fitter.push_row(&tensor.unfolded_row(bin)).unwrap();
-        }
-        let via_fit = fitter.fit().unwrap();
-        // The fitter survives `fit` and keeps absorbing.
-        fitter.push_row(&tensor.unfolded_row(0)).unwrap();
-        assert_eq!(fitter.count(), 61);
-        let via_finish = {
-            let mut clone = MultiwayFitter::new(4, DimSelection::Fixed(1)).unwrap();
-            for bin in 0..tensor.n_bins() {
-                clone.push_row(&tensor.unfolded_row(bin)).unwrap();
-            }
-            clone.finish().unwrap()
-        };
-        assert_eq!(via_fit.divisors(), via_finish.divisors());
-        let row = tensor.unfolded_row(30);
-        assert_eq!(
-            via_fit.spe(&row).unwrap(),
-            via_finish.spe(&row).unwrap(),
-            "fit and finish must be the same computation"
-        );
-    }
-
-    #[test]
-    fn fitter_validates_inputs() {
-        assert!(MultiwayFitter::new(0, DimSelection::Fixed(1)).is_err());
-        let mut fitter = MultiwayFitter::new(3, DimSelection::Fixed(1)).unwrap();
-        assert!(fitter.push_row(&[0.0; 7]).is_err());
-        fitter.push_row(&[1.0; 12]).unwrap();
-        assert!(fitter.finish().is_err(), "one row cannot be fitted");
+    fn unfolded_rows_fit_validates_inputs() {
+        let fit =
+            |x: Mat| MultiwayModel::fit_unfolded(x, DimSelection::Fixed(1), FitStrategy::Auto);
+        assert!(fit(Mat::zeros(10, 0)).is_err(), "no flows");
+        assert!(fit(Mat::zeros(10, 7)).is_err(), "width not a multiple of 4");
+        assert!(fit(Mat::zeros(0, 12)).is_err(), "no rows");
+        assert!(fit(Mat::from_fn(1, 12, |_, _| 1.0)).is_err(), "one row");
+        // A huge-but-finite row overflows its block's energy; dividing by
+        // the resulting Inf would zero every other row and fit a silently
+        // degenerate model.
+        let mut x = build_tensor(40, 3, 0.2, 13, None).unfold();
+        x.row_mut(20)[..3].fill(1e300);
+        assert!(matches!(fit(x), Err(SubspaceError::BadInput(_))));
     }
 
     #[test]

@@ -49,9 +49,8 @@ pub enum ThresholdPolicy {
     #[default]
     JacksonMudholkar,
     /// The `α` quantile of the training-window SPE order statistics —
-    /// assumption-free coverage of the training distribution itself.
-    /// Requires a calibrated model (matrix fits calibrate automatically;
-    /// streamed fits need an explicit calibration pass).
+    /// assumption-free coverage of the training distribution itself
+    /// (every fit retains its training SPEs for this).
     Empirical,
 }
 

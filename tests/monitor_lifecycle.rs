@@ -156,14 +156,9 @@ fn online_refit_is_bit_identical_to_offline_window_fit() {
 
     // Reproduce the bin-119 refit offline: replay the same push history
     // into a fresh window (same capacity, same chunking — the state is a
-    // pure function of the pushes) and fit it with the same config. The
-    // monitor warm-starts every refit from its serving model, so the
-    // replay must walk the same warm chain: the bin-39 warmup fit is
-    // cold (no serving model), bin 79 warms from it, bin 119 warms from
-    // bin 79's — same seeds, same bases, bit-identical models.
+    // pure function of the pushes) and fit it with the same config.
     let mut window =
         TrainingWindow::new(d.n_flows(), config.window_bins, config.chunk_bins).expect("window");
-    let mut offline = None;
     for bin in 0..=119 {
         window
             .push_bin(
@@ -173,14 +168,8 @@ fn online_refit_is_bit_identical_to_offline_window_fit() {
                 &d.tensor.unfolded_row(bin),
             )
             .expect("push");
-        if bin == 39 || bin == 79 || bin == 119 {
-            let (fitted, _trace) = window
-                .fit_warm(&config.diagnoser, offline.as_ref())
-                .expect("offline fit");
-            offline = Some(fitted);
-        }
     }
-    let offline = offline.expect("warm chain fitted");
+    let (offline, _trace) = window.fit(&config.diagnoser).expect("offline fit");
     let mut scorer = offline
         .streaming(config.diagnoser.alpha)
         .expect("offline scorer");

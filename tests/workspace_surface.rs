@@ -31,7 +31,7 @@ use entromine::net::{
 };
 use entromine::subspace::{
     empirical_quantile, q_statistic_threshold, q_threshold_from_power_sums, Detection,
-    DimSelection, MultiwayFitter, MultiwayModel, SubspaceModel,
+    DimSelection, MultiwayModel, SubspaceModel,
 };
 use entromine::synth::distr::{poisson, standard_normal, zipf_weights, AliasTable};
 use entromine::synth::{
