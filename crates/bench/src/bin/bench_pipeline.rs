@@ -38,9 +38,7 @@
 //!   against the serial builder: per-packet serial baseline vs batched
 //!   shard counts 1/2/8. The fan-out is thread-bound, so per-shard
 //!   scaling only shows on multi-core hosts (`threads_available` is
-//!   recorded alongside). Includes the scratch-reuse comparison: the
-//!   per-shard sort buffers recycled across batches vs allocated fresh
-//!   every batch.
+//!   recorded alongside).
 //! * `ingest_sketched` — the bounded-memory sketched tier
 //!   (`AccumulatorPolicy::Sketched`) against the exact plane: a
 //!   2^20-distinct-source scale feed where the exact tier's accumulator
@@ -62,8 +60,8 @@
 //!
 //! `--ingest-smoke` runs only the ingest comparison — per-packet,
 //! combining, flow-record, and sharded paths, with their outputs asserted
-//! bit-identical, the scratch-reuse ratio, and the sketched tier with
-//! every emitted entropy asserted within its documented error bound —
+//! bit-identical, and the sketched tier with every emitted entropy
+//! asserted within its documented error bound —
 //! and prints it to stdout (the CI regression probe); nothing is written.
 //!
 //! `--score-smoke` runs only the scoring-plane comparison — fused vs
@@ -134,14 +132,6 @@ struct IngestBench {
     combined_ms: f64,
     records_ms: f64,
     runs: Vec<IngestRun>,
-    /// Shard count the scratch-reuse comparison ran at (the widest).
-    scratch_shards: usize,
-    /// Sharded plane with per-shard sort/keys buffers recycled across
-    /// batches (the production default).
-    scratch_reuse_ms: f64,
-    /// Same plane with reuse off — fresh buffers every batch, the
-    /// behavior the recycling replaced.
-    scratch_alloc_ms: f64,
     /// Budget the sketched-tier equivalence check ran at.
     sketch_budget: usize,
     /// Max per-store sketched-entropy error over the feed, in bits.
@@ -199,33 +189,19 @@ fn ingest_records(rec_feed: &[Vec<(usize, FlowRecord)>], p: usize) -> Vec<Finali
     out
 }
 
-/// Drives the sharded plane, collecting output. `scratch_reuse` toggles
-/// the per-shard sort/keys scratch recycling (on by default in
-/// production; off reproduces the allocate-per-batch behavior it
-/// replaced).
-fn ingest_sharded_with(
+/// Drives the sharded plane, collecting output.
+fn ingest_sharded(
     feed: &[Vec<(usize, PacketHeader)>],
     p: usize,
     shards: usize,
-    scratch_reuse: bool,
 ) -> Vec<FinalizedBin> {
     let mut grid = ShardedGridBuilder::new(StreamConfig::new(p), shards).unwrap();
-    grid.set_scratch_reuse(scratch_reuse);
     let mut out = Vec::new();
     for (bin, batch) in feed.iter().enumerate() {
         grid.offer_packets(batch).unwrap();
         out.extend(grid.advance_watermark((bin + 1) as u64 * DatasetConfig::BIN_SECS));
     }
     out
-}
-
-/// Drives the sharded plane with its production defaults.
-fn ingest_sharded(
-    feed: &[Vec<(usize, PacketHeader)>],
-    p: usize,
-    shards: usize,
-) -> Vec<FinalizedBin> {
-    ingest_sharded_with(feed, p, shards, true)
 }
 
 /// Runs the sketched serial plane over the feed, then replays the same
@@ -570,34 +546,6 @@ fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
         })
         .collect();
 
-    // Scratch-buffer reuse: the per-shard sort/keys buffers are recycled
-    // across batches by default; turning reuse off reproduces the
-    // allocate-per-batch plane it replaced. Same feed, widest shard
-    // count, output equivalence gated like every other path.
-    let scratch_shards = *shard_counts.last().unwrap();
-    assert_eq!(
-        reference,
-        ingest_sharded_with(&feed, p, scratch_shards, false),
-        "scratch-reuse-off plane diverged from per-packet offers"
-    );
-    let scratch_reuse_ms = best_ms(|| {
-        assert_eq!(
-            ingest_sharded_with(&feed, p, scratch_shards, true).len(),
-            bins
-        );
-    });
-    let scratch_alloc_ms = best_ms(|| {
-        assert_eq!(
-            ingest_sharded_with(&feed, p, scratch_shards, false).len(),
-            bins
-        );
-    });
-    println!(
-        "  scratch reuse ({scratch_shards} shards): {scratch_reuse_ms:.1} ms vs \
-         allocate-per-batch {scratch_alloc_ms:.1} ms ({:.2}x)",
-        scratch_alloc_ms / scratch_reuse_ms
-    );
-
     // Sketched tier over the same feed: every plane-emitted entropy must
     // sit within the documented per-store error bound of the exact tier
     // (and match direct sketch accumulation bit for bit). The budget is
@@ -654,9 +602,6 @@ fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
         combined_ms,
         records_ms,
         runs,
-        scratch_shards,
-        scratch_reuse_ms,
-        scratch_alloc_ms,
         sketch_budget,
         sketch_err_bits,
         sketch_bound_bits,
@@ -1147,14 +1092,6 @@ fn main() {
             ingest.burst.per_packet_ms / ingest.burst.combined_ms,
         );
         println!(
-            "ingest smoke (scratch reuse, {} shards): {:.1} ms reuse vs {:.1} ms \
-             allocate-per-batch ({:.2}x)",
-            ingest.scratch_shards,
-            ingest.scratch_reuse_ms,
-            ingest.scratch_alloc_ms,
-            ingest.scratch_alloc_ms / ingest.scratch_reuse_ms,
-        );
-        println!(
             "ingest smoke (sketched, budget {}): max entropy err {:.4} bits within the \
              documented bound {:.4}",
             ingest.sketch_budget, ingest.sketch_err_bits, ingest.sketch_bound_bits,
@@ -1259,63 +1196,6 @@ fn main() {
     };
     let dot4_scalar_ms = dot4_row(lk::Backend::Scalar);
     let dot4_active_ms = dot4_row(active);
-    // The flat histogram's probe: a half-full 2^16 table (the production
-    // load factor), looked up with a 50% hit / 50% miss key stream.
-    let fx = |v: u32| (v as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95) as usize;
-    let probe_cap = 1usize << 16;
-    let probe_keys_n = 20_000u32;
-    let mut probe_keys = vec![0u32; probe_cap];
-    for v in 0..probe_keys_n {
-        if let ek::ProbeResult::Vacant(j) =
-            ek::probe_on(ek::Backend::Scalar, &probe_keys, fx(v), v + 1)
-        {
-            probe_keys[j] = v + 1;
-        }
-    }
-    let probe_lookups = 2 * probe_keys_n;
-    let probe_bench = |backend: ek::Backend| {
-        best_ms(|| {
-            let mut hits = 0usize;
-            for v in 0..probe_lookups {
-                if matches!(
-                    ek::probe_on(backend, &probe_keys, fx(v), v + 1),
-                    ek::ProbeResult::Hit(_)
-                ) {
-                    hits += 1;
-                }
-            }
-            assert_eq!(hits, probe_keys_n as usize);
-            hits
-        })
-    };
-    let probe_scalar_ms = probe_bench(ek::Backend::Scalar);
-    let probe_active_ms = probe_bench(active);
-    // Clustered regime: 56 occupied slots then 8 vacant, probing an absent
-    // key from each run's head — the long-probe-run shape (collision
-    // clusters near the growth boundary) the multi-lane scan targets. The
-    // light-load row above is the production-typical shape, where probes
-    // resolve in a slot or two and the plain walk has nothing to amortize.
-    let mut clustered = vec![0u32; probe_cap];
-    for (j, k) in clustered.iter_mut().enumerate() {
-        if j % 64 < 56 {
-            *k = (j as u32) | 1;
-        }
-    }
-    let cluster_bench = |backend: ek::Backend| {
-        best_ms(|| {
-            let mut acc = 0usize;
-            for i in 0..probe_lookups as usize {
-                let start = (i * 64) & (probe_cap - 1);
-                match ek::probe_on(backend, &clustered, start, u32::MAX) {
-                    ek::ProbeResult::Vacant(j) => acc += j,
-                    ek::ProbeResult::Hit(_) => unreachable!("u32::MAX is never stored"),
-                }
-            }
-            acc
-        })
-    };
-    let cluster_scalar_ms = cluster_bench(ek::Backend::Scalar);
-    let cluster_active_ms = cluster_bench(active);
     // The entropy finalization's compensated Σ n·log2 n reduction over a
     // realistic group-count spread.
     let term_groups: Vec<(u64, u64)> = (0..200_000u64)
@@ -1326,12 +1206,9 @@ fn main() {
     let term_scalar_ms = term_bench(ek::Backend::Scalar);
     let term_active_ms = term_bench(active);
     println!(
-        "  axpy {:.2}x, dot4 {:.2}x, hist_probe {:.2}x (clustered {:.2}x), term_sum {:.2}x \
-         (scalar/dispatched)",
+        "  axpy {:.2}x, dot4 {:.2}x, term_sum {:.2}x (scalar/dispatched)",
         axpy_scalar_ms / axpy_active_ms,
         dot4_scalar_ms / dot4_active_ms,
-        probe_scalar_ms / probe_active_ms,
-        cluster_scalar_ms / cluster_active_ms,
         term_scalar_ms / term_active_ms,
     );
 
@@ -1630,18 +1507,15 @@ fn main() {
       "axpy_fused": "{fused_tier}",
       "dot4_fused": "{fused_tier}",
       "symv_fused": "{fused_tier}",
-      "hist_probe": "{active_name}",
       "entropy_term_sum": "{term_sum_backend}"
     }},
     "rows": [
       {{ "kernel": "axpy", "n": {kn}, "iters": {kernel_iters}, "scalar_ms": {axpy_scalar_ms:.3}, "dispatched_ms": {axpy_active_ms:.3}, "speedup": {axpy_speedup:.3} }},
       {{ "kernel": "dot4", "n": {kn}, "iters": {kernel_iters}, "scalar_ms": {dot4_scalar_ms:.3}, "dispatched_ms": {dot4_active_ms:.3}, "speedup": {dot4_speedup:.3} }},
-      {{ "kernel": "hist_probe", "regime": "light load (0.3, runs of 1-2 slots)", "table_cap": {probe_cap}, "lookups": {probe_lookups}, "scalar_ms": {probe_scalar_ms:.3}, "dispatched_ms": {probe_active_ms:.3}, "speedup": {probe_speedup:.3} }},
-      {{ "kernel": "hist_probe", "regime": "collision clusters (runs of 56 slots)", "table_cap": {probe_cap}, "lookups": {probe_lookups}, "scalar_ms": {cluster_scalar_ms:.3}, "dispatched_ms": {cluster_active_ms:.3}, "speedup": {cluster_speedup:.3} }},
       {{ "kernel": "entropy_term_sum", "groups": {term_groups_n}, "scalar_ms": {term_scalar_ms:.3}, "dispatched_ms": {term_active_ms:.3}, "speedup": {term_speedup:.3} }}
     ],
     "sym_eigen_vs_ql": {{ "n": 300, "blocked_ms": {eigen_ms:.3}, "ql_ms": {eigen_ql_ms:.3}, "ratio": {eigen_ratio:.3} }},
-    "note": "scalar vs dispatched rows are within-run (same process, best-of-3 each, explicit *_on backend seams); the fused FMA tier has no per-kernel scalar twin and is measured end to end by sym_eigen_vs_ql — the blocked Householder + implicit-shift pipeline against the retained QL reference, best-of-5 each, same covariance. The two hist_probe rows bracket the kernel's regimes: at production load factors probes resolve in a slot or two and the plain walk wins (the multi-lane scan only pays off once a probe run is long enough to amortize its setup, the clustered row), so the dispatched probe's value is capping the collision-cluster worst case, not the average — the plane-level ingest rows below are unchanged between backends"
+    "note": "scalar vs dispatched rows are within-run (same process, best-of-3 each, explicit *_on backend seams); the fused FMA tier has no per-kernel scalar twin and is measured end to end by sym_eigen_vs_ql — the blocked Householder + implicit-shift pipeline against the retained QL reference, best-of-5 each, same covariance."
   }},
   "covariance": [
 {covariance_json}
@@ -1715,13 +1589,6 @@ fn main() {
 {ingest_runs_json}
     ],
     "speedup_8_over_1": {ing_speedup_8_over_1:.3},
-    "scratch_reuse": {{
-      "shards": {ing_scr_shards},
-      "reuse_ms": {ing_scr_reuse_ms:.3},
-      "allocate_per_batch_ms": {ing_scr_alloc_ms:.3},
-      "speedup": {ing_scr_speedup:.3},
-      "note": "per-shard sort/keys scratch buffers recycled across batches (production default) vs freshly allocated every batch (the behavior recycling replaced); outputs verified bit-identical"
-    }},
     "note": "per-shard accumulation fans out over scoped threads; 8-over-1 scaling requires >= 8 cores (threads_available above records this host)"
   }},
   "ingest_sketched": {{
@@ -1795,8 +1662,6 @@ fn main() {
         active_name = active.name(),
         axpy_speedup = axpy_scalar_ms / axpy_active_ms,
         dot4_speedup = dot4_scalar_ms / dot4_active_ms,
-        probe_speedup = probe_scalar_ms / probe_active_ms,
-        cluster_speedup = cluster_scalar_ms / cluster_active_ms,
         term_speedup = term_scalar_ms / term_active_ms,
         term_groups_n = term_groups.len(),
         ing_flows = ingest_sharded.flows,
@@ -1826,10 +1691,6 @@ fn main() {
             ingest_sharded.burst.packets as f64 / (ingest_sharded.burst.combined_ms / 1e3),
         ing_b_speedup = ingest_sharded.burst.per_packet_ms / ingest_sharded.burst.combined_ms,
         ing_speedup_8_over_1 = shard1_ms / shard8_ms,
-        ing_scr_shards = ingest_sharded.scratch_shards,
-        ing_scr_reuse_ms = ingest_sharded.scratch_reuse_ms,
-        ing_scr_alloc_ms = ingest_sharded.scratch_alloc_ms,
-        ing_scr_speedup = ingest_sharded.scratch_alloc_ms / ingest_sharded.scratch_reuse_ms,
         ing_sk_budget = ingest_sharded.sketch_budget,
         ing_sk_err = ingest_sharded.sketch_err_bits,
         ing_sk_bound = ingest_sharded.sketch_bound_bits,

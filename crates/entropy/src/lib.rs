@@ -47,10 +47,9 @@
 //! * [`PrefixRollup`] — hierarchical src/dst aggregation trees over any
 //!   store, so sketched cells can answer coarse-prefix diagnosis queries
 //!   with Horvitz–Thompson-scaled masses.
-//! * [`kernel`] — runtime-dispatched SIMD variants of the two hottest
-//!   loops (the flat table's linear probe, semantics-exact; the entropy
-//!   finalization's compensated `Σ n·log2 n` reduction,
-//!   tolerance-pinned), sharing backend selection — and the
+//! * [`kernel`] — the runtime-dispatched SIMD variant of the entropy
+//!   finalization's compensated `Σ n·log2 n` reduction
+//!   (tolerance-pinned), sharing backend selection — and the
 //!   `ENTROMINE_FORCE_SCALAR` override — with `entromine_linalg::kernel`.
 
 // `deny` rather than `forbid`: the SIMD kernel tier (`kernel`) opts back

@@ -211,12 +211,6 @@ impl TierShardedBuilder {
     pub fn shards(&self) -> usize {
         delegate!(self, b => b.shards())
     }
-
-    /// Toggles cross-batch scratch-buffer reuse (see
-    /// [`ShardedGridBuilder::set_scratch_reuse`]).
-    pub fn set_scratch_reuse(&mut self, reuse: bool) {
-        delegate!(self, b => b.set_scratch_reuse(reuse))
-    }
 }
 
 #[cfg(test)]

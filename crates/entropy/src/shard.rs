@@ -105,8 +105,13 @@ struct Shard<D: DistributionAccumulator = FeatureHistogram> {
 
 impl<D: DistributionAccumulator> combine::CellGrid<D> for Shard<D> {
     /// Borrows (opening if necessary) the local accumulator for `local`
-    /// flow index at `bin`. Fresh rows are pre-sized from the hints so a
-    /// steady feed never rehashes mid-bin.
+    /// flow index at `bin`. Fresh rows are pre-sized from the previous
+    /// bin's distinct counts with no headroom beyond the power-of-two
+    /// rounding, so a table whose cell sees more distinct values than
+    /// that still regrows once mid-bin: 2–3 % of the tables of a
+    /// steady-state `abilene-packets` bin, 6 % at `abilene-netflow`'s
+    /// half scale. A 25 % headroom trial did not pay (−5 % on the
+    /// isolated insert loop, and finalization walks the extra slots).
     fn cell(&mut self, bin: usize, local: usize) -> &mut BinAccumulator<D> {
         let hints = &self.size_hints;
         let params = &self.params;
@@ -180,10 +185,6 @@ pub struct ShardedGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
     /// Per-shard `(rank, index)` sort-key buffers, kept across batches so
     /// a steady feed stops paying one allocation per shard per batch.
     scratch: Vec<Vec<(u64, u32)>>,
-    /// Whether [`offer_batch`](Self::offer_packets) keeps the scratch
-    /// buffers' capacity between batches (on by default; the bench turns
-    /// it off to measure what the reuse buys).
-    scratch_reuse: bool,
 }
 
 impl ShardedGridBuilder {
@@ -262,21 +263,7 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
             rejected_events: 0,
             finalized_bins: 0,
             scratch,
-            scratch_reuse: true,
         })
-    }
-
-    /// Toggles cross-batch reuse of the per-shard sort-key scratch
-    /// buffers (on by default). Turning it off restores the
-    /// allocate-per-batch behavior; the pipeline bench uses this to report
-    /// the honest before/after ratio of the reuse.
-    pub fn set_scratch_reuse(&mut self, reuse: bool) {
-        self.scratch_reuse = reuse;
-        if !reuse {
-            for keys in &mut self.scratch {
-                *keys = Vec::new();
-            }
-        }
     }
 
     /// Skips ahead so emission starts at `bin`, like the serial builder's
@@ -461,9 +448,6 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
             for (shard, keys) in self.shards.iter_mut().zip(per_shard.iter_mut()) {
                 run(shard, keys);
             }
-            if !self.scratch_reuse {
-                self.set_scratch_reuse(false);
-            }
             return Ok(());
         }
         // One worker per shard, with shards grouped when there are more
@@ -485,9 +469,6 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
                 });
             }
         });
-        if !self.scratch_reuse {
-            self.set_scratch_reuse(false);
-        }
         Ok(())
     }
 

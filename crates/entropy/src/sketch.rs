@@ -9,11 +9,13 @@
 //!
 //! # The sketch
 //!
-//! Survival is decided by the same deterministic Fx multiply the flat
-//! table hashes with: a key `v` survives **level** `L` iff the low `L`
-//! bits of `hash(v) >> 32` are zero, so each level samples the key space
-//! with probability `q = 2^−L` and level-`L+1` survivors are a subset of
-//! level-`L` survivors (the admission mask only grows). The sketch starts
+//! Survival is decided by one deterministic Fx multiply (`fx_hash`; the
+//! flat table deliberately indexes with a different product, so a
+//! survivor table does not cluster): a key `v` survives **level** `L`
+//! iff the low `L` bits of `hash(v) >> 32` are zero, so each level
+//! samples the key space with probability `q = 2^−L` and level-`L+1`
+//! survivors are a subset of level-`L` survivors (the admission mask
+//! only grows). The sketch starts
 //! at level 0 (exact) and raises the level — evicting non-survivors —
 //! whenever the survivor table would exceed `budget` distinct keys.
 //!
@@ -138,7 +140,7 @@ impl SketchHistogram {
 
     /// Whether `value` survives sampling at `level`.
     #[inline]
-    fn admitted_at(level: u32, value: u32) -> bool {
+    pub(crate) fn admitted_at(level: u32, value: u32) -> bool {
         let mask = (1u64 << level) - 1;
         (fx_hash(value) >> 32) & mask == 0
     }

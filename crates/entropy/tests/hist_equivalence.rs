@@ -14,6 +14,9 @@
 //! re-computation, including the adversarial shape called out in the
 //! issue: one giant count drowning a sea of singletons.
 
+mod common;
+
+use common::family_key;
 use entromine_entropy::{
     entropy_from_sorted_counts, sample_entropy, FeatureHistogram, MapHistogram,
 };
@@ -28,31 +31,35 @@ use rand::{Rng, SeedableRng};
 /// One step of a histogram workload, decoded from a generated tuple:
 /// selector 0 is `add`, 1 is `add_n` (weights include 0, a no-op, and
 /// large jumps), 2 is a merge of a histogram expanded deterministically
-/// from the seed. Keys deliberately include 0 and clustered ranges.
+/// from the seed. Keys deliberately include 0 and clustered ranges, and
+/// are mapped through [`family_key`] into the family under test.
 type RawOp = (u8, u32, u64);
 
-fn merge_values(seed: u64) -> Vec<u32> {
+fn merge_values(seed: u64, family: u8) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(seed);
     let len = rng.random_range(0..40);
-    (0..len).map(|_| rng.random_range(0..200)).collect()
+    (0..len)
+        .map(|_| family_key(family, rng.random_range(0..200)))
+        .collect()
 }
 
-fn apply(ops: &[RawOp]) -> (FeatureHistogram, MapHistogram) {
+fn apply(ops: &[RawOp], family: u8) -> (FeatureHistogram, MapHistogram) {
     let mut flat = FeatureHistogram::new();
     let mut map = MapHistogram::new();
     for &(sel, v, n) in ops {
         match sel % 3 {
             0 => {
+                let v = family_key(family, v);
                 flat.add(v);
                 map.add(v);
             }
             1 => {
-                let v = v % 50;
+                let v = family_key(family, v % 50);
                 flat.add_n(v, n);
                 map.add_n(v, n);
             }
             _ => {
-                let values = merge_values(v as u64 ^ n);
+                let values = merge_values(v as u64 ^ n, family);
                 let mf: FeatureHistogram = values.iter().copied().collect();
                 let mut mm = MapHistogram::new();
                 for &v in &values {
@@ -74,12 +81,14 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0u32..400, 0u64..1000), 0..60),
         probes in proptest::collection::vec(0u32..450, 0..20),
         k in 0usize..30,
+        family in 0u8..3,
     ) {
-        let (flat, map) = apply(&ops);
+        let (flat, map) = apply(&ops, family);
         prop_assert_eq!(flat.total(), map.total());
         prop_assert_eq!(flat.distinct(), map.distinct());
         prop_assert_eq!(flat.is_empty(), map.total() == 0);
         for v in probes {
+            let v = family_key(family, v);
             prop_assert_eq!(flat.count(v), map.count(v), "count({}) diverged", v);
         }
         // Every entry the map holds, the flat table holds, and vice versa
@@ -104,7 +113,10 @@ proptest! {
         seed in 0u64..1000,
         cap in 0usize..600,
         split in 0usize..80,
+        family in 0u8..3,
     ) {
+        let values: Vec<(u32, u64)> =
+            values.into_iter().map(|(v, n)| (family_key(family, v), n)).collect();
         // Build the same multiset four ways: in order, shuffled, into a
         // pre-sized table, and via a merge of two halves. All four must
         // produce bit-identical entropy (and equal histograms).

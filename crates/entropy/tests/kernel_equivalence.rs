@@ -1,103 +1,26 @@
 //! Equivalence pins for the entropy crate's SIMD kernel tier.
 //!
-//! * The **probe kernel is semantics-exact**: driven over random insert
-//!   sequences through the explicit `probe_on` seam, every backend must
-//!   produce a bitwise-identical key column — same slot for every
-//!   insert, so capacity history and layout can never depend on the
-//!   host. CI re-runs this suite under `ENTROMINE_FORCE_SCALAR=1` to pin
-//!   the auto-dispatch seam itself.
 //! * The **`Σ n·log2 n` reduction is tolerance-pinned**: the multi-lane
 //!   compensated kernel must agree with the sequential scalar reference
 //!   to 1e-13 relative, including across the `n·log2 n` lookup-table
-//!   cutoff at 1024.
+//!   cutoff at 1024. CI re-runs this suite under
+//!   `ENTROMINE_FORCE_SCALAR=1` to pin the auto-dispatch seam itself.
 //! * The **flat histogram's public observables** are pinned across its
-//!   growth boundary (the load-factor-triggered rehash runs through the
-//!   same probe kernel).
+//!   growth boundary (the load-factor-triggered rehash).
 
-use entromine_entropy::kernel::{probe_backends, probe_on, term_sum_on, Backend, ProbeResult};
+use entromine_entropy::kernel::{available_backends, term_sum_on, Backend};
 use entromine_entropy::{entropy_from_sorted_counts, sample_entropy, FeatureHistogram};
 use proptest::prelude::*;
 
-/// The table's hash for one `u32` key — the same single multiply by the
-/// pinned FxHash constant the production table uses (the constant is part
-/// of the crate's reproducibility contract: same seed ⇒ same dataset).
-fn fx(key: u32) -> u64 {
-    (key as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-}
-
-/// Builds a key column by inserting `values` through the probe seam on
-/// one explicit backend, mirroring the production insert (capacity stays
-/// a power of two, load factor capped at one half so a vacancy is always
-/// reachable).
-fn build_table(backend: Backend, values: &[u32], cap: usize) -> Vec<u32> {
-    assert!(cap.is_power_of_two());
-    let mut keys = vec![0u32; cap];
-    let mut occupied = 0;
-    for &v in values {
-        let stored = match v.checked_add(1) {
-            Some(s) => s,
-            None => continue, // u32::MAX lives in a side counter, not the table
-        };
-        if 2 * (occupied + 1) > cap {
-            break;
-        }
-        match probe_on(backend, &keys, fx(v) as usize, stored) {
-            ProbeResult::Hit(_) => {}
-            ProbeResult::Vacant(j) => {
-                keys[j] = stored;
-                occupied += 1;
-            }
-        }
-    }
-    keys
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn probe_layout_bitwise_identical_across_backends(
-        // A narrow value range forces collision clusters; a wide one
-        // exercises sparse tables. Mix both.
-        narrow in proptest::collection::vec(0u32..64, 0..24),
-        wide in proptest::collection::vec(any::<u32>(), 0..24),
-    ) {
-        let values: Vec<u32> = narrow.into_iter().chain(wide).collect();
-        for cap in [32usize, 128] {
-            let reference = build_table(Backend::Scalar, &values, cap);
-            for backend in probe_backends() {
-                let got = build_table(backend, &values, cap);
-                prop_assert_eq!(
-                    &got, &reference,
-                    "key column differs on {:?} (cap {})", backend, cap
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn probe_lookup_agrees_across_backends(
-        present in proptest::collection::vec(0u32..256, 1..32),
-        absent in proptest::collection::vec(256u32..512, 1..8),
-    ) {
-        let keys = build_table(Backend::Scalar, &present, 128);
-        for backend in probe_backends() {
-            for v in present.iter().chain(&absent) {
-                prop_assert_eq!(
-                    probe_on(backend, &keys, fx(*v) as usize, v + 1),
-                    probe_on(Backend::Scalar, &keys, fx(*v) as usize, v + 1),
-                    "lookup of {} differs on {:?}", v, backend
-                );
-            }
-        }
-    }
 
     #[test]
     fn term_sum_backends_agree(
         groups in proptest::collection::vec((1u64..200_000, 1u64..2_000), 0..300),
     ) {
         let reference = term_sum_on(Backend::Scalar, groups.iter().copied());
-        for backend in probe_backends() {
+        for backend in available_backends() {
             let got = term_sum_on(backend, groups.iter().copied());
             let rel = (got - reference).abs() / reference.abs().max(1.0);
             prop_assert!(
@@ -111,9 +34,8 @@ proptest! {
     fn histogram_counts_survive_growth_under_dispatch(
         values in proptest::collection::vec((0u32..500, 1u64..50), 1..200),
     ) {
-        // Runs on whatever backend the process latched (CI covers both
-        // auto and forced-scalar): the flat table must agree with a
-        // plain reference map through however many rehashes occur.
+        // The flat table must agree with a plain reference map through
+        // however many rehashes occur.
         let mut h = FeatureHistogram::new();
         let mut reference = std::collections::BTreeMap::new();
         for &(v, n) in &values {
@@ -194,7 +116,7 @@ fn entropy_term_table_cutoff_edge() {
     // The reduction itself, pinned across backends right at the edge.
     let groups: Vec<(u64, u64)> = counts.iter().map(|&c| (c, 1)).collect();
     let reference = term_sum_on(Backend::Scalar, groups.iter().copied());
-    for backend in probe_backends() {
+    for backend in available_backends() {
         let got = term_sum_on(backend, groups.iter().copied());
         let rel = (got - reference).abs() / reference.abs().max(1.0);
         assert!(

@@ -49,10 +49,12 @@ fn traffic(
         for _ in 0..per_bin {
             let flow = rng.random_range(0..n_flows);
             let ts = bin as u64 * 300 + rng.random_range(0..300);
+            // One host per /20, so Abilene's /21 mask (`anonymized()`)
+            // keeps distinct hosts distinct.
             let pkt = PacketHeader::tcp(
-                Ipv4(rng.random_range(0..50)),
+                Ipv4(rng.random_range(0..50) << 12),
                 rng.random_range(1024..1064),
-                Ipv4(rng.random_range(0..20)),
+                Ipv4(rng.random_range(0..20) << 12),
                 [80u16, 443, 53, 22][rng.random_range(0..4)],
                 40 + rng.random_range(0..1400),
                 ts,
@@ -388,11 +390,17 @@ proptest! {
         gap in 0usize..8,
         stragglers in 0usize..12,
         lateness_ix in 0usize..3,
+        anonymize in any::<bool>(),
     ) {
         let lateness = [0u64, 60, 299][lateness_ix];
         let config = StreamConfig::new(n_flows).with_lateness(lateness);
         let gaps = [gap % n_bins];
-        let events = traffic(seed, n_flows, n_bins, per_bin, &gaps, stragglers);
+        let mut events = traffic(seed, n_flows, n_bins, per_bin, &gaps, stragglers);
+        if anonymize {
+            for (_, pkt) in &mut events {
+                *pkt = pkt.anonymized();
+            }
+        }
         let watermarks: Vec<u64> = (1..=(n_bins as u64 + 1)).map(|b| b * 300).collect();
         let (serial, serial_late) = run_serial(&config, &events, &watermarks);
         for shards in SHARD_COUNTS {

@@ -21,6 +21,9 @@
 //!
 //! CI runs this file as the named `sketch-equivalence` step.
 
+mod common;
+
+use common::family_key;
 use entromine_entropy::shard::ShardedGridBuilder;
 use entromine_entropy::stream::{StreamConfig, StreamingGridBuilder};
 use entromine_entropy::{
@@ -398,10 +401,14 @@ proptest! {
         budget in 8usize..512,
         distinct in 1usize..20_000,
         max_weight in 1u64..64,
+        family in 0u8..3,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let entries: Vec<(u32, u64)> = (0..distinct)
-            .map(|_| (rng.random_range(0..u32::MAX), rng.random_range(1..max_weight + 1)))
+            .map(|_| {
+                let key = family_key(family, rng.random_range(0..u32::MAX));
+                (key, rng.random_range(1..max_weight + 1))
+            })
             .collect();
         assert_within_bound(&entries, budget);
     }
@@ -410,10 +417,14 @@ proptest! {
     fn prop_sketch_state_is_pure_function_of_multiset(
         seed in 0u64..1_000_000,
         budget in 4usize..256,
+        family in 0u8..3,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let entries: Vec<(u32, u64)> = (0..2_000)
-            .map(|_| (rng.random_range(0..100_000), rng.random_range(1..5)))
+            .map(|_| {
+                let key = family_key(family, rng.random_range(0..100_000));
+                (key, rng.random_range(1..5))
+            })
             .collect();
         let params = SketchParams { budget };
         let forward = sketch_of(params, &entries);

@@ -33,10 +33,10 @@
 //!   for the blocked eigensolver, whose acceptance contract is itself a
 //!   tolerance pin against the QL reference.
 //!
-//! The hot entropy kernels (flat-histogram probe, the `Σ n·log2 n`
-//! finalization) live in `entromine-entropy::kernel` and share this
-//! module's backend selection, so one process always runs one backend
-//! across the whole pipeline.
+//! The entropy finalization's `Σ n·log2 n` kernel lives in
+//! `entromine-entropy::kernel` and shares this module's backend
+//! selection, so one process always runs one backend across the whole
+//! pipeline.
 
 // The only unsafe in this module is the pair of feature-gated SIMD call
 // sites in the dispatchers, each justified by runtime detection.

@@ -219,6 +219,7 @@ proptest! {
         anomaly_flow in 0usize..4,
         intensity in 50.0f64..300.0,
         label_idx in 0usize..3,
+        anonymize in any::<bool>(),
     ) {
         let label = [
             AnomalyLabel::PortScan,
@@ -234,7 +235,9 @@ proptest! {
             packets_per_cell: intensity,
             seed: seed ^ 0x77,
         };
-        let dataset = Dataset::generate(Topology::line(pops), config(seed, 40), vec![event]);
+        // Abilene's traces arrive with the last 11 address bits masked.
+        let config = DatasetConfig { anonymize, ..config(seed, 40) };
+        let dataset = Dataset::generate(Topology::line(pops), config, vec![event]);
         let fitted = Diagnoser::new(DiagnoserConfig {
             // One refit round keeps runtime bounded; correctness is
             // independent of the training details since both paths share
