@@ -333,11 +333,41 @@ impl FeatureHistogram {
             .chain((self.max_key_count != 0).then_some((u32::MAX, self.max_key_count)))
     }
 
+    /// The count column as it lies in the table, then the `u32::MAX` side
+    /// counter: every value's count once, in unspecified order, **with a
+    /// zero for each vacant slot** (and for an unused side counter). The
+    /// walk for consumers that discard the value and can absorb zeros:
+    /// unlike [`iter`](Self::iter) it never tests a key, and in a
+    /// scattered table that test is a coin flip per slot.
+    pub(crate) fn slot_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.counts
+            .iter()
+            .copied()
+            .chain(std::iter::once(self.max_key_count))
+    }
+
+    /// Writes the non-zero counts to the front of `out` (unspecified
+    /// order) and returns how many there are — [`distinct`](Self::distinct).
+    /// Every slot is stored and only the cursor depends on its count, so
+    /// the pass is branch-free; `out` needs one slot of slack for that
+    /// store.
+    pub(crate) fn compact_counts(&self, out: &mut [u64]) -> usize {
+        debug_assert!(out.len() > self.distinct());
+        let mut len = 0;
+        for n in self.slot_counts() {
+            out[len] = n;
+            len += usize::from(n != 0);
+        }
+        len
+    }
+
     /// All counts, ascending — the canonical multiset view the dispersion
     /// metrics consume (entropy, Gini, and rank order are functions of
     /// the count multiset alone).
     pub fn counts_sorted(&self) -> Vec<u64> {
-        let mut counts: Vec<u64> = self.iter().map(|(_, n)| n).collect();
+        let mut counts = vec![0; self.distinct() + 1];
+        let len = self.compact_counts(&mut counts);
+        counts.truncate(len);
         counts.sort_unstable();
         counts
     }
@@ -544,6 +574,32 @@ mod tests {
         h.add(7);
         assert_eq!(h.count(0), 2);
         assert_eq!(h.distinct(), 2);
+    }
+
+    #[test]
+    fn counts_only_walk_sees_the_multiset_iter_sees() {
+        // Empty, sparse in an oversized table, grown, and with both edge
+        // keys: the compacted counts are `iter`'s counts, and the raw walk
+        // adds nothing but zeros.
+        let mut oversized = FeatureHistogram::with_capacity(500);
+        oversized.add_n(9, 4);
+        let mut edges: FeatureHistogram = (0..300u32).map(|v| v % 97).collect();
+        edges.add_n(u32::MAX, 6);
+        edges.add_n(0, 2);
+        for h in [FeatureHistogram::new(), oversized, edges] {
+            let mut want: Vec<u64> = h.iter().map(|(_, n)| n).collect();
+            want.sort_unstable();
+            let mut got = vec![u64::MAX; h.distinct() + 1];
+            let len = h.compact_counts(&mut got);
+            got.truncate(len);
+            got.sort_unstable();
+            assert_eq!(got, want);
+            assert_eq!(h.counts_sorted(), want);
+            let mut raw: Vec<u64> = h.slot_counts().filter(|&n| n != 0).collect();
+            raw.sort_unstable();
+            assert_eq!(raw, want);
+            assert_eq!(h.slot_counts().sum::<u64>(), h.total());
+        }
     }
 
     /// Mean and worst number of slots a lookup of a stored key examines.

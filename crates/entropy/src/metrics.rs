@@ -163,17 +163,17 @@ pub fn sample_entropy(hist: &FeatureHistogram) -> f64 {
         return 0.0;
     }
     if distinct <= 64 {
-        let mut buf = [0u64; 64];
-        for (slot, (_, n)) in buf.iter_mut().zip(hist.iter()) {
-            *slot = n;
-        }
-        let counts = &mut buf[..distinct];
+        let mut buf = [0u64; 65];
+        let counts = &mut buf[..distinct + 1];
+        hist.compact_counts(counts);
+        let counts = &mut counts[..distinct];
         counts.sort_unstable();
         return entropy_from_count_groups(total, sorted_groups(counts));
     }
+    // Vacant slots land in bucket 0, which is not a count and is skipped.
     let mut small = [0u32; SMALL_COUNT];
     let mut spill: Vec<u64> = Vec::new();
-    for (_, n) in hist.iter() {
+    for n in hist.slot_counts() {
         if (n as usize) < SMALL_COUNT {
             small[n as usize] += 1;
         } else {
@@ -184,6 +184,7 @@ pub fn sample_entropy(hist: &FeatureHistogram) -> f64 {
     let small_groups = small
         .iter()
         .enumerate()
+        .skip(1)
         .filter(|(_, &k)| k != 0)
         .map(|(c, &k)| (c as u64, k as u64));
     entropy_from_count_groups(total, small_groups.chain(sorted_groups(&spill)))
@@ -212,7 +213,7 @@ pub fn simpson_index(hist: &FeatureHistogram) -> f64 {
     if s == 0 {
         return 0.0;
     }
-    let sum_sq: u128 = hist.iter().map(|(_, n)| n as u128 * n as u128).sum();
+    let sum_sq: u128 = hist.slot_counts().map(|n| n as u128 * n as u128).sum();
     let s = s as f64;
     (1.0 - sum_sq as f64 / (s * s)).clamp(0.0, 1.0)
 }

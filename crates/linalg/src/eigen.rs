@@ -64,22 +64,13 @@ impl SymEigen {
     /// Smallest `m` such that the leading `m` eigenvalues capture at least
     /// `fraction` of total variance.
     pub fn dims_for_variance(&self, fraction: f64) -> usize {
-        let total = self.total_variance();
-        if total <= 0.0 {
-            return 0;
-        }
-        let mut acc = 0.0;
-        for (i, v) in self.values.iter().enumerate() {
-            acc += v;
-            if acc / total >= fraction {
-                return i + 1;
-            }
-        }
-        self.values.len()
+        crate::spectrum::leading_dims(&self.values, self.total_variance(), fraction)
+            .unwrap_or(self.values.len())
     }
 }
 
-/// Full eigendecomposition of a symmetric matrix — the production path.
+/// Full eigendecomposition of a symmetric matrix — the production path,
+/// and the "every vector" case of [`sym_eigen_leading`].
 ///
 /// Below `TRIDIAG_MIN_N` rows this is exactly the QL reference
 /// ([`sym_eigen_ql`]); above it, the core is the blocked tridiagonal
@@ -98,14 +89,41 @@ impl SymEigen {
 ///   than 50 sweeps for some eigenvalue (does not happen for PSD covariance
 ///   matrices in practice).
 pub fn sym_eigen(a: &Mat) -> Result<SymEigen, LinalgError> {
+    sym_eigen_leading(a, |values| values.len())
+}
+
+/// Every eigenvalue of a symmetric matrix, and the eigenvectors of the
+/// leading `k` only: `vectors` comes back `n × k`, aligned with
+/// `values[..k]`.
+///
+/// `k_of` picks `k` (clamped to `n`) from the complete descending
+/// spectrum, which is known before the first vector is computed — so a
+/// caller that wants "enough axes for 85 % of the variance" pays for
+/// exactly those. The pipeline is [`sym_eigen`]'s; only the inverse
+/// iteration, the reflector back-transform and the final transpose run
+/// over `k` rows instead of `n`. `k_of` runs a second time, on the QL
+/// reference's eigenvalues, when the blocked pipeline declines an input.
+///
+/// # Errors
+///
+/// As for [`sym_eigen`].
+pub fn sym_eigen_leading(
+    a: &Mat,
+    mut k_of: impl FnMut(&[f64]) -> usize,
+) -> Result<SymEigen, LinalgError> {
     validate_symmetric(a)?;
-    if a.rows() < TRIDIAG_MIN_N {
-        return ql_core(a);
+    let n = a.rows();
+    if n >= TRIDIAG_MIN_N {
+        if let Some(result) = tridiag_eigen(a, &mut k_of) {
+            return Ok(result);
+        }
     }
-    match tridiag_eigen(a) {
-        Some(result) => Ok(result),
-        None => ql_core(a),
+    let mut full = ql_core(a)?;
+    let k = k_of(&full.values).min(n);
+    if k < n {
+        full.vectors = full.vectors.select_cols(&(0..k).collect::<Vec<_>>());
     }
+    Ok(full)
 }
 
 /// Full eigendecomposition by unblocked Householder reduction plus
@@ -329,12 +347,18 @@ const TRIDIAG_MIN_N: usize = 32;
 /// at a time, turning the update into long contiguous kernel `axpy`s.
 const NB: usize = 32;
 
-/// The fast full-spectrum core: blocked Householder tridiagonalization,
-/// eigenvalue-only QL, shifted inverse iteration for the eigenvectors, and
-/// the reflector back-transform. Returns `None` whenever any stage
-/// declines (QL non-convergence, an eigenvector failing its residual
-/// gate), letting the caller fall back to the reference solver.
-fn tridiag_eigen(a: &Mat) -> Option<SymEigen> {
+/// Rows of `z` that [`apply_q`] back-transforms per kernel call. A row's
+/// low bits depend on whether it rides a full group or the remainder, so
+/// [`tridiag_eigenvectors`] starts its block on a multiple of this: the
+/// leading vectors then come out the same whatever `k` is.
+const APPLY_ROWS: usize = 8;
+
+/// The fast core: blocked Householder tridiagonalization, eigenvalue-only
+/// QL, shifted inverse iteration for the leading `k_of(values)`
+/// eigenvectors, and the reflector back-transform. Returns `None` whenever
+/// any stage declines (QL non-convergence, an eigenvector failing its
+/// residual gate), letting the caller fall back to the reference solver.
+fn tridiag_eigen(a: &Mat, k_of: &mut dyn FnMut(&[f64]) -> usize) -> Option<SymEigen> {
     let n = a.rows();
     let (d, e, taus, vtails) = blocked_tridiag(a);
 
@@ -346,38 +370,41 @@ fn tridiag_eigen(a: &Mat) -> Option<SymEigen> {
     }
     let mut vals_asc = vals;
     vals_asc.sort_by(|x, y| x.partial_cmp(y).expect("eigenvalues are finite"));
+    let values: Vec<f64> = vals_asc.iter().rev().copied().collect();
+    let k = k_of(&values).min(n);
 
     // `sub[i]` couples tridiagonal rows i and i+1.
     let sub: Vec<f64> = e[1..].to_vec();
-    // Row j of `z` is the eigenvector for vals_asc[j]: the row layout keeps
-    // every inverse-iteration and back-transform access contiguous.
-    let mut z = tridiag_eigenvectors(&d, &sub, &vals_asc)?;
+    // The last row of `z` is the eigenvector for vals_asc[n-1], the one
+    // above it for vals_asc[n-2], …: the row layout keeps every
+    // inverse-iteration and back-transform access contiguous. Rows above
+    // the leading `k` are alignment and cluster extras, dropped below.
+    let mut z = tridiag_eigenvectors(&d, &sub, &vals_asc, k)?;
     apply_q(&taus, &vtails, &mut z);
 
     // Transpose rows-ascending into columns-descending, in 8×8 tiles so
     // both sides stay within a handful of cache lines per tile (the naive
     // column-major write pattern touches a fresh line per element).
-    let mut vectors = Mat::zeros(n, n);
+    let mut vectors = Mat::zeros(n, k);
     {
         let zdata = z.as_slice();
         let vdata = vectors.as_mut_slice();
         const TB: usize = 8;
         for rb in (0..n).step_by(TB) {
             let rend = (rb + TB).min(n);
-            for cb in (0..n).step_by(TB) {
-                let cend = (cb + TB).min(n);
+            for cb in (0..k).step_by(TB) {
+                let cend = (cb + TB).min(k);
                 for r in rb..rend {
-                    let dst = &mut vdata[r * n..(r + 1) * n];
+                    let dst = &mut vdata[r * k..(r + 1) * k];
                     for c in cb..cend {
-                        // Output column c holds z row n-1-c: descending
-                        // eigenvalue order.
-                        dst[c] = zdata[(n - 1 - c) * n + r];
+                        // Output column c holds the c-th row of z from
+                        // the end: descending eigenvalue order.
+                        dst[c] = zdata[(z.rows() - 1 - c) * n + r];
                     }
                 }
             }
         }
     }
-    let values: Vec<f64> = vals_asc.iter().rev().copied().collect();
     Some(SymEigen { values, vectors })
 }
 
@@ -825,11 +852,12 @@ fn seed_vector(n: usize, seed: usize) -> Vec<f64> {
 }
 
 /// Eigenvectors of a symmetric tridiagonal matrix by shifted inverse
-/// iteration, given its eigenvalues in ascending order. Returns the
-/// vectors as the *rows* of an `n × n` matrix (same order) — the row
-/// layout keeps every Gram–Schmidt and back-transform access contiguous —
-/// or `None` if any vector fails its growth or residual gate, in which
-/// case the caller falls back to the QL reference.
+/// iteration, for the largest `k` of its eigenvalues (given complete, in
+/// ascending order). Returns the vectors as the trailing `k` *rows* of a
+/// matrix of row length `n` (same order) — the row layout keeps every
+/// Gram–Schmidt and back-transform access contiguous — or `None` if any
+/// vector fails its growth or residual gate, in which case the caller
+/// falls back to the QL reference.
 ///
 /// Eigenvalues within `10⁻⁷·‖T‖` of each other are treated as clustered:
 /// their shifts are spread a couple of ulps apart and each vector is
@@ -847,8 +875,20 @@ fn seed_vector(n: usize, seed: usize) -> Vec<f64> {
 /// projections run four basis rows at a time through the fused
 /// multi-source kernels. Each accepted vector must pass
 /// `‖T x − λ x‖ ≤ window_span + 10⁻¹⁰·‖T‖`.
-fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat> {
+///
+/// The iteration starts at the head of the window of the `k`-th largest
+/// eigenvalue, not at the eigenvalue itself: which basis a cluster's
+/// invariant subspace gets depends on where in the cluster the
+/// orthogonalization starts, and starting where a full solve's window
+/// does keeps the leading `k` vectors the full solve's when the cut falls
+/// inside a repeated eigenvalue. Those extra rows, and zero rows padding
+/// the block's start down to a multiple of [`APPLY_ROWS`], sit above the
+/// leading `k` in the returned matrix.
+fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64], k: usize) -> Option<Mat> {
     let n = d.len();
+    if k == 0 {
+        return Some(Mat::zeros(0, n));
+    }
     let mut norm_t = 0.0f64;
     for i in 0..n {
         let mut row = d[i].abs();
@@ -860,26 +900,32 @@ fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat>
         }
         norm_t = norm_t.max(row);
     }
+    let cluster_tol = 1e-7 * norm_t;
+    let mut first = n - k;
+    while first > 0 && vals_asc[n - k] - vals_asc[first - 1] <= cluster_tol {
+        first -= 1;
+    }
+    // Row `idx - base` of `z` holds the vector of vals_asc[idx].
+    let base = first - first % APPLY_ROWS;
     if norm_t == 0.0 {
-        return Some(Mat::identity(n));
+        return Some(Mat::from_fn(n - base, n, |r, c| f64::from(r + base == c)));
     }
 
     let eps = f64::EPSILON;
-    let cluster_tol = 1e-7 * norm_t;
     let pert = 2.0 * eps * norm_t;
     // A normalized RHS must blow up to at least this norm for the solve to
     // count as having hit the eigenvalue.
     let growth_floor = 0.01 / ((n as f64).sqrt() * eps * norm_t);
     let pivot_floor = eps * norm_t;
 
-    let mut z = Mat::zeros(n, n);
+    let mut z = Mat::zeros(n - base, n);
     let mut prev_shift = f64::NEG_INFINITY;
-    for idx in 0..n {
+    for idx in first..n {
         let lambda = vals_asc[idx];
         // Previously accepted vectors whose eigenvalues are within the
         // cluster window of this one (vals_asc ascending, so a suffix).
         let mut win_start = idx;
-        while win_start > 0 && lambda - vals_asc[win_start - 1] <= cluster_tol {
+        while win_start > first && lambda - vals_asc[win_start - 1] <= cluster_tol {
             win_start -= 1;
         }
         let mut shift = lambda;
@@ -922,13 +968,14 @@ fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat>
             // vector pointed along an already-claimed direction.
             let mut j = win_start;
             while j + 4 <= idx {
-                let rows = [z.row(j), z.row(j + 1), z.row(j + 2), z.row(j + 3)];
+                let at = j - base;
+                let rows = [z.row(at), z.row(at + 1), z.row(at + 2), z.row(at + 3)];
                 let p = crate::kernel::dot4_fused_x4(rows, &x);
                 crate::kernel::axpy_multi_fused(&mut x, &[-p[0], -p[1], -p[2], -p[3]], &rows);
                 j += 4;
             }
             for jr in j..idx {
-                let prev = z.row(jr);
+                let prev = z.row(jr - base);
                 let proj = crate::kernel::dot4_fused(&x, prev);
                 crate::kernel::axpy_fused(&mut x, -proj, prev);
             }
@@ -945,7 +992,7 @@ fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat>
                 break;
             }
         }
-        z.row_mut(idx).copy_from_slice(&accepted?);
+        z.row_mut(idx - base).copy_from_slice(&accepted?);
     }
     Some(z)
 }
@@ -963,7 +1010,7 @@ fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat>
 /// memory traffic — this stage is bandwidth-bound, so that is the whole
 /// win.
 fn apply_q(taus: &[f64], vtails: &[Vec<f64>], z: &mut Mat) {
-    let n = z.rows();
+    let n = z.cols();
     let nref = taus.len();
     let data = z.as_mut_slice();
     let mut rows: Vec<&mut [f64]> = data.chunks_exact_mut(n).collect();
@@ -1015,7 +1062,7 @@ fn apply_q(taus: &[f64], vtails: &[Vec<f64>], z: &mut Mat) {
         let vrows: Vec<&[f64]> = vdense.chunks_exact(m).collect();
         // z ← z − (z·V)·T·Vᵀ, eight contiguous rows at a time so each
         // reflector column streams once per eight rows of z.
-        for quad in rows.chunks_mut(8) {
+        for quad in rows.chunks_mut(APPLY_ROWS) {
             if let [r0, r1, r2, r3, r4, r5, r6, r7] = quad {
                 let mut y8 = [[0.0f64; NB]; 8]; // per-row z·V panel images
                 for (a, &ca) in cols.iter().enumerate() {

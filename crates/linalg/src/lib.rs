@@ -8,7 +8,9 @@
 //!   operations (multiply, transpose, column statistics, norms).
 //! * [`sym_eigen`] — a full symmetric eigendecomposition (Householder
 //!   tridiagonalization followed by implicit-shift QL iteration), the
-//!   reference oracle behind principal component analysis.
+//!   reference oracle behind principal component analysis — and
+//!   [`sym_eigen_leading`], the same solve with eigenvectors for the
+//!   leading `k` only, which is what a fit runs.
 //! * [`top_k_eigen`] / [`top_k_eigen_detailed`] — blocked subspace
 //!   iteration with Ritz locking, residual-norm convergence, and
 //!   oversampling for the leading `k` eigenpairs: the production engine of
@@ -86,8 +88,8 @@ mod spectrum;
 pub mod stats;
 
 pub use eigen::{
-    block_matvec, block_matvec_serial, sym_eigen, sym_eigen_ql, top_k_eigen, top_k_eigen_detailed,
-    SymEigen, TopKInfo,
+    block_matvec, block_matvec_serial, sym_eigen, sym_eigen_leading, sym_eigen_ql, top_k_eigen,
+    top_k_eigen_detailed, SymEigen, TopKInfo,
 };
 pub use error::LinalgError;
 pub use matrix::Mat;

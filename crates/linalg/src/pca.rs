@@ -10,14 +10,22 @@
 //!
 //! # Fit engines and dispatch
 //!
-//! Three concrete engines produce the same model at different costs:
+//! Three concrete engines produce the same model at different costs. Every
+//! one of them keeps the **whole** eigenvalue spectrum (thresholds, variance
+//! fractions and explained-variance read all of it); the dense and Gram
+//! engines materialize eigen*vectors* only for the axes the caller's
+//! [`AxisRequest`] names, because scoring, T², calibration and flow
+//! identification never index past the normal subspace.
 //!
-//! * **Full** ([`Pca::fit`]) — dense QL on the `n × n` covariance,
-//!   `O(n³)`: the reference oracle, and the only engine that materializes
-//!   every eigenpair.
+//! * **Full** ([`Pca::fit`]) — the blocked dense solver on the `n × n`
+//!   covariance: `O(n³)` for the tridiagonalization and the eigenvalues,
+//!   then `O(m·n²)` for the `m` requested vectors. [`Pca::fit`] itself
+//!   asks for all `n` and is the reference oracle.
 //! * **Gram** ([`Pca::fit_gram`]) — the `t × t` Gram eigenproblem,
-//!   `O(t³ + t²n)`: exact (the unstored tail of the spectrum is exactly
-//!   zero), and the cheap path whenever `rows < cols`.
+//!   `O(t²n + t³ + m·t·n)`: the Gram product, its eigenvalues, and the
+//!   back-projection of `m` axes. Exact (the spectrum past the data's
+//!   rank is exactly zero), and the cheap path whenever `rows < cols`.
+//!   [`Pca::fit_gram`] itself back-projects every axis the rank supports.
 //! * **Partial** ([`Pca::fit_partial`]) — top-`k` eigenpairs by locked
 //!   subspace iteration plus trace-identity power sums, `O(k·n²)` with an
 //!   embarrassingly parallel `n³/2`-flop trace kernel. Opt-in only:
@@ -27,16 +35,17 @@
 //!
 //! [`FitStrategy`] names the engines; [`FitStrategy::Auto`] picks Gram or
 //! Full from the data shape and the caller's [`AxisRequest`]. A forced
-//! partial fit escalates (doubling `k`, ultimately falling back to full
-//! QL) whenever the partial spectrum cannot answer the request or its
-//! iteration fails to converge. Every strategy yields thresholds within
-//! round-off of the full-QL oracle; the equivalence is pinned by proptests
-//! in the subspace crate.
+//! partial fit escalates (doubling `k`, ultimately falling back to the
+//! dense solve) whenever the partial spectrum cannot answer the request or
+//! its iteration fails to converge. Every strategy yields thresholds within
+//! round-off of the all-axes dense oracle; the equivalence is pinned by
+//! proptests in the subspace crate.
 
+use crate::eigen::sym_eigen_leading;
 use crate::matrix::dot;
 use crate::score::ScorePlan;
-use crate::spectrum::{ResidualPowerSums, Spectrum};
-use crate::{sym_eigen, LinalgError, Mat};
+use crate::spectrum::{leading_dims, ResidualPowerSums, Spectrum};
+use crate::{LinalgError, Mat};
 
 /// Which engine fits the eigenstructure of the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,7 +55,8 @@ pub enum FitStrategy {
     /// the request), everything else runs [`Full`](Self::Full).
     #[default]
     Auto,
-    /// Dense QL on the full covariance — the `O(n³)` reference oracle.
+    /// The blocked dense solver on the full covariance: every eigenvalue
+    /// (`O(n³)`), eigenvectors for the requested axes only.
     Full,
     /// Top-`k` eigenpairs + trace-identity residual power sums,
     /// `O(k·n²)`. Escalates `k` (and ultimately falls back to
@@ -54,17 +64,21 @@ pub enum FitStrategy {
     /// partial spectrum or the iteration does not converge. Never chosen
     /// by [`Auto`](Self::Auto).
     Partial,
-    /// The `rows × rows` Gram eigenproblem, `O(t³ + t²n)` — exact, and
-    /// the natural engine for wide matrices.
+    /// The `rows × rows` Gram eigenproblem, `O(t²n + t³ + m·t·n)` with
+    /// only the `m` requested axes back-projected — exact, and the natural
+    /// engine for wide matrices.
     Gram,
 }
 
-/// How many principal axes a fit must be able to deliver.
+/// How many principal axes a fit must deliver — and, on the dense and Gram
+/// engines, how many it materializes.
 ///
-/// The dispatcher sizes partial fits from this: [`Components`] requests
-/// come with their dimension attached, [`VarianceFraction`] requests are
-/// answered adaptively (fit a thin spectrum, escalate until the cumulative
-/// known variance resolves the fraction against the exact trace).
+/// [`Components`] requests come with their dimension attached;
+/// [`VarianceFraction`] requests are resolved against the eigenvalues,
+/// which those engines have in full before the first vector is computed
+/// (the partial engine instead fits a thin spectrum and escalates until
+/// the cumulative known variance resolves the fraction against the exact
+/// trace).
 ///
 /// [`Components`]: Self::Components
 /// [`VarianceFraction`]: Self::VarianceFraction
@@ -74,6 +88,24 @@ pub enum AxisRequest {
     Components(usize),
     /// Enough axes to capture this fraction of total variance.
     VarianceFraction(f64),
+}
+
+/// What [`Pca::fit`] and [`Pca::fit_gram`] ask for: every axis the engine
+/// can carry.
+const ALL_AXES: AxisRequest = AxisRequest::Components(usize::MAX);
+
+impl AxisRequest {
+    /// The number of leading axes that answers this request over a
+    /// complete, descending spectrum — the same cut
+    /// [`Pca::dims_for_variance`] reports on the fitted model.
+    fn resolve(self, values: &[f64]) -> usize {
+        match self {
+            AxisRequest::Components(m) => m.min(values.len()),
+            AxisRequest::VarianceFraction(f) => {
+                leading_dims(values, values.iter().sum(), f).unwrap_or(values.len())
+            }
+        }
+    }
 }
 
 /// How a fit actually ran. Paired with [`Pca::strategy`] (which engine
@@ -106,10 +138,12 @@ const PARTIAL_SEED: u64 = 0x5350_4543;
 /// are centered to zero mean before the covariance is formed (as in
 /// Lakhina et al., SIGCOMM 2004).
 ///
-/// The covariance path carries one principal axis per variable; the Gram
-/// path carries only the axes the data can support (at most
-/// `rows`) and the partial path only the `k` it computed, which is all any
-/// projection with `m ≤ k` can use. The axis count is exposed as
+/// [`fit`](Self::fit) carries one principal axis per variable and
+/// [`fit_gram`](Self::fit_gram) one per unit of numerical rank (at most
+/// `rows − 1`); through [`fit_with`](Self::fit_with) both engines carry
+/// only the axes the request names, and the partial path only the `k` it
+/// computed — all any projection with `m ≤ k` can use. The eigen*values*
+/// are complete either way. The axis count is exposed as
 /// [`n_axes`](Self::n_axes).
 #[derive(Debug, Clone)]
 pub struct Pca {
@@ -127,6 +161,11 @@ impl Pca {
     /// Propagates [`LinalgError`] from covariance construction (fewer than
     /// two rows) or the eigensolver.
     pub fn fit(x: &Mat) -> Result<Self, LinalgError> {
+        Self::full_for(x, ALL_AXES)
+    }
+
+    /// The dense engine, materializing the axes `request` names.
+    fn full_for(x: &Mat, request: AxisRequest) -> Result<Self, LinalgError> {
         if x.cols() == 0 {
             return Err(LinalgError::Empty {
                 what: "PCA of a matrix with zero columns",
@@ -134,7 +173,7 @@ impl Pca {
         }
         let mean = x.col_means();
         let cov = x.covariance()?;
-        Self::full_from_cov(mean, &cov)
+        Self::full_from_cov(mean, &cov, request)
     }
 
     /// Fits the same model as [`fit`](Self::fit) by solving the `t × t`
@@ -151,16 +190,23 @@ impl Pca {
     ///
     /// Numerically the two paths agree to round-off (axes may flip sign);
     /// they are cross-checked in proptests. The returned model carries
-    /// only the data's supportable axes (`n_axes() ≤ min(t, n)`) plus the
-    /// full zero-padded eigenvalue spectrum, so downstream threshold code
-    /// sees the exact covariance-path spectrum. [`FitStrategy::Auto`]
-    /// dispatches here whenever `rows < cols` and the rank bound supports
-    /// the request.
+    /// every axis the data's numerical rank supports
+    /// (`n_axes() ≤ min(t − 1, n)`) plus the full zero-padded eigenvalue
+    /// spectrum, so downstream threshold code sees the exact
+    /// covariance-path spectrum. [`FitStrategy::Auto`] dispatches to this
+    /// engine whenever `rows < cols` and the rank bound supports the
+    /// request — and then back-projects the requested axes only.
     ///
     /// # Errors
     ///
     /// Same conditions as [`fit`](Self::fit).
     pub fn fit_gram(x: &Mat) -> Result<Self, LinalgError> {
+        Self::gram_for(x, ALL_AXES)
+    }
+
+    /// The Gram engine, back-projecting the axes `request` names (at most
+    /// the numerical rank).
+    fn gram_for(x: &Mat, request: AxisRequest) -> Result<Self, LinalgError> {
         let (t, n) = x.shape();
         if n == 0 {
             return Err(LinalgError::Empty {
@@ -176,42 +222,46 @@ impl Pca {
         let mut centered = x.clone();
         centered.center_cols(&mean);
         let gram = centered.gram();
-        let geig = sym_eigen(&gram)?;
         let denom = (t - 1) as f64;
 
-        // Numerically-zero Gram eigenvalues cannot be back-projected (the
-        // division by √μ blows up); everything at or below round-off of
-        // the leading one is dropped from the axis set but kept — as an
-        // exact zero — in the spectrum.
-        let lead = geig.values.first().copied().unwrap_or(0.0).max(0.0);
-        let tol = lead * 1e-12;
-        let kept: Vec<usize> = (0..t).filter(|&j| geig.values[j] > tol).collect();
-
+        // The covariance spectrum is the Gram spectrum over `t − 1`, all
+        // of it: thresholds and variance fractions read the residual
+        // eigenvalues too. Numerically-zero Gram eigenvalues cannot be
+        // back-projected (the division by √μ blows up), so everything at
+        // or below round-off of the leading one is an exact zero in the
+        // spectrum and out of reach of the request.
         let mut values = vec![0.0; n];
-        for (slot, &j) in values.iter_mut().zip(&kept) {
-            *slot = geig.values[j] / denom;
-        }
-        let mut vectors = Mat::zeros(n, kept.len());
-        for (dst, &j) in kept.iter().enumerate() {
-            let u = geig.vectors.col(j);
-            // v = X_cᵀ u / √μ, accumulated row-major over the data.
-            let inv_norm = 1.0 / geig.values[j].sqrt();
-            let mut v = vec![0.0; n];
-            for (row, &ui) in centered.row_iter().zip(&u) {
-                if ui == 0.0 {
-                    continue;
-                }
-                for (slot, &xij) in v.iter_mut().zip(row) {
-                    *slot += ui * xij;
+        let geig = sym_eigen_leading(&gram, |mu| {
+            let tol = mu[0].max(0.0) * 1e-12;
+            let rank = mu.iter().take(n).take_while(|&&v| v > tol).count();
+            values.fill(0.0);
+            for (slot, v) in values.iter_mut().zip(&mu[..rank]) {
+                *slot = v / denom;
+            }
+            request.resolve(&values).min(rank)
+        })?;
+
+        // Axis j is X_cᵀ u_j / √μ_j. Row j of `axes` accumulates it one
+        // data row at a time, so the data streams through once and every
+        // element sums its terms in row order.
+        let k = geig.vectors.cols();
+        let mut axes = Mat::zeros(k, n);
+        for (i, row) in centered.row_iter().enumerate() {
+            for (j, &uij) in geig.vectors.row(i).iter().enumerate() {
+                if uij != 0.0 {
+                    crate::kernel::axpy(axes.row_mut(j), uij, row);
                 }
             }
-            for (i, &vi) in v.iter().enumerate() {
-                vectors[(i, dst)] = vi * inv_norm;
+        }
+        for (j, mu) in geig.values[..k].iter().enumerate() {
+            let inv_norm = 1.0 / mu.sqrt();
+            for v in axes.row_mut(j) {
+                *v *= inv_norm;
             }
         }
         Ok(Pca {
             mean,
-            spectrum: Spectrum::complete_padded(values, vectors),
+            spectrum: Spectrum::complete(values, axes.transpose())?,
             strategy: FitStrategy::Gram,
             diagnostics: FitDiagnostics::default(),
         })
@@ -258,8 +308,12 @@ impl Pca {
     /// The dispatch rules, in order:
     ///
     /// 1. `rows < cols` and the Gram rank bound (`rank ≤ rows − 1`) can
-    ///    support the request → **Gram** (exact, `O(t³ + t²n)`).
+    ///    support the request → **Gram** (exact, `O(t²n + t³ + m·t·n)`).
     /// 2. Otherwise → **Full**.
+    ///
+    /// Either way the model carries every eigenvalue and the axes
+    /// `request` names, no more: `Components(m)` materializes `m`,
+    /// `VarianceFraction(f)` the count the eigenvalues resolve `f` to.
     ///
     /// A forced [`Partial`](FitStrategy::Partial) that cannot pay for
     /// itself (thin matrices, requests spanning most of the spectrum)
@@ -278,8 +332,8 @@ impl Pca {
     ) -> Result<Self, LinalgError> {
         let (t, n) = x.shape();
         match strategy {
-            FitStrategy::Full => Self::fit(x),
-            FitStrategy::Gram => Self::fit_gram(x),
+            FitStrategy::Full => Self::full_for(x, request),
+            FitStrategy::Gram => Self::gram_for(x, request),
             FitStrategy::Partial => {
                 if n == 0 {
                     return Err(LinalgError::Empty {
@@ -292,31 +346,28 @@ impl Pca {
             }
             FitStrategy::Auto => {
                 if t < n && t >= 2 && gram_supports(t, request) {
-                    let gram = Self::fit_gram(x)?;
+                    let gram = Self::gram_for(x, request)?;
                     // The row count bounded the rank a priori, but the
                     // *numerical* rank is only known after the fit: short
                     // or degenerate windows can support fewer axes than
                     // the request needs. Auto must then degrade to the
-                    // dense oracle (which always carries `n` axes), not
-                    // surface an error the old full path never raised.
+                    // dense engine (whose rank is `n`), not surface an
+                    // error the old full path never raised.
                     if gram_delivers(&gram, request) {
-                        Ok(gram)
-                    } else {
-                        Self::fit(x)
+                        return Ok(gram);
                     }
-                } else {
-                    Self::fit(x)
                 }
+                Self::full_for(x, request)
             }
         }
     }
 
-    /// The full-QL oracle over a prepared covariance.
-    fn full_from_cov(mean: Vec<f64>, cov: &Mat) -> Result<Self, LinalgError> {
-        let eigen = sym_eigen(cov)?;
+    /// The dense engine over a prepared covariance.
+    fn full_from_cov(mean: Vec<f64>, cov: &Mat, request: AxisRequest) -> Result<Self, LinalgError> {
+        let eigen = sym_eigen_leading(cov, |values| request.resolve(values))?;
         Ok(Pca {
             mean,
-            spectrum: Spectrum::complete(eigen),
+            spectrum: Spectrum::complete(eigen.values, eigen.vectors)?,
             strategy: FitStrategy::Full,
             diagnostics: FitDiagnostics::default(),
         })
@@ -328,11 +379,11 @@ impl Pca {
     fn partial_from_cov(mean: Vec<f64>, cov: &Mat, k: usize) -> Result<Self, LinalgError> {
         let n = cov.rows();
         if k >= n {
-            return Self::full_from_cov(mean, cov);
+            return Self::full_from_cov(mean, cov, ALL_AXES);
         }
         let (spectrum, info) = Spectrum::partial_of(cov, k, PARTIAL_SEED)?;
         if !info.converged {
-            return Self::full_from_cov(mean, cov);
+            return Self::full_from_cov(mean, cov, ALL_AXES);
         }
         Ok(Pca {
             mean,
@@ -365,7 +416,7 @@ impl Pca {
                 let mut k = PARTIAL_VF_INITIAL_K.min(n);
                 loop {
                     if k >= n / 2 || k >= n {
-                        return Self::full_from_cov(mean, cov);
+                        return Self::full_from_cov(mean, cov, ALL_AXES);
                     }
                     let fitted = Self::partial_from_cov(mean.clone(), cov, k)?;
                     // A non-convergence fallback inside partial_from_cov
@@ -391,9 +442,11 @@ impl Pca {
         self.mean.len()
     }
 
-    /// Number of principal axes the model carries: `dim()` for the full
-    /// path, the data's numerical rank for the Gram path,
-    /// `k` for the partial path. Projections require `m <= n_axes()`.
+    /// Number of principal axes the model carries: what the
+    /// [`AxisRequest`] asked for, at most `dim()` on the full path and the
+    /// data's numerical rank on the Gram path ([`fit`](Self::fit) and
+    /// [`fit_gram`](Self::fit_gram) ask for everything); `k` for the
+    /// partial path. Projections require `m <= n_axes()`.
     pub fn n_axes(&self) -> usize {
         self.spectrum.n_axes()
     }
@@ -448,8 +501,10 @@ impl Pca {
         self.spectrum.residual_power_sums(m)
     }
 
-    /// The orthonormal principal axes (one per column, aligned with
-    /// [`eigenvalues`](Self::eigenvalues)).
+    /// The orthonormal principal axes, one per column, aligned with the
+    /// leading [`n_axes`](Self::n_axes) of
+    /// [`eigenvalues`](Self::eigenvalues): what the request asked for, at
+    /// most the numerical rank.
     pub fn components(&self) -> &Mat {
         self.spectrum.vectors()
     }
@@ -595,14 +650,14 @@ impl Pca {
 /// variance fractions always resolve (the Gram spectrum is complete).
 fn gram_supports(t: usize, request: AxisRequest) -> bool {
     match request {
-        AxisRequest::Components(m) => t >= m + 2,
+        AxisRequest::Components(m) => t >= m.saturating_add(2),
         AxisRequest::VarianceFraction(_) => true,
     }
 }
 
 /// Whether a *fitted* Gram model actually carries the axes the request
-/// needs — the a-posteriori check behind [`gram_supports`], which only
-/// knew the row count, not the data's numerical rank.
+/// needs (it holds `min(request, numerical rank)`) — the a-posteriori
+/// check behind [`gram_supports`], which only knew the row count.
 fn gram_delivers(gram: &Pca, request: AxisRequest) -> bool {
     match request {
         AxisRequest::Components(m) => gram.n_axes() >= m,

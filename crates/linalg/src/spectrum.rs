@@ -45,7 +45,7 @@
 //!
 //! [`top_k_eigen_detailed`]: crate::top_k_eigen_detailed
 
-use crate::eigen::{top_k_eigen_detailed, SymEigen, TopKInfo};
+use crate::eigen::{top_k_eigen_detailed, TopKInfo};
 use crate::{LinalgError, Mat};
 
 /// The residual power sums `φ₁, φ₂, φ₃` of a covariance spectrum past a
@@ -158,22 +158,42 @@ fn trace_cubed_rows(c: &Mat, range: std::ops::Range<usize>, out: &mut [f64]) {
     }
 }
 
+/// Smallest `m` whose leading `values` sum to at least `fraction` of
+/// `total` (`Some(0)` for a zero-variance spectrum), or `None` when they
+/// never do. The one place the cut is computed: the fit resolves a
+/// variance-fraction request with it before any axis exists, and the
+/// fitted [`Spectrum`] answers the same question with it afterwards.
+pub(crate) fn leading_dims(values: &[f64], total: f64, fraction: f64) -> Option<usize> {
+    if total <= 0.0 {
+        return Some(0);
+    }
+    let mut acc = 0.0;
+    for (i, v) in values.iter().enumerate() {
+        acc += v;
+        if acc / total >= fraction {
+            return Some(i + 1);
+        }
+    }
+    None
+}
+
 /// An eigenspectrum that knows its leading eigenpairs exactly and its
 /// *entire* spectrum through the power sums `S₁, S₂, S₃`.
 ///
 /// Two flavours share the type:
 ///
-/// * **complete** — every eigenvalue is stored (the full QL path, and the
-///   Gram path whose unstored tail is exactly zero). Residual power sums
-///   are computed from the stored residual slice, so this flavour is
-///   bit-for-bit the reference oracle.
+/// * **complete** — every eigenvalue is stored (the dense path, and the
+///   Gram path whose tail past the data's rank is exactly zero). Residual
+///   power sums are computed from the stored residual slice, so this
+///   flavour is bit-for-bit the reference oracle.
 /// * **partial** — only the top `k` eigenvalues (and axes) are stored;
 ///   the power sums come from the trace identities, and residual sums for
 ///   any `m ≤ k` follow by subtraction, exact up to round-off.
 ///
-/// The eigenvector matrix may carry fewer columns than there are stored
-/// eigenvalues (the Gram path keeps only the axes the data's rank
-/// supports); [`n_axes`](Self::n_axes) is the projectable count.
+/// The eigenvector matrix usually carries fewer columns than there are
+/// stored eigenvalues — a fit materializes the axes its request names, at
+/// most the data's rank on the Gram path; [`n_axes`](Self::n_axes) is the
+/// projectable count.
 #[derive(Debug, Clone)]
 pub struct Spectrum {
     /// Known leading eigenvalues, descending.
@@ -192,37 +212,32 @@ pub struct Spectrum {
 }
 
 impl Spectrum {
-    /// A complete spectrum from a full eigendecomposition.
-    pub fn complete(eigen: SymEigen) -> Self {
-        let dim = eigen.vectors.rows();
-        Spectrum {
-            values: eigen.values,
-            vectors: eigen.vectors,
-            dim,
-            complete: true,
-            tail_sums: [0.0; 3],
-        }
-    }
-
-    /// A complete spectrum whose axis matrix carries fewer columns than
-    /// eigenvalues (the Gram path: the zero tail has no backprojectable
-    /// axes but its eigenvalues — exact zeros — are known).
+    /// A complete spectrum: every eigenvalue (descending) and the axes of
+    /// the leading `vectors.cols()` of them. A fit materializes only the
+    /// axes its request names, and the Gram path has none to offer past
+    /// the data's rank, so fewer columns than eigenvalues is the normal
+    /// case.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `values.len() != vectors.rows()` or if `vectors` has more
-    /// columns than `values` entries.
-    pub fn complete_padded(values: Vec<f64>, vectors: Mat) -> Self {
-        assert_eq!(values.len(), vectors.rows(), "one eigenvalue per row dim");
-        assert!(vectors.cols() <= values.len(), "more axes than eigenvalues");
+    /// [`LinalgError::ShapeMismatch`] unless there is one eigenvalue per
+    /// row of `vectors` and at most that many columns.
+    pub fn complete(values: Vec<f64>, vectors: Mat) -> Result<Self, LinalgError> {
         let dim = vectors.rows();
-        Spectrum {
+        if values.len() != dim || vectors.cols() > dim {
+            return Err(LinalgError::ShapeMismatch {
+                op: "complete spectrum",
+                lhs: (values.len(), 1),
+                rhs: vectors.shape(),
+            });
+        }
+        Ok(Spectrum {
             values,
             vectors,
             dim,
             complete: true,
             tail_sums: [0.0; 3],
-        }
+        })
     }
 
     /// The top-`k` partial spectrum of a symmetric PSD matrix, with exact
@@ -318,7 +333,8 @@ impl Spectrum {
     }
 
     /// Fraction of total variance captured by the leading `m` eigenvalues
-    /// (1.0 for a zero-variance spectrum, as in [`SymEigen::explained`]).
+    /// (1.0 for a zero-variance spectrum, as in
+    /// [`SymEigen::explained`](crate::SymEigen::explained)).
     pub fn explained(&self, m: usize) -> f64 {
         let total = self.total_variance();
         if total <= 0.0 {
@@ -333,20 +349,10 @@ impl Spectrum {
     ///
     /// Zero-variance spectra answer `Some(0)`; a complete spectrum that
     /// never reaches `fraction` answers its own length, both matching
-    /// [`SymEigen::dims_for_variance`].
+    /// [`SymEigen::dims_for_variance`](crate::SymEigen::dims_for_variance).
     pub fn dims_for_variance(&self, fraction: f64) -> Option<usize> {
-        let total = self.total_variance();
-        if total <= 0.0 {
-            return Some(0);
-        }
-        let mut acc = 0.0;
-        for (i, v) in self.values.iter().enumerate() {
-            acc += v;
-            if acc / total >= fraction {
-                return Some(i + 1);
-            }
-        }
-        self.complete.then_some(self.values.len())
+        leading_dims(&self.values, self.total_variance(), fraction)
+            .or(self.complete.then_some(self.values.len()))
     }
 
     /// The residual power sums `φ₁, φ₂, φ₃` past a normal subspace of
@@ -409,6 +415,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn complete_of(a: &Mat) -> Spectrum {
+        let eigen = sym_eigen(a).unwrap();
+        Spectrum::complete(eigen.values, eigen.vectors).unwrap()
+    }
+
     fn random_psd(n: usize, rank: usize, seed: u64) -> Mat {
         let mut rng = StdRng::seed_from_u64(seed);
         let b = Mat::from_fn(n, rank, |_, _| rng.random::<f64>() - 0.5);
@@ -443,7 +454,7 @@ mod tests {
     #[test]
     fn partial_power_sums_match_full_subtraction() {
         let a = random_psd(24, 24, 7);
-        let full = Spectrum::complete(sym_eigen(&a).unwrap());
+        let full = complete_of(&a);
         let (partial, info) = Spectrum::partial_of(&a, 6, 11).unwrap();
         assert!(info.converged, "top-k must converge on a benign spectrum");
         let scale = full.total_variance();
@@ -474,7 +485,7 @@ mod tests {
     #[test]
     fn dims_for_variance_partial_vs_complete() {
         let a = random_psd(16, 16, 13);
-        let full = Spectrum::complete(sym_eigen(&a).unwrap());
+        let full = complete_of(&a);
         let (partial, _) = Spectrum::partial_of(&a, 5, 3).unwrap();
         // A fraction resolvable within 5 axes agrees with the oracle...
         let easy = 0.3;
@@ -486,16 +497,24 @@ mod tests {
         assert_eq!(partial.dims_for_variance(0.999999), None);
         assert!(full.dims_for_variance(0.999999).is_some());
         // Zero-variance spectra need no axes at all.
-        let zero = Spectrum::complete(sym_eigen(&Mat::zeros(3, 3)).unwrap());
+        let zero = complete_of(&Mat::zeros(3, 3));
         assert_eq!(zero.dims_for_variance(0.9), Some(0));
     }
 
     #[test]
+    fn complete_rejects_shapes_that_are_not_a_spectrum() {
+        // One eigenvalue per dimension, never more axes than dimensions;
+        // fewer axes than eigenvalues is the normal case.
+        assert!(Spectrum::complete(vec![2.0, 1.0], Mat::identity(3)).is_err());
+        assert!(Spectrum::complete(vec![2.0, 1.0], Mat::zeros(2, 3)).is_err());
+        let thin = Spectrum::complete(vec![2.0, 1.0, 0.0], Mat::zeros(3, 1)).unwrap();
+        assert_eq!((thin.n_axes(), thin.n_known()), (1, 3));
+        assert!(thin.is_complete());
+    }
+
+    #[test]
     fn spectral_gap_reports_the_cut() {
-        let full = Spectrum::complete(SymEigen {
-            values: vec![10.0, 6.0, 1.0, 0.9],
-            vectors: Mat::identity(4),
-        });
+        let full = Spectrum::complete(vec![10.0, 6.0, 1.0, 0.9], Mat::identity(4)).unwrap();
         let gap = full.spectral_gap(2).unwrap();
         assert!((gap - 0.5).abs() < 1e-12, "gap {gap}");
         assert!(full.spectral_gap(0).is_none());

@@ -6,9 +6,12 @@
 //! monotonicity/symmetry of the normal quantile.
 
 use entromine_linalg::{
-    stats, sym_eigen, sym_trace_cubed, top_k_eigen_detailed, Mat, MomentAccumulator, Pca,
+    stats, sym_eigen, sym_eigen_leading, sym_trace_cubed, top_k_eigen_detailed, Mat,
+    MomentAccumulator, Pca, SymEigen,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a rows x cols matrix with entries in [-10, 10].
 fn mat_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
@@ -25,8 +28,137 @@ fn psd_strategy(n: usize, rows: usize) -> impl Strategy<Value = Mat> {
     })
 }
 
+/// A full-rank `n × n` PSD matrix `BᵀB`, `B` of `n + 8` seeded uniform rows.
+fn seeded_psd(n: usize, seed: u64) -> Mat {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let b = Mat::from_fn(n + 8, n, |_, _| rng.random::<f64>() - 0.5);
+    b.transpose().matmul(&b).unwrap()
+}
+
+/// `Q·diag(spectrum)·Qᵀ` for a seeded orthogonal `Q`.
+fn with_spectrum(spectrum: &[f64], seed: u64) -> Mat {
+    let n = spectrum.len();
+    let q = sym_eigen(&seeded_psd(n, seed)).unwrap().vectors;
+    let scaled = Mat::from_fn(n, n, |i, j| q[(i, j)] * spectrum[j]);
+    let a = scaled.matmul(&q.transpose()).unwrap();
+    // Symmetrize the product's round-off.
+    Mat::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]))
+}
+
+/// The contract of every leading-`k` solve, cluster at the cut or not: all
+/// `n` eigenvalues, `k` orthonormal columns, each an eigenvector of `a` for
+/// its eigenvalue to `1e-8·‖a‖`.
+fn check_leading(a: &Mat, e: &SymEigen, k: usize) -> Result<(), String> {
+    let n = a.rows();
+    prop_assert_eq!(e.values.len(), n);
+    prop_assert_eq!(e.vectors.shape(), (n, k));
+    let vtv = e.vectors.transpose().matmul(&e.vectors).unwrap();
+    prop_assert!(vtv.max_abs_diff(&Mat::identity(k)).unwrap() < 1e-8);
+    let scale = a.frobenius_norm();
+    for j in 0..k {
+        let v = e.vectors.col(j);
+        let av = a.matvec(&v).unwrap();
+        let r: f64 = av
+            .iter()
+            .zip(&v)
+            .map(|(y, x)| (y - e.values[j] * x).powi(2))
+            .sum();
+        prop_assert!(
+            r.sqrt() <= 1e-8 * scale,
+            "axis {}: residual {}",
+            j,
+            r.sqrt()
+        );
+    }
+    Ok(())
+}
+
+/// Largest entry by which axis `j` of `e` differs from axis `j` of `full`,
+/// up to sign.
+fn off_full(e: &SymEigen, full: &SymEigen, j: usize) -> f64 {
+    let (v, w) = (e.vectors.col(j), full.vectors.col(j));
+    let sign = v.iter().zip(&w).map(|(x, y)| x * y).sum::<f64>().signum();
+    v.iter()
+        .zip(&w)
+        .fold(0.0, |m, (x, y)| m.max((sign * x - y).abs()))
+}
+
+#[test]
+fn leading_vectors_survive_a_cluster_straddling_the_cut() {
+    // A triple eigenvalue with the cut inside it (k = 2, 3), at its edges
+    // (k = 1, 4), and a second cluster below it (k = 6). Any orthonormal
+    // basis of an invariant subspace is correct, so the contract is
+    // orthonormality and the residual; the solver goes further and starts
+    // at the head of the cluster the cut falls in, which makes the basis
+    // the full solve's. n = 40 takes the blocked pipeline, n = 12 the QL
+    // reference.
+    for n in [40usize, 12] {
+        let mut spectrum = vec![1.0; n];
+        spectrum[..4].copy_from_slice(&[5.0, 3.0, 3.0, 3.0]);
+        let a = with_spectrum(&spectrum, 7);
+        let full = sym_eigen(&a).unwrap();
+        for k in [1usize, 2, 3, 4, 6, n] {
+            let e = sym_eigen_leading(&a, |_| k).unwrap();
+            check_leading(&a, &e, k).unwrap_or_else(|why| panic!("n={n} k={k}: {why}"));
+            for (got, want) in e.values.iter().zip(&spectrum) {
+                assert!((got - want).abs() < 1e-10, "n={n} k={k}: {got} vs {want}");
+            }
+            for j in 0..k {
+                let gap = off_full(&e, &full, j);
+                assert!(
+                    gap < 1e-8,
+                    "n={n} k={k} axis {j}: off the full solve by {gap}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn leading_vectors_are_the_full_solve_bit_for_bit() {
+    // With no cluster at the cut, asking for fewer vectors changes which
+    // rows are computed and nothing about how: 100 = 12·8 + 4, so the
+    // leading four ride the back-transform's remainder path in both.
+    let a = seeded_psd(100, 3);
+    let full = sym_eigen(&a).unwrap();
+    for k in [1usize, 4, 5, 10, 50, 99] {
+        let e = sym_eigen_leading(&a, |_| k).unwrap();
+        for j in 0..k {
+            let (got, want) = (e.vectors.col(j), full.vectors.col(j));
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                "k={k}: axis {j} differs from the full solve"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn leading_k_matches_the_full_solve(n in 2usize..=96, seed in any::<u64>()) {
+        let a = seeded_psd(n, seed);
+        let full = sym_eigen(&a).unwrap();
+        for k in [0, 1, 10.min(n), n - 1, n] {
+            // The request is read off the complete spectrum.
+            let e = sym_eigen_leading(&a, |values| {
+                assert_eq!(values.len(), n);
+                k
+            }).unwrap();
+            prop_assert!(
+                e.values.iter().zip(&full.values).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "k={}: eigenvalues moved", k
+            );
+            check_leading(&a, &e, k)?;
+            for j in 0..k {
+                let gap = off_full(&e, &full, j);
+                prop_assert!(gap < 1e-8, "k={} axis {}: off the full solve by {}", k, j, gap);
+            }
+        }
+    }
 
     #[test]
     fn transpose_is_involution(m in mat_strategy(4, 7)) {

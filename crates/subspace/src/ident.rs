@@ -52,7 +52,8 @@ const RIDGE: f64 = 1e-12;
 /// Greedy multi-flow identification over a residual vector.
 ///
 /// * `residual` — `r = C̃ h`, length `4p`.
-/// * `components` — the full principal-axis matrix (columns are axes).
+/// * `components` — the principal-axis matrix (columns are axes; a fit
+///   carries the leading `m`, which is all this reads).
 /// * `m` — normal subspace dimension (first `m` columns of `components`).
 /// * `threshold` — stop once the remaining SPE is at or below this.
 /// * `max_flows` — hard cap on the recursion (guards pathological inputs).

@@ -11,9 +11,14 @@
 //! 3. the engine follows the window's shape: Gram (no eigen-iteration)
 //!    when rows < cols, a covariance engine otherwise — and no round is
 //!    ever warm-started or downdated.
+//!
+//! And one that is pinned against the all-axes oracles instead: a fit
+//! materializes only the axes its request names, and nothing a detector
+//! reads — thresholds, SPE, T², blamed flows — can tell.
 
+use entromine::linalg::{AxisRequest, Mat, Pca};
 use entromine::net::Topology;
-use entromine::subspace::{DimSelection, SubspaceModel, ThresholdPolicy};
+use entromine::subspace::{DimSelection, MultiwayModel, SubspaceModel, ThresholdPolicy};
 use entromine::synth::{AnomalyEvent, AnomalyLabel, Dataset, DatasetConfig};
 use entromine::{Diagnoser, DiagnoserConfig, FitStrategy, FittedDiagnoser, TrainingWindow};
 
@@ -247,5 +252,154 @@ fn the_engine_follows_the_window_shape_and_every_round_is_cold() {
     }
     for round in wide_trace.rounds.iter().chain(&tall_trace.rounds) {
         assert!(!round.warm_start && !round.downdated);
+    }
+}
+
+/// A `t × 4p` window of unfolded entropy rows at a canonical workload's
+/// shape: fourteen well-separated components (strengths falling by 0.9 per
+/// step, so neither a 10-axis cut nor an 85 % one lands in a cluster) over
+/// a noise floor three orders of magnitude down. No RNG.
+fn low_rank_window(t: usize, p: usize) -> Mat {
+    // SplitMix64's finalizer over the pair: a linear hash would make the
+    // "noise" a low-rank function of (row, column).
+    let unit = |a: usize, b: usize| {
+        let mut x = (a as u64)
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add((b as u64).wrapping_mul(1442695040888963407));
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((x ^ (x >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    Mat::from_fn(t, 4 * p, |i, j| {
+        let signal: f64 = (0..14)
+            .map(|r| {
+                let phase = (r + 1) as f64 * i as f64 / t as f64 * std::f64::consts::TAU;
+                0.9f64.powi(r as i32) * phase.sin() * unit(j, 1000 + r)
+            })
+            .sum();
+        3.0 + unit(j, 7) + signal + 1e-3 * unit(i, j)
+    })
+}
+
+#[test]
+fn a_fit_materializes_the_requested_axes_and_the_detector_cannot_tell() {
+    // The two shapes a canonical refit round fits: Geant's entropy window
+    // (rows < cols: Gram) and Abilene's (rows > cols: dense).
+    let m = 10;
+    let alpha = 0.999;
+    for (p, engine) in [(484usize, FitStrategy::Gram), (121, FitStrategy::Full)] {
+        let x = low_rank_window(648, p);
+        let n = 4 * p;
+        let what = format!("648 x {n}");
+        let lean = Pca::fit_with(&x, FitStrategy::Auto, AxisRequest::Components(m)).unwrap();
+        let oracle = match engine {
+            FitStrategy::Gram => Pca::fit_gram(&x),
+            _ => Pca::fit(&x),
+        }
+        .unwrap();
+        assert_eq!(lean.strategy(), engine, "{what}");
+        assert_eq!(lean.n_axes(), m, "{what}");
+        // Centring costs one rank: 647 axes from 648 rows, or all 484.
+        let rank = n.min(648 - 1);
+        assert_eq!(
+            oracle.n_axes(),
+            rank,
+            "{what}: the oracle carries every axis"
+        );
+
+        // Every eigenvalue survives — the residual ones are the threshold's
+        // whole input — so Jackson–Mudholkar cannot move by a bit.
+        assert_eq!(lean.eigenvalues().len(), n, "{what}");
+        assert_eq!(
+            bits(lean.eigenvalues()),
+            bits(oracle.eigenvalues()),
+            "{what}"
+        );
+        let nonzero = |pca: &Pca| pca.eigenvalues().iter().filter(|&&v| v != 0.0).count();
+        assert_eq!(nonzero(&lean), nonzero(&oracle), "{what}");
+        assert_eq!(nonzero(&lean), rank, "{what}: a truncated spectrum");
+        let jm = |pca: &Pca| {
+            let sums = pca.residual_power_sums(m).unwrap();
+            entromine::subspace::q_threshold_from_power_sums(&sums, alpha).unwrap()
+        };
+        assert_eq!(jm(&lean).to_bits(), jm(&oracle).to_bits(), "{what}: JM");
+
+        // Every training row scores the same through the production plane.
+        let floor = 1e-12 * lean.total_variance();
+        let scores = |pca: &Pca| {
+            let mut out = Vec::new();
+            pca.score_plan(m)
+                .unwrap()
+                .spe_t2_batch(x.row_iter(), pca.eigenvalues(), floor, &mut out)
+                .unwrap();
+            out
+        };
+        for (i, (a, b)) in scores(&lean).into_iter().zip(scores(&oracle)).enumerate() {
+            assert!(
+                (a.0 - b.0).abs() <= 1e-9 * b.0,
+                "{what} row {i}: SPE {a:?} vs {b:?}"
+            );
+            assert!(
+                (a.1 - b.1).abs() <= 1e-9 * b.1,
+                "{what} row {i}: T2 {a:?} vs {b:?}"
+            );
+        }
+
+        // Identification reads the leading m columns and the threshold: the
+        // lean model blames what the other engine's model blames.
+        let other = match engine {
+            FitStrategy::Gram => FitStrategy::Full,
+            _ => FitStrategy::Gram,
+        };
+        let fit = |s| MultiwayModel::fit_unfolded(x.clone(), DimSelection::Fixed(m), s).unwrap();
+        let (auto, cross) = (fit(FitStrategy::Auto), fit(other));
+        assert_eq!(auto.inner().pca().strategy(), engine, "{what}");
+        assert_eq!(auto.inner().pca().n_axes(), m, "{what}");
+        let mut injected = x.row(300).to_vec();
+        for (feature, bump) in [30.0, -20.0, 16.0, 40.0].into_iter().enumerate() {
+            injected[feature * p + 3] += bump;
+            injected[feature * p + 77] -= 0.7 * bump;
+        }
+        let blamed = |model: &MultiwayModel| -> Vec<usize> {
+            let found = model.identify(&injected, alpha, 4).unwrap();
+            found.iter().map(|c| c.flow).collect()
+        };
+        assert_eq!(blamed(&auto), blamed(&cross), "{what}");
+        assert_eq!(blamed(&auto)[..2], [3, 77], "{what}");
+    }
+}
+
+#[test]
+fn a_variance_fraction_fit_is_the_fixed_fit_of_the_dimension_it_resolves_to() {
+    for p in [484usize, 121] {
+        let x = low_rank_window(648, p);
+        let by_fraction =
+            SubspaceModel::fit_with(&x, DimSelection::VarianceFraction(0.85), FitStrategy::Auto)
+                .unwrap();
+        let m = by_fraction.normal_dim();
+        assert!((2..14).contains(&m), "p={p}: resolved m={m}");
+        assert_eq!(by_fraction.pca().n_axes(), m, "p={p}");
+        let fixed = SubspaceModel::fit_with(&x, DimSelection::Fixed(m), FitStrategy::Auto).unwrap();
+        assert_eq!(by_fraction.pca().strategy(), fixed.pca().strategy());
+        for policy in [
+            ThresholdPolicy::JacksonMudholkar,
+            ThresholdPolicy::Empirical,
+        ] {
+            assert_eq!(
+                by_fraction.threshold_with(0.999, policy).unwrap().to_bits(),
+                fixed.threshold_with(0.999, policy).unwrap().to_bits(),
+                "p={p}: {policy:?}"
+            );
+        }
+        assert_eq!(
+            bits(by_fraction.pca().components().as_slice()),
+            bits(fixed.pca().components().as_slice()),
+            "p={p}: axes"
+        );
+        assert_eq!(
+            bits(by_fraction.calibration()),
+            bits(fixed.calibration()),
+            "p={p}: calibration sample"
+        );
     }
 }
