@@ -1,12 +1,12 @@
 //! AVX2 (256-bit) kernel variants.
 //!
-//! Two tiers live here. [`axpy`]/[`dot4`] are bitwise-pinned to
-//! [`super::scalar`]: the scalar references round the multiply and the
-//! add separately, so those kernels never contract — every multiply-add
-//! is an explicit `_mm256_mul_pd` + `_mm256_add_pd`. The `_fused`
-//! variants are the throughput tier: FMA-contracted, tolerance-pinned
-//! only, reserved for callers (the blocked eigensolver) whose own
-//! contracts are tolerance-based.
+//! Two tiers live here. [`axpy`]/[`dot4`]/[`dot4_tile`] are
+//! bitwise-pinned to [`super::scalar`]: the scalar references round the
+//! multiply and the add separately, so those kernels never contract —
+//! every multiply-add is an explicit `_mm256_mul_pd` + `_mm256_add_pd`.
+//! The `_fused` variants are the throughput tier: FMA-contracted,
+//! tolerance-pinned only, reserved for callers (the blocked eigensolver)
+//! whose own contracts are tolerance-based.
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -409,4 +409,46 @@ pub unsafe fn dot4(a: &[f64], b: &[f64]) -> f64 {
         tail += a[i] * b[i];
     }
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
+
+/// `out[i][j] = dot4(a[i], b[j])` over a 4 × 2 tile. Each entry owns one
+/// accumulator register running exactly [`dot4`]'s lane sequence and
+/// reduction, so every entry is bitwise identical to the per-pair call;
+/// the eight chains are independent, so the adds no longer wait on each
+/// other, and each loaded row feeds two (`a`) or four (`b`) products.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2 (runtime-detected by the
+/// dispatcher) and that all six slices have equal length.
+#[target_feature(enable = "avx2")]
+pub unsafe fn dot4_tile(a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 2]; 4] {
+    let n = b[0].len();
+    let chunks = n / 4;
+    let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+    for k in 0..chunks {
+        // SAFETY: 4*k + 4 <= n and every slice has length n.
+        unsafe {
+            let b0 = _mm256_loadu_pd(b[0].as_ptr().add(4 * k));
+            let b1 = _mm256_loadu_pd(b[1].as_ptr().add(4 * k));
+            for i in 0..4 {
+                let av = _mm256_loadu_pd(a[i].as_ptr().add(4 * k));
+                acc[i][0] = _mm256_add_pd(acc[i][0], _mm256_mul_pd(av, b0));
+                acc[i][1] = _mm256_add_pd(acc[i][1], _mm256_mul_pd(av, b1));
+            }
+        }
+    }
+    let mut out = [[0.0f64; 2]; 4];
+    for i in 0..4 {
+        for j in 0..2 {
+            let mut lanes = [0.0f64; 4];
+            // SAFETY: `lanes` is 4 f64s; the store writes exactly 32 bytes.
+            unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc[i][j]) };
+            let mut tail = 0.0f64;
+            for l in 4 * chunks..n {
+                tail += a[i][l] * b[j][l];
+            }
+            out[i][j] = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail;
+        }
+    }
+    out
 }

@@ -3,10 +3,10 @@
 //! Every accelerated op in this module ships as a family: a **pinned
 //! scalar reference** (the `scalar` submodule) plus explicit-SIMD variants
 //! (`std::arch` SSE2 and AVX2) selected once per process by runtime CPU
-//! feature detection. The public entry points ([`axpy`], [`dot4`])
-//! dispatch through [`active_backend`]; the `*_on` variants take an
-//! explicit [`Backend`] so tests and benches can pit every available
-//! implementation against the scalar reference in one process.
+//! feature detection. The public entry points ([`axpy`], [`dot4`],
+//! [`dot4_tile`]) dispatch through [`active_backend`]; the `*_on` variants
+//! take an explicit [`Backend`] so tests and benches can pit every
+//! available implementation against the scalar reference in one process.
 //!
 //! # Dispatch contract
 //!
@@ -27,6 +27,11 @@
 //!   for-lane onto one AVX2 register (or two SSE2 registers), and the
 //!   final reduction order is identical, so the value is the same bit
 //!   pattern under every backend.
+//! * [`dot4_tile`] is **bitwise-pinned to per-pair [`dot4`]**: a 4 × 2
+//!   block of products whose AVX2 body keeps eight independent
+//!   accumulators, one per entry, each with `dot4`'s lanes and reduction;
+//!   the other backends literally make the eight `dot4` calls. It carries
+//!   the Gram product.
 //! * [`axpy_fused`]/[`dot4_fused`] are the **throughput tier**:
 //!   FMA-contracted on hosts with AVX2+FMA, falling back to the bitwise
 //!   kernels elsewhere. They are tolerance-pinned only and are reserved
@@ -228,6 +233,43 @@ pub fn dot4_on(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::dot4(a, b),
     }
+}
+
+/// A 4 × 2 tile of [`dot4`] products, `out[i][j] = dot4(a[i], b[j])`,
+/// dispatched.
+///
+/// Each of the eight entries keeps its own four lanes and the same
+/// `(l0 + l1) + (l2 + l3) + tail` reduction, so the tile is **bitwise
+/// identical** to eight per-pair [`dot4`] calls under every backend. The
+/// point is latency: one `dot4` is a single chain of dependent vector
+/// adds, while the AVX2 tile runs eight independent chains and loads each
+/// row once for two (or four) products. This carries the Gram product.
+///
+/// # Panics
+///
+/// Panics if the six slices do not all have the same length.
+#[inline]
+pub fn dot4_tile(a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 2]; 4] {
+    dot4_tile_on(active_backend(), a, b)
+}
+
+/// [`dot4_tile`] on an explicit backend (test/bench seam). Backends
+/// without a tile body run eight [`dot4_on`] calls, which is the
+/// reference the AVX2 tile is pinned against.
+#[inline]
+pub fn dot4_tile_on(backend: Backend, a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 2]; 4] {
+    let n = b[0].len();
+    assert!(
+        a.iter().chain(&b).all(|r| r.len() == n),
+        "dot4_tile needs six rows of one length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx2 {
+        // SAFETY: `Backend::Avx2` is only reachable through runtime
+        // feature detection (see `axpy_on`); lengths are asserted above.
+        return unsafe { avx2::dot4_tile(a, b) };
+    }
+    a.map(|row| b.map(|col| dot4_on(backend, row, col)))
 }
 
 /// `true` when the FMA-contracted throughput kernels are active: AVX2+FMA

@@ -371,10 +371,13 @@ impl Mat {
     /// rows `a` and `b`.
     ///
     /// Rows are contiguous in the row-major layout, so each entry is a
-    /// streaming dot product; the upper triangle is split across scoped
-    /// worker threads (balanced by element count, capped at 16) and
-    /// mirrored. This is the kernel behind [`Pca::fit_gram`], which solves
-    /// the `rows < cols` eigenproblem in the small `rows × rows` space.
+    /// streaming dot product, computed on 4 × 2 register tiles of the
+    /// kernel tier; the upper triangle is split across scoped worker
+    /// threads (balanced by element count, capped at 16) and mirrored.
+    /// Every entry is bitwise equal to per-pair `dot4` of its two rows at
+    /// any split and under every backend. This is the kernel behind
+    /// [`Pca::fit_gram`], which solves the `rows < cols` eigenproblem in
+    /// the small `rows × rows` space.
     ///
     /// [`Pca::fit_gram`]: crate::Pca::fit_gram
     pub fn gram(&self) -> Mat {
@@ -584,14 +587,38 @@ fn cov_accumulate(centered: &Mat, range: std::ops::Range<usize>, out: &mut [f64]
 /// (row-major, `range.len() × rows`, rebased to `range.start`).
 ///
 /// Entries are four-lane [`dot4`] products (dispatched through the kernel
-/// tier), not the strict left-to-right [`dot`]: the Gram path is pinned by
-/// tolerance against the explicit product and against the covariance fit,
-/// never bitwise against a serial-reduction reference, and the strict
-/// reduction's serial dependency chain is exactly what makes it slow.
+/// tier), not the strict left-to-right [`dot`], whose serial dependency
+/// chain is exactly what makes it slow. Blocks of four rows are filled two
+/// columns at a time by [`kernel::dot4_tile`](crate::kernel::dot4_tile),
+/// starting at the block's first row; rows left over at the end of the
+/// range and an odd last column take per-pair [`dot4`]. Every upper-
+/// triangle entry is therefore **bitwise equal to per-pair `dot4`** at any
+/// split. A diagonal tile also writes a few entries below the diagonal;
+/// `dot4` is symmetric bit for bit, so they hold the mirrored value anyway
+/// (and [`Mat::gram`]'s mirror pass overwrites them).
 fn gram_accumulate(x: &Mat, range: std::ops::Range<usize>, out: &mut [f64]) {
     let t = x.rows();
     let base = range.start;
-    for a in range {
+    let mut a = range.start;
+    while a + 4 <= range.end {
+        let rows = [x.row(a), x.row(a + 1), x.row(a + 2), x.row(a + 3)];
+        let block = &mut out[(a - base) * t..(a - base + 4) * t];
+        let mut b = a;
+        while b + 2 <= t {
+            let tile = crate::kernel::dot4_tile(rows, [x.row(b), x.row(b + 1)]);
+            for (out_row, pair) in block.chunks_exact_mut(t).zip(tile) {
+                out_row[b..b + 2].copy_from_slice(&pair);
+            }
+            b += 2;
+        }
+        if b < t {
+            for (out_row, row_a) in block.chunks_exact_mut(t).zip(rows) {
+                out_row[b] = dot4(row_a, x.row(b));
+            }
+        }
+        a += 4;
+    }
+    for a in a..range.end {
         let row_a = x.row(a);
         let out_row = &mut out[(a - base) * t..(a - base + 1) * t];
         for (b, slot) in out_row.iter_mut().enumerate().skip(a) {
@@ -766,6 +793,50 @@ mod tests {
         // Degenerate shapes must not panic.
         assert_eq!(Mat::zeros(0, 3).gram().shape(), (0, 0));
         assert_eq!(Mat::zeros(2, 0).gram().shape(), (2, 2));
+    }
+
+    #[test]
+    fn gram_is_bitwise_per_pair_dot4_at_every_tile_remainder() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for t in (1..=9).chain([13, 33]) {
+            for n in [0usize, 1, 3, 4, 5, 1936] {
+                let x = Mat::from_fn(t, n, |_, _| next());
+                let g = x.gram();
+                for a in 0..t {
+                    for b in 0..t {
+                        assert_eq!(
+                            g[(a, b)].to_bits(),
+                            dot4(x.row(a), x.row(b)).to_bits(),
+                            "gram ({a}, {b}) at {t}x{n}"
+                        );
+                    }
+                }
+                for workers in [1usize, 2, 3, 7] {
+                    let mut split = vec![0.0; t * t];
+                    let mut rest: &mut [f64] = &mut split;
+                    for range in crate::par::triangle_ranges(t, workers) {
+                        let (head, tail) = rest.split_at_mut(range.len() * t);
+                        rest = tail;
+                        gram_accumulate(&x, range, head);
+                    }
+                    for a in 0..t {
+                        for b in a..t {
+                            assert_eq!(
+                                split[a * t + b].to_bits(),
+                                g[(a, b)].to_bits(),
+                                "({a}, {b}) at {t}x{n}, {workers} splits"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

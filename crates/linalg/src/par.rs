@@ -21,6 +21,17 @@
 //! streaming ingest plane in `entromine-entropy` — share one fan-out
 //! discipline instead of inventing their own.
 //!
+//! The triangle fan-out earns its threads on the fit path, measured on a
+//! 2-vCPU AVX2+FMA host as two workers against the same run pinned to one
+//! CPU (`taskset -c 0`, so [`workers_for`] returns 1). `bench_e2e`'s traced
+//! `geant-refit` rep, post-run probes on the final 648 × 1936 window, four
+//! reps each: `linalg.gram.busy_ms` 19–37 ms (median 24) against 33–47 ms
+//! (median 34), about 1.4x; `linalg.covariance.busy_ms` 197–224 ms against
+//! 302–314 ms, about 1.45x. Best of 7 in isolation: the Gram product at
+//! 648 × 1936 takes 22–23 ms against 43 ms (1.85x), and the 648 × 484
+//! covariance of a Geant volume model 10.5–11.7 ms against 18 ms (1.6x).
+//! Both stay.
+//!
 //! [`Mat::covariance`]: crate::Mat::covariance
 //! [`Pca::fit_gram`]: crate::Pca::fit_gram
 //! [`block_matvec`]: crate::block_matvec

@@ -3,8 +3,9 @@
 //!
 //! Two families of contracts:
 //!
-//! * **Kernel pins** — `axpy` and `dot4` must be *bitwise* identical on
-//!   every backend this host can run (scalar, SSE2, AVX2), asserted
+//! * **Kernel pins** — `axpy`, `dot4` and the 4 × 2 `dot4_tile` (against
+//!   per-pair scalar `dot4`) must be *bitwise* identical on every backend
+//!   this host can run (scalar, SSE2, AVX2), asserted
 //!   through the explicit `*_on` seam so one process certifies every
 //!   implementation. CI additionally runs this suite under
 //!   `ENTROMINE_FORCE_SCALAR=1`, which pins the auto-dispatch seam itself.
@@ -15,7 +16,7 @@
 //!   adversarial spectra (clusters, exact repeats, rank deficiency) that
 //!   inverse iteration finds hardest.
 
-use entromine_linalg::kernel::{available_backends, axpy_on, dot4_on, Backend};
+use entromine_linalg::kernel::{available_backends, axpy_on, dot4_on, dot4_tile_on, Backend};
 use entromine_linalg::{sym_eigen, sym_eigen_ql, Mat};
 use proptest::prelude::*;
 
@@ -227,6 +228,38 @@ proptest! {
                 got.to_bits(), reference.to_bits(),
                 "dot4 differs on {:?}: {} vs {}", backend, got, reference
             );
+        }
+    }
+
+    #[test]
+    fn dot4_tile_bitwise_on_every_backend(
+        first in proptest::collection::vec(-1e6f64..1e6, 0..97),
+        seed in any::<u64>(),
+    ) {
+        // Five more rows of the same length, derived from the seed.
+        let mut state = seed | 1;
+        let mut row = || -> Vec<f64> {
+            (0..first.len()).map(|_| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            }).collect()
+        };
+        let rows = [first.clone(), row(), row(), row(), row(), row()];
+        let a = [&rows[0][..], &rows[1], &rows[2], &rows[3]];
+        let b = [&rows[4][..], &rows[5]];
+        for backend in available_backends() {
+            let tile = dot4_tile_on(backend, a, b);
+            for i in 0..4 {
+                for j in 0..2 {
+                    let reference = dot4_on(Backend::Scalar, a[i], b[j]);
+                    prop_assert_eq!(
+                        tile[i][j].to_bits(), reference.to_bits(),
+                        "tile ({}, {}) differs on {:?} at len {}", i, j, backend, first.len()
+                    );
+                }
+            }
         }
     }
 }
