@@ -234,8 +234,8 @@ impl Diagnoser {
 }
 
 /// Diagnostics for one round of a fit: how many rows it trained on, how
-/// many the previous round's suspicion gate excluded, and what the
-/// eigensolves cost. Purely observational — the fitted models are a
+/// many the previous round's suspicion gate excluded, and what the round
+/// cost. Purely observational — the fitted models are a
 /// function of the training rows and the config alone, never of these
 /// measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,8 +251,8 @@ pub struct RoundTrace {
     /// Always `false`: moment downdating is gone. Kept for the same
     /// reason as [`warm_start`](Self::warm_start).
     pub downdated: bool,
-    /// Total Rayleigh–Ritz cycles across the round's three eigensolves
-    /// (0 when every model took the Gram or the dense engine).
+    /// Always `0`: no fit engine iterates any more. Kept for the same
+    /// reason as [`warm_start`](Self::warm_start).
     pub cycles: usize,
     /// Wall-clock of the round (trimming scan included), milliseconds.
     /// Timing only — it never feeds back into the fit.
@@ -273,27 +273,13 @@ impl RefitTrace {
         self.rounds.iter().map(|r| r.ms).sum()
     }
 
-    fn record(
-        &mut self,
-        fitted: &FittedDiagnoser,
-        training_bins: usize,
-        flagged_bins: usize,
-        start: Instant,
-    ) {
-        let cycles = [
-            fitted.bytes_model.pca(),
-            fitted.packets_model.pca(),
-            fitted.entropy_model.inner().pca(),
-        ]
-        .iter()
-        .map(|pca| pca.diagnostics().cycles)
-        .sum();
+    fn record(&mut self, training_bins: usize, flagged_bins: usize, start: Instant) {
         self.rounds.push(RoundTrace {
             training_bins,
             flagged_bins,
             warm_start: false,
             downdated: false,
-            cycles,
+            cycles: 0,
             ms: start.elapsed().as_secs_f64() * 1e3,
         });
     }
@@ -368,7 +354,7 @@ pub(crate) fn fit_rounds(
     let round_start = Instant::now();
     let mut rows: Vec<usize> = (0..n_bins).collect();
     let mut fitted = fit_on(&rows)?;
-    trace.record(&fitted, rows.len(), 0, round_start);
+    trace.record(rows.len(), 0, round_start);
 
     for _ in 0..config.refit_rounds {
         let round_start = Instant::now();
@@ -390,7 +376,7 @@ pub(crate) fn fit_rounds(
         }
         rows = clean;
         fitted = fit_on(&rows)?;
-        trace.record(&fitted, rows.len(), flagged, round_start);
+        trace.record(rows.len(), flagged, round_start);
     }
     Ok((fitted, trace))
 }

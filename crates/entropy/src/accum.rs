@@ -154,17 +154,9 @@ impl<D: DistributionAccumulator> BinAccumulator<D> {
     }
 
     /// Bytes of heap the four stores currently own — what the per-tier
-    /// memory ceilings in the bench JSON are measured from.
+    /// memory ceilings are measured from.
     pub fn heap_bytes(&self) -> usize {
         self.hists.iter().map(D::heap_bytes).sum()
-    }
-
-    /// Builds the hierarchical prefix rollup of one feature's store at
-    /// the given prefix widths — see [`crate::rollup`]. For address
-    /// features the widths are prefix lengths (`/8`, `/16`, ...); the
-    /// sketched tier answers with Horvitz–Thompson-scaled masses.
-    pub fn prefix_rollup(&self, feature: Feature, widths: &[u8]) -> crate::rollup::PrefixRollup {
-        crate::rollup::PrefixRollup::from_accumulator(&self.hists[feature.index()], widths)
     }
 
     /// Collapses the stores into the six per-bin numbers.

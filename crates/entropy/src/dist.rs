@@ -27,16 +27,14 @@
 //! # Laws
 //!
 //! Implementations must keep the ingest plane's order-independence
-//! contract: the observable state (and therefore [`entropy`],
-//! [`size_hint`], [`retained_entries`]) must be a **pure function of the
-//! offered multiset** `{(value, weight)}` for a fixed `Params` — never of
+//! contract: the observable state (and therefore [`entropy`] and
+//! [`size_hint`]) must be a **pure function of the offered multiset** `{(value, weight)}` for a fixed `Params` — never of
 //! offer order, batch segmentation, merge shape, or capacity history.
 //! This is what lets serial, batched, and sharded builders of the same
 //! tier emit bit-identical rows.
 //!
 //! [`entropy`]: DistributionAccumulator::entropy
 //! [`size_hint`]: DistributionAccumulator::size_hint
-//! [`retained_entries`]: DistributionAccumulator::retained_entries
 
 use crate::hist::FeatureHistogram;
 use crate::metrics::sample_entropy;
@@ -96,18 +94,6 @@ pub trait DistributionAccumulator: Clone + Debug + Default + PartialEq + Send + 
     /// Bytes of heap currently owned by the store — the number the
     /// memory-tier ceilings and benches account against.
     fn heap_bytes(&self) -> usize;
-
-    /// The `(value, count)` entries the store physically retains, in
-    /// unspecified order. For the exact tier this is every entry; for a
-    /// sketched tier, the surviving sampled keys with their exact counts.
-    fn retained_entries(&self) -> Vec<(u32, u64)>;
-
-    /// The inverse inclusion probability of a retained entry: multiply a
-    /// retained count by this to estimate its population mass (1.0 for
-    /// exact tiers). The prefix rollup trees are built on this scaling.
-    fn scale(&self) -> f64 {
-        1.0
-    }
 }
 
 impl DistributionAccumulator for FeatureHistogram {
@@ -149,10 +135,6 @@ impl DistributionAccumulator for FeatureHistogram {
     fn heap_bytes(&self) -> usize {
         FeatureHistogram::heap_bytes(self)
     }
-
-    fn retained_entries(&self) -> Vec<(u32, u64)> {
-        self.iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -189,10 +171,6 @@ mod tests {
             sample_entropy(&direct)
         );
         assert_eq!(via_trait.entropy_stderr(), 0.0);
-        assert_eq!(via_trait.scale(), 1.0);
-        let mut entries = via_trait.retained_entries();
-        entries.sort_unstable();
-        assert_eq!(entries, vec![(1, 1), (5, 3), (9, 4)]);
     }
 
     #[test]

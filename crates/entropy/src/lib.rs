@@ -44,9 +44,6 @@
 //!   documented entropy error bound, see [`sketch`]). Deployments pick a
 //!   tier at run time via [`AccumulatorPolicy`], which opens
 //!   [`TierGridBuilder`] / [`TierShardedBuilder`] facades.
-//! * [`PrefixRollup`] — hierarchical src/dst aggregation trees over any
-//!   store, so sketched cells can answer coarse-prefix diagnosis queries
-//!   with Horvitz–Thompson-scaled masses.
 //! * [`kernel`] — the runtime-dispatched SIMD variant of the entropy
 //!   finalization's compensated `Σ n·log2 n` reduction
 //!   (tolerance-pinned), sharing backend selection — and the
@@ -65,7 +62,6 @@ mod hist;
 pub mod kernel;
 mod metrics;
 mod policy;
-pub mod rollup;
 pub mod shard;
 pub mod sketch;
 pub mod stream;
@@ -79,7 +75,6 @@ pub use metrics::{
     sample_entropy, simpson_index,
 };
 pub use policy::{AccumulatorPolicy, TierGridBuilder, TierShardedBuilder};
-pub use rollup::PrefixRollup;
 pub use shard::ShardedGridBuilder;
 pub use sketch::{SketchHistogram, SketchParams, DEFAULT_BUDGET};
 pub use stream::{FinalizedBin, StreamConfig, StreamError, StreamingGridBuilder};

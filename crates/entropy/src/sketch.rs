@@ -73,9 +73,9 @@
 //! exceeds `8·(budget+1)` even transiently — with a floor of the flat
 //! table's 32-slot minimum allocation, which dominates for tiny budgets:
 //! [`heap_ceiling`](SketchHistogram::heap_ceiling) =
-//! `max(384, 96·(budget+1))` bytes per sketch. A `(flow, bin)` cell holds four sketches; the bench
-//! records measured peaks next to this ceiling in
-//! `results/BENCH_pipeline.json`.
+//! `max(384, 96·(budget+1))` bytes per sketch. A `(flow, bin)` cell holds
+//! four sketches; `sketch_equivalence.rs` pins the ceiling on a
+//! 2^20-distinct-key feed.
 
 use crate::dist::DistributionAccumulator;
 use crate::hist::{fx_hash, FeatureHistogram};
@@ -410,14 +410,6 @@ impl DistributionAccumulator for SketchHistogram {
 
     fn heap_bytes(&self) -> usize {
         SketchHistogram::heap_bytes(self)
-    }
-
-    fn retained_entries(&self) -> Vec<(u32, u64)> {
-        self.iter().collect()
-    }
-
-    fn scale(&self) -> f64 {
-        SketchHistogram::scale(self)
     }
 }
 

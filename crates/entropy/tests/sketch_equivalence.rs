@@ -27,13 +27,14 @@ use common::family_key;
 use entromine_entropy::shard::ShardedGridBuilder;
 use entromine_entropy::stream::{StreamConfig, StreamingGridBuilder};
 use entromine_entropy::{
-    AccumulatorPolicy, Feature, FeatureHistogram, FinalizedBin, PrefixRollup, SketchHistogram,
-    SketchParams,
+    AccumulatorPolicy, FeatureHistogram, FinalizedBin, SketchHistogram, SketchParams, FEATURES,
 };
-use entromine_net::{Ipv4, PacketHeader};
+use entromine_net::{Ipv4, PacketHeader, Topology};
+use entromine_synth::{DatasetConfig, SyntheticNetwork};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
@@ -322,74 +323,32 @@ fn million_distinct_keys_bounded_under_ceiling_while_exact_is_not() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Prefix rollup: consistency laws in both tiers
+// 5. Property sweeps
 // ---------------------------------------------------------------------------
 
-#[test]
-fn rollup_conserves_mass_in_both_tiers() {
-    let entries: Vec<(u32, u64)> = (0..30_000u32)
-        .map(|v| (v.wrapping_mul(0x9E37_79B9), 1 + (v as u64 % 4)))
-        .collect();
-    let exact = exact_of(&entries);
-    let sk = sketch_of(SketchParams { budget: 256 }, &entries);
-    assert!(sk.level() > 0);
+/// Bins × OD flows of the Abilene feed the error-bound sweep draws cells
+/// from: ten bins at 1-in-100 sampling and 0.2 traffic scale, about a
+/// thousand packets per cell.
+const ABILENE_CELLS: usize = 10 * 121;
 
-    for rollup in [
-        PrefixRollup::from_accumulator(&exact, &[0, 8, 16]),
-        PrefixRollup::from_accumulator(&sk, &[0, 8, 16]),
-    ] {
-        let total = rollup.total_mass();
-        assert!(total > 0.0);
-        let sum8: f64 = rollup
-            .top_prefixes(8, usize::MAX)
-            .iter()
-            .map(|&(_, m)| m)
-            .sum();
-        let sum16: f64 = rollup
-            .top_prefixes(16, usize::MAX)
-            .iter()
-            .map(|&(_, m)| m)
-            .sum();
-        assert_eq!(sum8, total, "/8 masses must sum to the root");
-        assert_eq!(sum16, total, "/16 masses must sum to the root");
-        // Parent/child conservation for a handful of /8s.
-        for p8 in 0..8u32 {
-            let children: f64 = (0..256u32).map(|lo| rollup.mass(16, (p8 << 8) | lo)).sum();
-            assert_eq!(rollup.mass(8, p8), children, "/8 {p8} vs its /16s");
-        }
-    }
-
-    // Exact tier's root is the true total; sketched tier's root is the HT
-    // estimate of it, and with thousands of survivors it should be close.
-    let exact_rollup = PrefixRollup::from_accumulator(&exact, &[0]);
-    assert_eq!(exact_rollup.total_mass(), exact.total() as f64);
-    let sk_rollup = PrefixRollup::from_accumulator(&sk, &[0]);
-    let rel = (sk_rollup.total_mass() - exact.total() as f64).abs() / exact.total() as f64;
-    assert!(rel < 0.5, "HT total off by {rel}");
-}
-
-#[test]
-fn accumulator_rollup_convenience_matches_direct_build() {
-    use entromine_entropy::BinAccumulator;
-    let mut acc = BinAccumulator::new();
-    for i in 0..500u32 {
-        acc.add_packet(&PacketHeader::tcp(
-            Ipv4(i.wrapping_mul(0x0100_0193)),
-            1024,
-            Ipv4(9),
-            80,
-            100,
-            0,
-        ));
-    }
-    let via_acc = acc.prefix_rollup(Feature::SrcIp, &[8, 16]);
-    let direct = PrefixRollup::from_accumulator(acc.histogram(Feature::SrcIp), &[8, 16]);
-    assert_eq!(via_acc, direct);
-    assert_eq!(via_acc.total_mass(), 500.0);
+/// The packets of cell `index` (bin-major) of that feed.
+fn abilene_cell_packets(index: usize) -> Vec<PacketHeader> {
+    static NET: OnceLock<SyntheticNetwork> = OnceLock::new();
+    let net = NET.get_or_init(|| {
+        let config = DatasetConfig {
+            seed: 9,
+            n_bins: 10,
+            sample_rate: 100,
+            traffic_scale: 0.2,
+            rate_noise: 0.02,
+            anonymize: false,
+        };
+        SyntheticNetwork::new(Topology::abilene(), config)
+    });
+    net.cell_packets(index / 121, index % 121, &[])
 }
 
 // ---------------------------------------------------------------------------
-// 6. Property sweeps
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -402,6 +361,7 @@ proptest! {
         distinct in 1usize..20_000,
         max_weight in 1u64..64,
         family in 0u8..3,
+        abilene_cell in 0usize..ABILENE_CELLS,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let entries: Vec<(u32, u64)> = (0..distinct)
@@ -411,6 +371,14 @@ proptest! {
             })
             .collect();
         assert_within_bound(&entries, budget);
+        // The same bound on every feature of one real synthetic Abilene
+        // cell, whose service mixes and address pools no uniform draw
+        // reproduces.
+        let packets = abilene_cell_packets(abilene_cell);
+        for feature in FEATURES {
+            let exact: FeatureHistogram = packets.iter().map(|p| feature.extract(p)).collect();
+            assert_within_bound(&exact.iter().collect::<Vec<_>>(), budget);
+        }
     }
 
     #[test]

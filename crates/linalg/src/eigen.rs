@@ -1,6 +1,6 @@
 //! Symmetric eigendecomposition.
 //!
-//! Three solvers are provided:
+//! Two solvers are provided:
 //!
 //! * [`sym_eigen`] — the production full-spectrum path: blocked (panel-
 //!   deferred, LAPACK `latrd`-style) Householder tridiagonalization, QL
@@ -16,18 +16,14 @@
 //!   here). Retained as the executable spec: `sym_eigen` is
 //!   tolerance-pinned against it in the proptest suites, and it is the
 //!   fallback engine for inputs the fast path declines.
-//! * [`top_k_eigen`] — block orthogonal iteration for the leading `k`
-//!   eigenpairs only. Used to cross-validate the full solvers in tests and
-//!   as a cheaper path when only the normal subspace is required.
 //!
-//! All operate on the sample covariance matrices produced by
-//! [`Mat::covariance`](crate::Mat::covariance), which are symmetric positive
+//! Both operate on the sample covariance (or Gram) matrices produced by
+//! [`Mat::covariance`](crate::Mat::covariance) and
+//! [`Mat::gram`](crate::Mat::gram), which are symmetric positive
 //! semi-definite by construction.
 
-use crate::matrix::{dot, norm2};
+use crate::matrix::norm2;
 use crate::{LinalgError, Mat};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Result of a symmetric eigendecomposition.
 ///
@@ -1152,393 +1148,11 @@ fn apply_q(taus: &[f64], vtails: &[Vec<f64>], z: &mut Mat) {
     }
 }
 
-/// Convergence diagnostics of a [`top_k_eigen_detailed`] run.
-///
-/// The partial-spectrum fit path inspects this to decide whether the
-/// computed Ritz pairs are trustworthy (and falls back to the full QL
-/// oracle when they are not), and to report how well-separated the
-/// normal subspace is from the residual spectrum.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopKInfo {
-    /// Rayleigh–Ritz cycles performed.
-    pub iterations: usize,
-    /// `true` when every requested pair passed the residual-norm test
-    /// `‖A v − λ v‖ ≤ tol·λ₁` before the cycle budget ran out.
-    pub converged: bool,
-    /// Worst residual norm `‖A v − λ v‖` among the returned pairs (a
-    /// backward-error bound on each returned eigenvalue, by Weyl).
-    pub max_residual: f64,
-    /// Relative spectral gap `(λ_k − λ_{k+1}) / λ_1` between the last
-    /// returned eigenvalue and the best Ritz estimate of the first
-    /// discarded one, when an oversampled estimate exists. A vanishing
-    /// gap means the cut sliced through a cluster: the *subspace* spanned
-    /// is still accurate but individual trailing vectors are not
-    /// individually determined.
-    pub trailing_gap: Option<f64>,
-}
-
-/// Extra iteration columns carried beyond `k`: the convergence rate of the
-/// `k`-th pair improves from `(λ_{k+1}/λ_k)` per sweep to
-/// `(λ_{k+b+1}/λ_k)`, which is what makes clustered tails tractable.
-const OVERSAMPLE: usize = 8;
-
-/// Leading `k` eigenpairs of a symmetric matrix by block orthogonal
-/// iteration — the convenience wrapper over [`top_k_eigen_detailed`]
-/// that discards the diagnostics.
-///
-/// # Errors
-///
-/// Same shape errors as [`sym_eigen`]; [`LinalgError::Domain`] if
-/// `k == 0` or `k > n`.
-pub fn top_k_eigen(a: &Mat, k: usize, seed: u64) -> Result<SymEigen, LinalgError> {
-    top_k_eigen_detailed(a, k, seed).map(|(eigen, _)| eigen)
-}
-
-/// Leading `k` eigenpairs by blocked subspace iteration with Ritz locking,
-/// plus convergence diagnostics.
-///
-/// The production path behind the partial-spectrum fit engine:
-///
-/// * the working block is **oversampled** (`k + 8` columns, capped at `n`)
-///   so trailing pairs converge at the rate of the discarded spectrum, not
-///   their own nearest neighbour;
-/// * every cycle performs one multiply `Y = A·Q` that is reused for the
-///   power step, the Rayleigh–Ritz projection `QᵀY`, *and* the residual
-///   test (`A·v = Y·w` for a Ritz pair `(λ, v = Q·w)` — no second
-///   multiply);
-/// * convergence is a **residual-norm test** `‖A v − λ v‖ ≤ 10⁻¹¹·λ₁`
-///   per pair — a backward-error bound — rather than Rayleigh-quotient
-///   drift, which can stall flat while the subspace is still rotating;
-/// * converged leading pairs are **locked** (deflated): they leave the
-///   working block, later cycles orthogonalize against them, and the
-///   block shrinks as pairs land;
-/// * basis columns that collapse during re-orthogonalization (rank-deficient
-///   input) are restarted from fresh seeded randomness, so the returned
-///   basis stays orthonormal even past the matrix's numerical rank.
-///
-/// If the cycle budget runs out the best current Ritz pairs fill the
-/// remainder and [`TopKInfo::converged`] is `false`; callers that need
-/// certainty (the fit dispatcher) treat that as "use the dense oracle".
-///
-/// # Errors
-///
-/// Same shape errors as [`sym_eigen`]; [`LinalgError::Domain`] if
-/// `k == 0` or `k > n`.
-pub fn top_k_eigen_detailed(
-    a: &Mat,
-    k: usize,
-    seed: u64,
-) -> Result<(SymEigen, TopKInfo), LinalgError> {
-    if a.rows() != a.cols() {
-        return Err(LinalgError::NotSquare { shape: a.shape() });
-    }
-    let n = a.rows();
-    if k == 0 || k > n {
-        return Err(LinalgError::Domain {
-            what: "top_k_eigen requires 1 <= k <= n",
-        });
-    }
-    let block = (k + OVERSAMPLE).min(n);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut q: Vec<Vec<f64>> = (0..block)
-        .map(|_| (0..n).map(|_| rng.random::<f64>() - 0.5).collect())
-        .collect();
-    orthonormalize(&mut q, &[], &mut rng);
-
-    let mut locked_vals: Vec<f64> = Vec::with_capacity(k);
-    let mut locked_vecs: Vec<Vec<f64>> = Vec::with_capacity(k);
-    let mut max_locked_residual = 0.0f64;
-    let mut trailing_estimate: Option<f64> = None;
-    let max_cycles = 400;
-    let mut cycles = 0;
-
-    while locked_vals.len() < k && cycles < max_cycles && !q.is_empty() {
-        cycles += 1;
-        // One multiply per cycle, reused three ways.
-        let y = block_matvec(a, &q);
-        let b = q.len();
-        // Projected problem, symmetrized against round-off.
-        let small = Mat::from_fn(b, b, |i, j| 0.5 * (dot(&q[i], &y[j]) + dot(&q[j], &y[i])));
-        let inner = sym_eigen(&small)?;
-        // Ritz vectors V = Q·W and their images A·V = Y·W.
-        let v = rotate(&q, &inner.vectors);
-        let av = rotate(&y, &inner.vectors);
-
-        // Scale for the residual tolerance: the largest eigenvalue seen.
-        let lead = locked_vals
-            .first()
-            .copied()
-            .unwrap_or(0.0)
-            .abs()
-            .max(inner.values.first().copied().unwrap_or(0.0).abs());
-        let tol = (1e-11 * lead).max(1e-300);
-
-        // Lock the converged *prefix* (locking out of order would let an
-        // unconverged leading pair be shadowed by a converged trailing one).
-        let want = k - locked_vals.len();
-        let mut locked_now = 0;
-        for i in 0..b.min(want) {
-            let r = residual_norm(&av[i], inner.values[i], &v[i]);
-            if r <= tol {
-                max_locked_residual = max_locked_residual.max(r);
-                locked_vals.push(inner.values[i]);
-                locked_vecs.push(v[i].clone());
-                locked_now += 1;
-            } else {
-                break;
-            }
-        }
-        if locked_vals.len() == k {
-            // First Ritz value beyond the returned set, for the gap
-            // diagnostic (exists whenever the block was oversampled).
-            trailing_estimate = inner.values.get(locked_now).copied();
-            break;
-        }
-
-        // Power step on the unlocked Ritz vectors: their images A·V are
-        // already in hand. Re-orthonormalize against the locked pairs.
-        q = av.into_iter().skip(locked_now).collect();
-        orthonormalize(&mut q, &locked_vecs, &mut rng);
-    }
-
-    let converged = locked_vals.len() >= k;
-    if !converged {
-        // Budget exhausted: fill with the best current Ritz pairs so the
-        // caller still gets a usable (if unwarranted) answer.
-        let y = block_matvec(a, &q);
-        let b = q.len();
-        if b > 0 {
-            let small = Mat::from_fn(b, b, |i, j| 0.5 * (dot(&q[i], &y[j]) + dot(&q[j], &y[i])));
-            let inner = sym_eigen(&small)?;
-            let v = rotate(&q, &inner.vectors);
-            let av = rotate(&y, &inner.vectors);
-            for i in 0..b.min(k - locked_vals.len()) {
-                max_locked_residual =
-                    max_locked_residual.max(residual_norm(&av[i], inner.values[i], &v[i]));
-                locked_vals.push(inner.values[i]);
-                locked_vecs.push(v[i].clone());
-            }
-        }
-    }
-
-    // Locking preserves descending order for well-separated spectra, but a
-    // cluster straddling two cycles can land marginally out of order.
-    let mut order: Vec<usize> = (0..locked_vals.len()).collect();
-    order.sort_by(|&i, &j| {
-        locked_vals[j]
-            .partial_cmp(&locked_vals[i])
-            .expect("Ritz values are finite")
-    });
-    let values: Vec<f64> = order.iter().map(|&i| locked_vals[i]).collect();
-    let vectors = Mat::from_fn(n, values.len(), |i, j| locked_vecs[order[j]][i]);
-
-    let trailing_gap = trailing_estimate.and_then(|next| {
-        let lead = values.first().copied().unwrap_or(0.0);
-        let last = values.last().copied().unwrap_or(0.0);
-        (lead > 0.0).then(|| ((last - next) / lead).max(0.0))
-    });
-    Ok((
-        SymEigen { values, vectors },
-        TopKInfo {
-            iterations: cycles,
-            converged,
-            max_residual: max_locked_residual,
-            trailing_gap,
-        },
-    ))
-}
-
-/// Accumulator width of the blocked multiply: 32 f64 lanes fit comfortably
-/// in registers and cover `k + OVERSAMPLE` for every normal-subspace
-/// dimension the pipeline uses; wider blocks just take another panel pass.
-const ACC: usize = 32;
-
-/// `A·[x₁ … x_b]` for square `A`, as one blocked product with scoped-thread
-/// row fan-out.
-///
-/// The subspace iteration's cost is entirely this multiply, so it gets a
-/// dedicated kernel: the block is packed row-major (so the inner loop is
-/// contiguous), `A` streams through memory **once per cycle** instead of
-/// once per column, and each output row accumulates in a fixed-size stack
-/// array that the compiler keeps in vector registers across the whole
-/// `k` scan. Blocks wider than the accumulator are processed in panels.
-///
-/// When the flop count justifies spawn overhead, contiguous row blocks of
-/// the output fan out over the crate's scoped-thread worker pool
-/// ([`par::workers_for`](crate::par::workers_for), ≤16 workers). Every
-/// output element is accumulated in the same order as the serial kernel,
-/// so the result is **bitwise identical** at any worker count —
-/// [`block_matvec_serial`] is the single-threaded reference it is pinned
-/// against in tests.
-pub fn block_matvec(a: &Mat, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let n = a.rows();
-    let b = cols.len();
-    if b == 0 {
-        return Vec::new();
-    }
-    // Two flops per (output row, A column, block column) accumulation.
-    let workers = crate::par::workers_for(2 * n * n * b);
-    if workers <= 1 {
-        return block_matvec_serial(a, cols);
-    }
-    let packed = pack_columns(cols, n, b);
-    let mut flat = vec![0.0f64; n * b];
-    let ranges = crate::par::even_ranges(n, workers);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [f64] = &mut flat;
-        for r in &ranges {
-            let (mine, tail) = rest.split_at_mut(r.len() * b);
-            rest = tail;
-            let (a, packed, rows) = (&*a, &packed, r.clone());
-            scope.spawn(move || matvec_rows(a, packed, rows, mine));
-        }
-    });
-    unpack_rows(&flat, n, b)
-}
-
-/// Single-threaded reference for [`block_matvec`]: same packing, same
-/// per-element accumulation order, no fan-out. Kept public so benches and
-/// tests can pin the parallel kernel against it.
-pub fn block_matvec_serial(a: &Mat, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let n = a.rows();
-    let b = cols.len();
-    if b == 0 {
-        return Vec::new();
-    }
-    let packed = pack_columns(cols, n, b);
-    let mut flat = vec![0.0f64; n * b];
-    matvec_rows(a, &packed, 0..n, &mut flat);
-    unpack_rows(&flat, n, b)
-}
-
-/// Packs the block columns row-major (`packed[(i, j)] = cols[j][i]`) so
-/// the multiply's inner loop reads contiguously.
-fn pack_columns(cols: &[Vec<f64>], n: usize, b: usize) -> Mat {
-    let mut packed = Mat::zeros(n, b);
-    for (j, col) in cols.iter().enumerate() {
-        for (i, &v) in col.iter().enumerate() {
-            packed[(i, j)] = v;
-        }
-    }
-    packed
-}
-
-/// Computes output rows `rows` of `A·packed` into `out` (row-major,
-/// `rows.len() × b`), in panels of [`ACC`] columns. This is the one
-/// arithmetic path of the blocked multiply: serial and fanned-out calls
-/// run exactly this element order.
-fn matvec_rows(a: &Mat, packed: &Mat, rows: std::ops::Range<usize>, out: &mut [f64]) {
-    let b = packed.cols();
-    let mut acc = [0.0f64; ACC];
-    let mut panel_start = 0;
-    while panel_start < b {
-        let panel = (b - panel_start).min(ACC);
-        for (local, i) in rows.clone().enumerate() {
-            acc[..panel].fill(0.0);
-            for (&aik, prow) in a.row(i).iter().zip(packed.row_iter()) {
-                crate::kernel::axpy(
-                    &mut acc[..panel],
-                    aik,
-                    &prow[panel_start..panel_start + panel],
-                );
-            }
-            for (j, slot) in acc[..panel].iter().enumerate() {
-                out[local * b + panel_start + j] = *slot;
-            }
-        }
-        panel_start += panel;
-    }
-}
-
-/// Converts the row-major flat result back to the iteration's
-/// column-vector layout.
-fn unpack_rows(flat: &[f64], n: usize, b: usize) -> Vec<Vec<f64>> {
-    let mut out = vec![vec![0.0; n]; b];
-    for (i, row) in flat.chunks_exact(b).enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            out[j][i] = v;
-        }
-    }
-    out
-}
-
-/// `‖a_v − λ v‖` for a Ritz pair `(λ, v)` with image `a_v = A·v`.
-fn residual_norm(av: &[f64], lambda: f64, v: &[f64]) -> f64 {
-    av.iter()
-        .zip(v)
-        .map(|(&y, &x)| {
-            let d = y - lambda * x;
-            d * d
-        })
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// Linear combinations `out_j = Σ_i w[(i, j)] cols_i` (the Ritz rotation).
-fn rotate(cols: &[Vec<f64>], w: &Mat) -> Vec<Vec<f64>> {
-    let n = cols.first().map_or(0, Vec::len);
-    (0..w.cols())
-        .map(|j| {
-            let mut out = vec![0.0; n];
-            for (i, col) in cols.iter().enumerate() {
-                let wij = w[(i, j)];
-                if wij == 0.0 {
-                    continue;
-                }
-                for (o, &c) in out.iter_mut().zip(col) {
-                    *o += wij * c;
-                }
-            }
-            out
-        })
-        .collect()
-}
-
-/// In-place modified Gram–Schmidt of `cols` against `fixed` and then
-/// against earlier columns, with **random restart**: a column that
-/// collapses to numerical zero (the block has outrun the matrix's rank)
-/// is replaced by a fresh seeded random vector and re-orthogonalized, so
-/// the returned block is always orthonormal.
-fn orthonormalize(cols: &mut [Vec<f64>], fixed: &[Vec<f64>], rng: &mut StdRng) {
-    let k = cols.len();
-    for j in 0..k {
-        // One retry with a fresh random draw is enough: a random vector is
-        // almost surely independent of the < n existing directions.
-        for attempt in 0..2 {
-            let (done, rest) = cols.split_at_mut(j);
-            let col = &mut rest[0];
-            for prev in fixed.iter().chain(done.iter()) {
-                let proj = dot(prev, col);
-                if proj == 0.0 {
-                    continue;
-                }
-                for (c, p) in col.iter_mut().zip(prev) {
-                    *c -= proj * p;
-                }
-            }
-            let norm = norm2(col);
-            if norm > 1e-150 {
-                for c in col.iter_mut() {
-                    *c /= norm;
-                }
-                break;
-            }
-            if attempt == 0 {
-                for c in col.iter_mut() {
-                    *c = rng.random::<f64>() - 0.5;
-                }
-            } else {
-                for c in col.iter_mut() {
-                    *c = 0.0;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
@@ -1659,57 +1273,6 @@ mod tests {
         };
         assert_eq!(e.explained(1), 1.0);
         assert_eq!(e.dims_for_variance(0.9), 0);
-    }
-
-    #[test]
-    fn top_k_matches_full_eigen() {
-        // Build a random symmetric PSD matrix B^T B and compare solvers.
-        let mut rng = StdRng::seed_from_u64(42);
-        let n = 12;
-        let b = Mat::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
-        let a = b.transpose().matmul(&b).unwrap();
-        let full = sym_eigen(&a).unwrap();
-        let top = top_k_eigen(&a, 4, 7).unwrap();
-        for i in 0..4 {
-            assert_close(top.values[i], full.values[i], 1e-8);
-            // Vectors agree up to sign.
-            let vf = full.vectors.col(i);
-            let vt = top.vectors.col(i);
-            let d = dot(&vf, &vt).abs();
-            assert_close(d, 1.0, 1e-6);
-        }
-    }
-
-    #[test]
-    fn block_matvec_parallel_is_bitwise_serial() {
-        // The fan-out must be invisible in the bits: same packing, same
-        // accumulation order per output element. The shapes below force
-        // the parallel path past the spawn-overhead work gate (n² · b
-        // flops) while staying fast enough for a unit test.
-        let mut rng = StdRng::seed_from_u64(17);
-        for (n, b) in [(1usize, 1usize), (37, 3), (257, 18), (601, 40)] {
-            let a = Mat::from_fn(n, n, |i, j| {
-                ((i * 31 + j * 17) % 101) as f64 / 101.0 + rng.random::<f64>() * 1e-3
-            });
-            let cols: Vec<Vec<f64>> = (0..b)
-                .map(|_| (0..n).map(|_| rng.random::<f64>() - 0.5).collect())
-                .collect();
-            let serial = block_matvec_serial(&a, &cols);
-            let fanned = block_matvec(&a, &cols);
-            assert_eq!(serial, fanned, "divergence at n={n}, b={b}");
-        }
-        // Degenerate block: no columns, no output.
-        let a = Mat::identity(3);
-        assert!(block_matvec(&a, &[]).is_empty());
-        assert!(block_matvec_serial(&a, &[]).is_empty());
-    }
-
-    #[test]
-    fn top_k_rejects_bad_k() {
-        let a = Mat::identity(3);
-        assert!(top_k_eigen(&a, 0, 1).is_err());
-        assert!(top_k_eigen(&a, 4, 1).is_err());
-        assert!(top_k_eigen(&Mat::zeros(2, 3), 1, 1).is_err());
     }
 
     #[test]

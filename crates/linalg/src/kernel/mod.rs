@@ -5,8 +5,8 @@
 //! (`std::arch` SSE2 and AVX2) selected once per process by runtime CPU
 //! feature detection. The public entry points ([`axpy`], [`dot4`],
 //! [`dot4_tile`]) dispatch through [`active_backend`]; the `*_on` variants
-//! take an explicit [`Backend`] so tests and benches can pit every
-//! available implementation against the scalar reference in one process.
+//! take an explicit [`Backend`] so tests can pit every available
+//! implementation against the scalar reference in one process.
 //!
 //! # Dispatch contract
 //!
@@ -20,8 +20,8 @@
 //!   same single multiply-add in the same order under every backend
 //!   (lanes are independent elements; no FMA contraction, no
 //!   reassociation), so kernels built on it — the covariance panels, the
-//!   subspace-iteration block multiply — keep their serial-vs-blocked
-//!   bit-identity contracts under SIMD.
+//!   Gram engine's back-projection — keep their bit-identity contracts
+//!   under SIMD.
 //! * [`dot4`] is **bitwise-pinned to the 4-lane scalar reference**: the
 //!   four independent accumulator lanes of the scalar version map lane-
 //!   for-lane onto one AVX2 register (or two SSE2 registers), and the
@@ -69,7 +69,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Lower-case name for logs and the bench JSON backend table.
+    /// Lower-case name for logs.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
@@ -79,20 +79,13 @@ impl Backend {
     }
 }
 
-/// CPU features observed at startup, recorded alongside the bench rows so
-/// perf numbers are interpretable across hosts.
+/// The CPU features backend selection reads.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuFeatures {
     /// SSE2 (baseline on x86-64).
     pub sse2: bool,
-    /// SSE4.2.
-    pub sse4_2: bool,
-    /// AVX.
-    pub avx: bool,
     /// AVX2.
     pub avx2: bool,
-    /// AVX-512 Foundation (detected and reported; no kernel uses it yet).
-    pub avx512f: bool,
     /// Fused multiply-add. The bitwise-pinned kernels never contract, but
     /// the throughput tier ([`axpy_fused`], [`dot4_fused`]) uses FMA when
     /// this is set.
@@ -105,10 +98,7 @@ pub fn cpu_features() -> CpuFeatures {
     {
         CpuFeatures {
             sse2: std::arch::is_x86_feature_detected!("sse2"),
-            sse4_2: std::arch::is_x86_feature_detected!("sse4.2"),
-            avx: std::arch::is_x86_feature_detected!("avx"),
             avx2: std::arch::is_x86_feature_detected!("avx2"),
-            avx512f: std::arch::is_x86_feature_detected!("avx512f"),
             fma: std::arch::is_x86_feature_detected!("fma"),
         }
     }
@@ -116,10 +106,7 @@ pub fn cpu_features() -> CpuFeatures {
     {
         CpuFeatures {
             sse2: false,
-            sse4_2: false,
-            avx: false,
             avx2: false,
-            avx512f: false,
             fma: false,
         }
     }
@@ -175,14 +162,14 @@ pub fn available_backends() -> Vec<Backend> {
 /// Lanes are independent output elements performing one multiply and one
 /// add each (never FMA-contracted), so the result is **bitwise identical**
 /// under every backend — this is the primitive behind the covariance
-/// panel accumulation and the subspace-iteration block multiply, whose
-/// serial-vs-blocked bit-identity pins must keep holding under SIMD.
+/// panel accumulation and the Gram engine's back-projection, whose
+/// bit-identity pins must keep holding under SIMD.
 #[inline]
 pub fn axpy(acc: &mut [f64], x: f64, ys: &[f64]) {
     axpy_on(active_backend(), acc, x, ys);
 }
 
-/// [`axpy`] on an explicit backend (test/bench seam).
+/// [`axpy`] on an explicit backend (test seam).
 ///
 /// Falls back to the scalar reference if the requested SIMD backend is
 /// not compiled for this architecture.
@@ -211,14 +198,14 @@ pub fn axpy_on(backend: Backend, acc: &mut [f64], x: f64, ys: &[f64]) {
 /// `(l0 + l1) + (l2 + l3) + tail`. Every backend implements exactly this
 /// sequence (SSE2 holds the lanes in two 128-bit registers, AVX2 in one
 /// 256-bit register), so the value is **bitwise identical** across
-/// backends — which keeps `sym_trace_cubed` and the Gram panels
-/// deterministic per input no matter where they run.
+/// backends — which keeps the Gram panels deterministic per input no
+/// matter where they run.
 #[inline]
 pub fn dot4(a: &[f64], b: &[f64]) -> f64 {
     dot4_on(active_backend(), a, b)
 }
 
-/// [`dot4`] on an explicit backend (test/bench seam).
+/// [`dot4`] on an explicit backend (test seam).
 #[inline]
 pub fn dot4_on(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -253,7 +240,7 @@ pub fn dot4_tile(a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 2]; 4] {
     dot4_tile_on(active_backend(), a, b)
 }
 
-/// [`dot4_tile`] on an explicit backend (test/bench seam). Backends
+/// [`dot4_tile`] on an explicit backend (test seam). Backends
 /// without a tile body run eight [`dot4_on`] calls, which is the
 /// reference the AVX2 tile is pinned against.
 #[inline]

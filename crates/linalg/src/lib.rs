@@ -11,30 +11,21 @@
 //!   reference oracle behind principal component analysis — and
 //!   [`sym_eigen_leading`], the same solve with eigenvectors for the
 //!   leading `k` only, which is what a fit runs.
-//! * [`top_k_eigen`] / [`top_k_eigen_detailed`] — blocked subspace
-//!   iteration with Ritz locking, residual-norm convergence, and
-//!   oversampling for the leading `k` eigenpairs: the production engine of
-//!   partial-spectrum fits. Its block multiply ([`block_matvec`]) fans
-//!   output rows over the scoped-thread worker pool, bitwise-pinned
-//!   against [`block_matvec_serial`].
 //! * [`par`] — the shared worker-sizing policy (`workers_for`, ≤16
 //!   threads) and range partitioners behind every scoped-thread kernel,
 //!   public so other layers (the sharded ingest plane) share one fan-out
 //!   discipline.
-//! * [`Spectrum`] — a partial eigenspectrum plus *exact* full-spectrum
-//!   power sums via trace identities (`tr C`, `‖C‖²_F`, `tr C³` — the
-//!   latter by a blocked scoped-thread kernel, [`sym_trace_cubed`]), which
-//!   is everything the Jackson–Mudholkar threshold needs from the
-//!   residual eigenvalues.
+//! * [`Spectrum`] — a complete eigenspectrum plus the leading axes, and
+//!   the residual power sums ([`ResidualPowerSums`]) the
+//!   Jackson–Mudholkar threshold reads.
 //! * [`Pca`] — principal component analysis over the rows of a data matrix
 //!   (columns are variables), as used to split traffic into normal and
-//!   residual subspaces. Three fit engines behind the [`FitStrategy`]
+//!   residual subspaces. Two fit engines behind the [`FitStrategy`]
 //!   dispatcher ([`Pca::fit_with`]): the dense covariance eigenproblem
-//!   ([`Pca::fit`]), the `rows × rows` Gram eigenproblem for wide matrices
-//!   ([`Pca::fit_gram`]), and the opt-in partial-spectrum engine
-//!   ([`Pca::fit_partial`]).
+//!   ([`Pca::fit`]) and the `rows × rows` Gram eigenproblem for wide
+//!   matrices ([`Pca::fit_gram`]).
 //! * [`MomentAccumulator`] — Welford-style online mean + covariance over a
-//!   row stream (no fit path consumes it; the benches time its push).
+//!   row stream (no fit path consumes it; `bench_e2e` times its push).
 //! * [`ScorePlan`] — the fused scoring plane: allocation-free SPE via the
 //!   norm identity `‖x−μ‖² − Σⱼ sⱼ²` with a cancellation guard and a
 //!   batch entry point, built from a fitted model by [`Pca::score_plan`].
@@ -87,14 +78,11 @@ mod solve;
 mod spectrum;
 pub mod stats;
 
-pub use eigen::{
-    block_matvec, block_matvec_serial, sym_eigen, sym_eigen_leading, sym_eigen_ql, top_k_eigen,
-    top_k_eigen_detailed, SymEigen, TopKInfo,
-};
+pub use eigen::{sym_eigen, sym_eigen_leading, sym_eigen_ql, SymEigen};
 pub use error::LinalgError;
 pub use matrix::Mat;
 pub use moments::MomentAccumulator;
-pub use pca::{AxisRequest, FitDiagnostics, FitStrategy, Pca};
+pub use pca::{AxisRequest, FitStrategy, Pca};
 pub use score::{reference_score_forced, ScorePlan, GUARD_EPS};
 pub use solve::{solve, solve_regularized};
-pub use spectrum::{sym_trace_cubed, ResidualPowerSums, Spectrum};
+pub use spectrum::{ResidualPowerSums, Spectrum};

@@ -639,9 +639,8 @@ pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// The strict left-to-right reduction of [`dot`] cannot be vectorized
 /// without reassociating floating-point adds, so it runs scalar. The
-/// spectral kernels (`trace_cubed`, the hardened `top_k_eigen` matvec,
-/// the Gram panels) are throughput-bound on exactly this reduction, and
-/// none of them needs bitwise agreement with a serial reference — only
+/// Gram panels are throughput-bound on exactly this reduction and need
+/// no bitwise agreement with a strict left-to-right reference — only
 /// determinism for a fixed input, which the fixed lane structure provides
 /// at any thread count *and under every backend*: the kernel contract
 /// pins the lane sequence and reduction order bitwise across scalar,

@@ -13,7 +13,7 @@
 //!
 //! No fit path consumes the accumulator: every model is fitted from
 //! retained rows ([`Pca::fit_with`](crate::Pca::fit_with)). It is kept as
-//! the substrate the benches time (`linalg.moments.push`).
+//! the substrate `bench_e2e` times (`linalg.moments.push`).
 //!
 //! The streamed covariance is algebraically identical to
 //! [`Mat::covariance`] but not bitwise so (the update order differs);

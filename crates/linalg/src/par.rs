@@ -13,8 +13,8 @@
 //! The triangle makes equal-width blocks badly imbalanced (row `i` of an
 //! `n×n` upper triangle holds `n - i` elements), so [`triangle_ranges`]
 //! chooses block boundaries that equalize the *element* count per worker
-//! instead of the row count. Rectangular kernels ([`block_matvec`] in the
-//! subspace iteration) split plain row ranges via [`even_ranges`].
+//! instead of the row count. Work without a triangle (the sharded ingest
+//! plane's shard groups) splits plain ranges via [`even_ranges`].
 //!
 //! The sizing policy ([`workers_for`], [`MAX_THREADS`]) is exported so
 //! other layers with the same shape of problem — notably the sharded
@@ -34,7 +34,6 @@
 //!
 //! [`Mat::covariance`]: crate::Mat::covariance
 //! [`Pca::fit_gram`]: crate::Pca::fit_gram
-//! [`block_matvec`]: crate::block_matvec
 
 use std::ops::Range;
 

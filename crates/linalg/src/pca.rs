@@ -5,17 +5,17 @@
 //! finds the principal axes of variation, and splits every observation into
 //! a *normal* component (projection onto the leading axes) and a *residual*
 //! component (everything else). [`Pca`] packages the fitted axes plus a
-//! [`Spectrum`] — the leading eigenvalues it knows exactly and the exact
-//! full-spectrum power sums downstream detection thresholds need.
+//! [`Spectrum`] — every eigenvalue, which is what the detection thresholds
+//! read.
 //!
 //! # Fit engines and dispatch
 //!
-//! Three concrete engines produce the same model at different costs. Every
-//! one of them keeps the **whole** eigenvalue spectrum (thresholds, variance
-//! fractions and explained-variance read all of it); the dense and Gram
-//! engines materialize eigen*vectors* only for the axes the caller's
-//! [`AxisRequest`] names, because scoring, T², calibration and flow
-//! identification never index past the normal subspace.
+//! Two engines produce the same model at different costs. Both keep the
+//! **whole** eigenvalue spectrum (thresholds, variance fractions and
+//! explained-variance read all of it) and materialize eigen*vectors* only
+//! for the axes the caller's [`AxisRequest`] names, because scoring, T²,
+//! calibration and flow identification never index past the normal
+//! subspace.
 //!
 //! * **Full** ([`Pca::fit`]) — the blocked dense solver on the `n × n`
 //!   covariance: `O(n³)` for the tridiagonalization and the eigenvalues,
@@ -26,20 +26,11 @@
 //!   back-projection of `m` axes. Exact (the spectrum past the data's
 //!   rank is exactly zero), and the cheap path whenever `rows < cols`.
 //!   [`Pca::fit_gram`] itself back-projects every axis the rank supports.
-//! * **Partial** ([`Pca::fit_partial`]) — top-`k` eigenpairs by locked
-//!   subspace iteration plus trace-identity power sums, `O(k·n²)` with an
-//!   embarrassingly parallel `n³/2`-flop trace kernel. Opt-in only:
-//!   against the blocked dense solver it loses at every width the
-//!   pipeline reaches (a three-model Abilene refit round: ~215 ms through
-//!   Partial, ~65 ms through Full), so `Auto` never selects it.
 //!
 //! [`FitStrategy`] names the engines; [`FitStrategy::Auto`] picks Gram or
-//! Full from the data shape and the caller's [`AxisRequest`]. A forced
-//! partial fit escalates (doubling `k`, ultimately falling back to the
-//! dense solve) whenever the partial spectrum cannot answer the request or
-//! its iteration fails to converge. Every strategy yields thresholds within
-//! round-off of the all-axes dense oracle; the equivalence is pinned by
-//! proptests in the subspace crate.
+//! Full from the data shape and the caller's [`AxisRequest`]. Both yield
+//! thresholds within round-off of the all-axes dense oracle; the
+//! equivalence is pinned by proptests in the subspace crate.
 
 use crate::eigen::sym_eigen_leading;
 use crate::matrix::dot;
@@ -58,27 +49,18 @@ pub enum FitStrategy {
     /// The blocked dense solver on the full covariance: every eigenvalue
     /// (`O(n³)`), eigenvectors for the requested axes only.
     Full,
-    /// Top-`k` eigenpairs + trace-identity residual power sums,
-    /// `O(k·n²)`. Escalates `k` (and ultimately falls back to
-    /// [`Full`](Self::Full)) if the request cannot be answered from the
-    /// partial spectrum or the iteration does not converge. Never chosen
-    /// by [`Auto`](Self::Auto).
-    Partial,
     /// The `rows × rows` Gram eigenproblem, `O(t²n + t³ + m·t·n)` with
     /// only the `m` requested axes back-projected — exact, and the natural
     /// engine for wide matrices.
     Gram,
 }
 
-/// How many principal axes a fit must deliver — and, on the dense and Gram
-/// engines, how many it materializes.
+/// How many principal axes a fit must deliver — and how many it
+/// materializes.
 ///
 /// [`Components`] requests come with their dimension attached;
 /// [`VarianceFraction`] requests are resolved against the eigenvalues,
-/// which those engines have in full before the first vector is computed
-/// (the partial engine instead fits a thin spectrum and escalates until
-/// the cumulative known variance resolves the fraction against the exact
-/// trace).
+/// which both engines have in full before the first vector is computed.
 ///
 /// [`Components`]: Self::Components
 /// [`VarianceFraction`]: Self::VarianceFraction
@@ -108,49 +90,24 @@ impl AxisRequest {
     }
 }
 
-/// How a fit actually ran. Paired with [`Pca::strategy`] (which engine
-/// produced the model, after any fallback), this is what refit reports
-/// surface per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FitDiagnostics {
-    /// Rayleigh–Ritz cycles the partial engine performed; `0` for the
-    /// dense and Gram engines.
-    pub cycles: usize,
-}
-
-/// Eigenpairs kept beyond the requested dimension by a partial fit: one
-/// for the spectral-gap diagnostic at the cut, the rest convergence
-/// headroom for clustered tails.
-const PARTIAL_MARGIN: usize = 7;
-
-/// Initial `k` of an adaptive variance-fraction partial fit.
-const PARTIAL_VF_INITIAL_K: usize = 32;
-
-/// Seed of the partial engine's subspace iteration: fits are deterministic.
-const PARTIAL_SEED: u64 = 0x5350_4543;
-
 /// A fitted principal component analysis.
 ///
 /// Built by [`Pca::fit`] (covariance eigenproblem), [`Pca::fit_gram`] (the
 /// equivalent `rows × rows` Gram eigenproblem, cheaper for wide matrices),
-/// [`Pca::fit_partial`] (top-`k` + trace-identity power sums), or the
-/// [`FitStrategy`] dispatcher ([`Pca::fit_with`]); columns of the input
-/// are centered to zero mean before the covariance is formed (as in
+/// or the [`FitStrategy`] dispatcher ([`Pca::fit_with`]); columns of the
+/// input are centered to zero mean before the covariance is formed (as in
 /// Lakhina et al., SIGCOMM 2004).
 ///
 /// [`fit`](Self::fit) carries one principal axis per variable and
 /// [`fit_gram`](Self::fit_gram) one per unit of numerical rank (at most
 /// `rows − 1`); through [`fit_with`](Self::fit_with) both engines carry
-/// only the axes the request names, and the partial path only the `k` it
-/// computed — all any projection with `m ≤ k` can use. The eigen*values*
-/// are complete either way. The axis count is exposed as
-/// [`n_axes`](Self::n_axes).
+/// only the axes the request names. The eigen*values* are complete either
+/// way. The axis count is exposed as [`n_axes`](Self::n_axes).
 #[derive(Debug, Clone)]
 pub struct Pca {
     mean: Vec<f64>,
     spectrum: Spectrum,
     strategy: FitStrategy,
-    diagnostics: FitDiagnostics,
 }
 
 impl Pca {
@@ -173,7 +130,12 @@ impl Pca {
         }
         let mean = x.col_means();
         let cov = x.covariance()?;
-        Self::full_from_cov(mean, &cov, request)
+        let eigen = sym_eigen_leading(&cov, |values| request.resolve(values))?;
+        Ok(Pca {
+            mean,
+            spectrum: Spectrum::complete(eigen.values, eigen.vectors)?,
+            strategy: FitStrategy::Full,
+        })
     }
 
     /// Fits the same model as [`fit`](Self::fit) by solving the `t × t`
@@ -263,42 +225,7 @@ impl Pca {
             mean,
             spectrum: Spectrum::complete(values, axes.transpose())?,
             strategy: FitStrategy::Gram,
-            diagnostics: FitDiagnostics::default(),
         })
-    }
-
-    /// Fits the top-`k` principal axes plus exact trace-identity power
-    /// sums, without ever diagonalizing the full covariance.
-    ///
-    /// The `O(n³)` dense eigensolve becomes `O(k·n²)` locked subspace
-    /// iteration plus one `n³/2`-flop blocked trace pass.
-    /// Detection thresholds computed from the result agree with the
-    /// full-QL oracle to round-off because the residual power sums are
-    /// exact, not truncated.
-    ///
-    /// If the iteration fails to converge (pathological spectra), the
-    /// model silently falls back to the dense oracle — correctness is
-    /// never traded for speed. [`strategy`](Self::strategy) reports which
-    /// engine actually produced the model.
-    ///
-    /// # Errors
-    ///
-    /// The conditions of [`fit`](Self::fit), plus [`LinalgError::Domain`]
-    /// if `k == 0` or `k > cols`.
-    pub fn fit_partial(x: &Mat, k: usize) -> Result<Self, LinalgError> {
-        if x.cols() == 0 {
-            return Err(LinalgError::Empty {
-                what: "PCA of a matrix with zero columns",
-            });
-        }
-        if k == 0 || k > x.cols() {
-            return Err(LinalgError::Domain {
-                what: "partial fit requires 1 <= k <= cols",
-            });
-        }
-        let mean = x.col_means();
-        let cov = x.covariance()?;
-        Self::partial_from_cov(mean, &cov, k)
     }
 
     /// Fits with an explicit [`FitStrategy`], dispatching on the data
@@ -314,17 +241,11 @@ impl Pca {
     /// Either way the model carries every eigenvalue and the axes
     /// `request` names, no more: `Components(m)` materializes `m`,
     /// `VarianceFraction(f)` the count the eigenvalues resolve `f` to.
-    ///
-    /// A forced [`Partial`](FitStrategy::Partial) that cannot pay for
-    /// itself (thin matrices, requests spanning most of the spectrum)
-    /// degrades gracefully to the dense solve rather than failing; check
-    /// [`strategy`](Self::strategy) for the engine actually used.
+    /// Check [`strategy`](Self::strategy) for the engine actually used.
     ///
     /// # Errors
     ///
-    /// The shape conditions of the selected engine, plus
-    /// [`LinalgError::Domain`] for a non-finite or out-of-`(0, 1)`
-    /// variance fraction handed to a partial fit.
+    /// The shape conditions of the selected engine.
     pub fn fit_with(
         x: &Mat,
         strategy: FitStrategy,
@@ -334,16 +255,6 @@ impl Pca {
         match strategy {
             FitStrategy::Full => Self::full_for(x, request),
             FitStrategy::Gram => Self::gram_for(x, request),
-            FitStrategy::Partial => {
-                if n == 0 {
-                    return Err(LinalgError::Empty {
-                        what: "PCA of a matrix with zero columns",
-                    });
-                }
-                let mean = x.col_means();
-                let cov = x.covariance()?;
-                Self::partial_for_request(mean, &cov, request)
-            }
             FitStrategy::Auto => {
                 if t < n && t >= 2 && gram_supports(t, request) {
                     let gram = Self::gram_for(x, request)?;
@@ -362,81 +273,6 @@ impl Pca {
         }
     }
 
-    /// The dense engine over a prepared covariance.
-    fn full_from_cov(mean: Vec<f64>, cov: &Mat, request: AxisRequest) -> Result<Self, LinalgError> {
-        let eigen = sym_eigen_leading(cov, |values| request.resolve(values))?;
-        Ok(Pca {
-            mean,
-            spectrum: Spectrum::complete(eigen.values, eigen.vectors)?,
-            strategy: FitStrategy::Full,
-            diagnostics: FitDiagnostics::default(),
-        })
-    }
-
-    /// A `k`-pair partial model over a prepared covariance, falling back
-    /// to the oracle when the iteration does not converge or the partial
-    /// spectrum would cover (nearly) everything anyway.
-    fn partial_from_cov(mean: Vec<f64>, cov: &Mat, k: usize) -> Result<Self, LinalgError> {
-        let n = cov.rows();
-        if k >= n {
-            return Self::full_from_cov(mean, cov, ALL_AXES);
-        }
-        let (spectrum, info) = Spectrum::partial_of(cov, k, PARTIAL_SEED)?;
-        if !info.converged {
-            return Self::full_from_cov(mean, cov, ALL_AXES);
-        }
-        Ok(Pca {
-            mean,
-            spectrum,
-            strategy: FitStrategy::Partial,
-            diagnostics: FitDiagnostics {
-                cycles: info.iterations,
-            },
-        })
-    }
-
-    /// Sizes (and, for variance fractions, escalates) a partial fit until
-    /// it can answer `request`, degrading to the oracle past `n/2`.
-    fn partial_for_request(
-        mean: Vec<f64>,
-        cov: &Mat,
-        request: AxisRequest,
-    ) -> Result<Self, LinalgError> {
-        let n = cov.rows();
-        match request {
-            AxisRequest::Components(m) => {
-                Self::partial_from_cov(mean, cov, (m + 1 + PARTIAL_MARGIN).min(n))
-            }
-            AxisRequest::VarianceFraction(f) => {
-                if !f.is_finite() || f <= 0.0 || f >= 1.0 {
-                    return Err(LinalgError::Domain {
-                        what: "variance fraction must be finite and lie strictly inside (0, 1)",
-                    });
-                }
-                let mut k = PARTIAL_VF_INITIAL_K.min(n);
-                loop {
-                    if k >= n / 2 || k >= n {
-                        return Self::full_from_cov(mean, cov, ALL_AXES);
-                    }
-                    let fitted = Self::partial_from_cov(mean.clone(), cov, k)?;
-                    // A non-convergence fallback inside partial_from_cov
-                    // already produced the complete oracle spectrum —
-                    // escalating further would only repeat dense solves.
-                    if fitted.strategy == FitStrategy::Full {
-                        return Ok(fitted);
-                    }
-                    match fitted.spectrum.dims_for_variance(f) {
-                        // The projection needs the resolved dimension's
-                        // axes; escalation re-fits when the answer sits at
-                        // the very edge of the known spectrum.
-                        Some(d) if d < k => return Ok(fitted),
-                        _ => k *= 2,
-                    }
-                }
-            }
-        }
-    }
-
     /// Number of variables (columns of the fitted data).
     pub fn dim(&self) -> usize {
         self.mean.len()
@@ -445,8 +281,8 @@ impl Pca {
     /// Number of principal axes the model carries: what the
     /// [`AxisRequest`] asked for, at most `dim()` on the full path and the
     /// data's numerical rank on the Gram path ([`fit`](Self::fit) and
-    /// [`fit_gram`](Self::fit_gram) ask for everything); `k` for the
-    /// partial path. Projections require `m <= n_axes()`.
+    /// [`fit_gram`](Self::fit_gram) ask for everything). Projections
+    /// require `m <= n_axes()`.
     pub fn n_axes(&self) -> usize {
         self.spectrum.n_axes()
     }
@@ -456,47 +292,34 @@ impl Pca {
         &self.mean
     }
 
-    /// The eigenvalues the model knows exactly, descending: the full
-    /// spectrum for the full and Gram paths, the leading `k`
-    /// for the partial path (whose *power sums* still cover the full
-    /// spectrum — see [`spectrum`](Self::spectrum)).
+    /// Every eigenvalue of the covariance, descending (zero-padded past
+    /// the data's rank on the Gram path).
     pub fn eigenvalues(&self) -> &[f64] {
         self.spectrum.values()
     }
 
-    /// How the fit actually ran: how many Rayleigh–Ritz cycles the
-    /// partial engine spent. Pair with
-    /// [`strategy`](Self::strategy) to see which engine produced the
-    /// model after any fallback.
-    pub fn diagnostics(&self) -> FitDiagnostics {
-        self.diagnostics
-    }
-
-    /// The fitted [`Spectrum`]: leading eigenpairs plus exact full-spectrum
-    /// power sums.
+    /// The fitted [`Spectrum`]: every eigenvalue plus the leading axes.
     pub fn spectrum(&self) -> &Spectrum {
         &self.spectrum
     }
 
     /// The engine that actually produced this model (never
-    /// [`FitStrategy::Auto`]; a partial fit that fell back to the dense
-    /// solve reports [`FitStrategy::Full`]).
+    /// [`FitStrategy::Auto`]).
     pub fn strategy(&self) -> FitStrategy {
         self.strategy
     }
 
-    /// `tr C`: total variance over the full spectrum (exact on every path).
+    /// `tr C`: total variance over the full spectrum.
     pub fn total_variance(&self) -> f64 {
         self.spectrum.total_variance()
     }
 
     /// Residual power sums `φ₁, φ₂, φ₃` past the leading `m` components —
-    /// the exact input of the Q-statistic threshold, on every fit path.
+    /// the exact input of the Q-statistic threshold.
     ///
     /// # Errors
     ///
-    /// [`LinalgError::Domain`] if `m >= dim()` or `m` exceeds a partial
-    /// spectrum's known prefix.
+    /// [`LinalgError::Domain`] if `m >= dim()`.
     pub fn residual_power_sums(&self, m: usize) -> Result<ResidualPowerSums, LinalgError> {
         self.spectrum.residual_power_sums(m)
     }
@@ -516,14 +339,9 @@ impl Pca {
 
     /// Smallest component count capturing at least `fraction` of variance.
     ///
-    /// Saturates at [`dim`](Self::dim) when the fraction is unreachable —
-    /// including the partial-path case where the answer lies beyond the
-    /// known spectrum (the fit dispatcher sizes partial fits so that a
-    /// model it returns always resolves its own request).
+    /// Saturates at [`dim`](Self::dim) when the fraction is unreachable.
     pub fn dims_for_variance(&self, fraction: f64) -> usize {
-        self.spectrum
-            .dims_for_variance(fraction)
-            .unwrap_or_else(|| self.dim())
+        self.spectrum.dims_for_variance(fraction)
     }
 
     /// Centers `x` and projects it onto the leading `m` principal axes,
@@ -686,7 +504,7 @@ mod tests {
         })
     }
 
-    /// Wide low-rank-plus-noise data for the partial/dispatch tests.
+    /// Wide low-rank-plus-noise data for the dispatch tests.
     fn wide_data(t: usize, n: usize, seed: u64) -> Mat {
         let mut rng = StdRng::seed_from_u64(seed);
         let gains: Vec<f64> = (0..n).map(|_| 0.5 + rng.random::<f64>()).collect();
@@ -809,38 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_path_matches_full_path() {
-        // Tall-and-wide: the partial path's natural habitat.
-        let x = wide_data(120, 60, 21);
-        let full = Pca::fit(&x).unwrap();
-        let partial = Pca::fit_partial(&x, 8).unwrap();
-        assert_eq!(partial.strategy(), FitStrategy::Partial);
-        assert_eq!(partial.n_axes(), 8);
-        assert_eq!(partial.dim(), 60);
-        for (a, b) in partial.eigenvalues().iter().zip(full.eigenvalues()) {
-            assert!((a - b).abs() < 1e-8 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-        // Exact full-spectrum invariants survive the truncation.
-        assert!(
-            (partial.total_variance() - full.total_variance()).abs()
-                < 1e-9 * (1.0 + full.total_variance())
-        );
-        for m in [0usize, 3, 7] {
-            let pf = full.residual_power_sums(m).unwrap();
-            let pp = partial.residual_power_sums(m).unwrap();
-            let scale = 1.0 + full.total_variance();
-            assert!((pf.phi1 - pp.phi1).abs() < 1e-8 * scale, "m={m}");
-            // Scores agree wherever both models can project.
-            let a = full.spe(x.row(11), m).unwrap();
-            let b = partial.spe(x.row(11), m).unwrap();
-            assert!((a - b).abs() < 1e-8 * (1.0 + a), "{a} vs {b} at m={m}");
-        }
-        // Projections beyond the partial axes are refused, not wrong.
-        assert!(partial.project(x.row(0), 9).is_err());
-        assert!(full.project(x.row(0), 9).is_ok());
-    }
-
-    #[test]
     fn auto_dispatch_picks_shape_appropriate_engines() {
         // Wide: Gram.
         let wide = wide_data(30, 80, 22);
@@ -885,30 +671,20 @@ mod tests {
     }
 
     #[test]
-    fn forced_partial_degrades_gracefully() {
-        // A request spanning most of a narrow spectrum: partial falls back
-        // to the dense solve instead of a worse-than-full iteration.
-        let x = wide_data(60, 6, 26);
-        let pca = Pca::fit_with(&x, FitStrategy::Partial, AxisRequest::Components(4)).unwrap();
-        assert_eq!(pca.strategy(), FitStrategy::Full);
-        assert_eq!(pca.n_axes(), 6);
-    }
-
-    #[test]
     fn variance_fraction_request_escalates_to_an_answer() {
+        // Wide data dispatches to Gram; the fraction resolves against the
+        // complete spectrum and the model carries exactly the resolved
+        // axes. (Fractions outside (0, 1) are rejected one layer up, by
+        // `SubspaceModel::fit_with`; `Pca` resolves whatever it is given.)
         let x = wide_data(200, 300, 27);
-        let pca =
-            Pca::fit_with(&x, FitStrategy::Partial, AxisRequest::VarianceFraction(0.9)).unwrap();
+        let pca = Pca::fit_with(&x, FitStrategy::Auto, AxisRequest::VarianceFraction(0.9)).unwrap();
+        assert_eq!(pca.strategy(), FitStrategy::Gram);
         let d = pca.dims_for_variance(0.9);
-        assert!(d >= 1 && d <= pca.n_axes(), "d={d} axes={}", pca.n_axes());
+        assert!(d >= 1 && d == pca.n_axes(), "d={d} axes={}", pca.n_axes());
         assert!(pca.explained_variance_ratio(d) >= 0.9);
-        // Invalid fractions are rejected at the dispatcher.
-        for bad in [0.0, 1.0, -1.0, f64::NAN] {
-            assert!(
-                Pca::fit_with(&x, FitStrategy::Partial, AxisRequest::VarianceFraction(bad))
-                    .is_err()
-            );
-        }
+        let full =
+            Pca::fit_with(&x, FitStrategy::Full, AxisRequest::VarianceFraction(0.9)).unwrap();
+        assert_eq!(full.dims_for_variance(0.9), d);
     }
 
     #[test]
@@ -922,12 +698,7 @@ mod tests {
         for (t, n) in [(12usize, 30usize), (30, 6), (60, 90), (90, 60)] {
             let mut x = wide_data(t, n, 41);
             x.row_mut(t / 2).fill(1e300);
-            for strategy in [
-                FitStrategy::Auto,
-                FitStrategy::Full,
-                FitStrategy::Gram,
-                FitStrategy::Partial,
-            ] {
+            for strategy in [FitStrategy::Auto, FitStrategy::Full, FitStrategy::Gram] {
                 let fit = Pca::fit_with(&x, strategy, AxisRequest::Components(2));
                 assert!(
                     matches!(fit, Err(LinalgError::NoConvergence { .. })),
@@ -959,8 +730,5 @@ mod tests {
         assert!(pca.project(&[1.0, 2.0, 3.0], 4).is_err());
         assert!(Pca::fit(&Mat::zeros(1, 3)).is_err());
         assert!(Pca::fit(&Mat::zeros(5, 0)).is_err());
-        assert!(Pca::fit_partial(&x, 0).is_err());
-        assert!(Pca::fit_partial(&x, 4).is_err());
-        assert!(Pca::fit_partial(&Mat::zeros(5, 0), 1).is_err());
     }
 }

@@ -6,8 +6,7 @@
 //! monotonicity/symmetry of the normal quantile.
 
 use entromine_linalg::{
-    stats, sym_eigen, sym_eigen_leading, sym_trace_cubed, top_k_eigen_detailed, Mat,
-    MomentAccumulator, Pca, SymEigen,
+    stats, sym_eigen, sym_eigen_leading, Mat, MomentAccumulator, Pca, SymEigen,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -302,52 +301,6 @@ proptest! {
         let joint = MomentAccumulator::from_rows(&m);
         prop_assert!(
             left.covariance().unwrap().max_abs_diff(&joint.covariance().unwrap()).unwrap() < 1e-8
-        );
-    }
-
-    #[test]
-    fn trace_cubed_is_the_eigenvalue_cube_sum(a in psd_strategy(9, 12)) {
-        let s3 = sym_trace_cubed(&a).unwrap();
-        let reference: f64 = sym_eigen(&a).unwrap().values.iter().map(|l| l * l * l).sum();
-        let scale = reference.abs().max(1.0);
-        prop_assert!((s3 - reference).abs() < 1e-9 * scale, "{} vs {}", s3, reference);
-    }
-
-    #[test]
-    fn hardened_top_k_certifies_its_pairs(a in psd_strategy(14, 20), k in 1usize..7) {
-        let (top, info) = top_k_eigen_detailed(&a, k, 99).unwrap();
-        prop_assert!(info.converged, "{:?}", info);
-        let full = sym_eigen(&a).unwrap();
-        let lead = full.values[0].max(1e-12);
-        // Residual-norm certificate honored, values match the oracle.
-        prop_assert!(info.max_residual <= 1e-10 * lead, "{:?}", info);
-        for i in 0..k {
-            prop_assert!(
-                (top.values[i] - full.values[i]).abs() < 1e-8 * lead,
-                "pair {}: {} vs {}", i, top.values[i], full.values[i]
-            );
-        }
-        // Returned axes are orthonormal.
-        let vtv = top.vectors.transpose().matmul(&top.vectors).unwrap();
-        prop_assert!(vtv.max_abs_diff(&Mat::identity(k)).unwrap() < 1e-8);
-    }
-
-    #[test]
-    fn partial_fit_spectrum_sums_are_exact(m in mat_strategy(40, 24), mm in 0usize..6) {
-        // Residual power sums from the deflated-tail identities must match
-        // the full spectrum's, at every admissible cut.
-        let full = Pca::fit(&m).unwrap();
-        let partial = Pca::fit_partial(&m, 8).unwrap();
-        let trace = full.total_variance();
-        prop_assert!((partial.total_variance() - trace).abs() < 1e-9 * (1.0 + trace.abs()));
-        let a = full.residual_power_sums(mm).unwrap();
-        let b = partial.residual_power_sums(mm).unwrap();
-        let scale = 1.0 + trace.abs();
-        prop_assert!((a.phi1 - b.phi1).abs() < 1e-8 * scale, "{} vs {}", a.phi1, b.phi1);
-        prop_assert!((a.phi2 - b.phi2).abs() < 1e-8 * scale * scale, "{} vs {}", a.phi2, b.phi2);
-        prop_assert!(
-            (a.phi3 - b.phi3).abs() < 1e-8 * scale * scale * scale,
-            "{} vs {}", a.phi3, b.phi3
         );
     }
 

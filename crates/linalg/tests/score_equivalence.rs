@@ -3,7 +3,8 @@
 //!
 //! * random models × random probe rows agree to ≤1e-10 relative SPE
 //!   (plus a rounding floor proportional to the centered energy, which is
-//!   what the norm identity's subtraction is conditioned on);
+//!   what the norm identity's subtraction is conditioned on), up to the
+//!   Geant entropy width of 1936 columns;
 //! * rows lying inside the modeled subspace provably take the
 //!   cancellation-guard fallback and still score ≈0;
 //! * the guard threshold itself behaves as documented (fallback SPE is
@@ -13,13 +14,26 @@
 //! `ENTROMINE_FORCE_REFERENCE_SCORE`, so the agreement holds on every
 //! kernel tier and the pin seam stays exercised.
 
-use entromine_linalg::{Mat, Pca};
+use entromine_linalg::{AxisRequest, FitStrategy, Mat, Pca};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Fits a PCA over `rows × cols` data packed row-major.
 fn fit(rows: usize, cols: usize, data: &[f64]) -> Pca {
     let x = Mat::from_fn(rows, cols, |i, j| data[i * cols + j]);
     Pca::fit(&x).expect("random matrix fits")
+}
+
+/// A `t × n` low-rank-plus-noise traffic matrix: per-column gains on one
+/// shared 48-bin seasonal mode, plus small uniform noise.
+fn low_rank_traffic(t: usize, n: usize, seed: u64) -> Mat {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let gains: Vec<f64> = (0..n).map(|_| 1.0 + 4.0 * rng.random::<f64>()).collect();
+    Mat::from_fn(t, n, |i, j| {
+        let phase = i as f64 / 48.0 * std::f64::consts::TAU;
+        gains[j] * (5.0 + phase.sin()) + 0.3 * (rng.random::<f64>() - 0.5)
+    })
 }
 
 /// Centered energy `‖x − μ‖²` — the quantity the norm identity subtracts
@@ -62,6 +76,7 @@ proptest! {
     fn wide_models_agree_too(
         data in proptest::collection::vec(-3.0f64..3.0, 30 * 24),
         probe in proptest::collection::vec(-3.0f64..3.0, 24),
+        traffic_seed in 0u64..1_000_000,
     ) {
         // Wider than the kernel tier's 8/4-row tiles, so every tile shape
         // (x8, x4, singles) participates in the score pass.
@@ -77,6 +92,37 @@ proptest! {
                 "m={m}: fused {fused} vs reference {reference} (c2 {c2})"
             );
         }
+        // Geant entropy width (4p = 1936) on low-rank traffic, fitted the
+        // way the detector fits that width (Gram): its own rows sit close
+        // to the modeled subspace, so many of them take the guard. Gram's
+        // back-projected axes are orthonormal only to d = max|VᵀV − I|
+        // (1e-10 to 1e-8 on this fixture); the norm identity inherits up
+        // to m·d·‖s‖² of it, so the floor carries that term too.
+        let m = 10;
+        let x = low_rank_traffic(64, 1936, traffic_seed);
+        let pca = Pca::fit_with(&x, FitStrategy::Auto, AxisRequest::Components(m)).unwrap();
+        prop_assert_eq!(pca.strategy(), FitStrategy::Gram);
+        let axes = pca.components();
+        let defect = axes
+            .transpose()
+            .matmul(axes)
+            .unwrap()
+            .max_abs_diff(&Mat::identity(m))
+            .unwrap();
+        let plan = pca.score_plan(m).unwrap();
+        let mut guarded = 0;
+        for row in x.row_iter() {
+            let reference = pca.spe_reference(row, m).unwrap();
+            let (fused, fell_back) = plan.spe_checked(row).unwrap();
+            guarded += usize::from(fell_back);
+            let c2 = centered_energy(&pca, row);
+            let tol = 1e-10 * reference.abs() + (1e-13 + m as f64 * defect) * c2;
+            prop_assert!(
+                (fused - reference).abs() <= tol,
+                "width 1936: fused {fused} vs reference {reference} (c2 {c2}, defect {defect})"
+            );
+        }
+        prop_assert!(guarded > 0, "the fixture must exercise the guard at this width");
     }
 
     #[test]

@@ -122,8 +122,8 @@ impl SubspaceModel {
                 available: n,
             });
         }
-        // Rank-limited engines (Gram on short windows, partial spectra)
-        // must actually carry the axes the projection needs.
+        // A rank-limited engine (Gram on a short window) must actually
+        // carry the axes the projection needs.
         if m > pca.n_axes() {
             return Err(SubspaceError::BadDimension {
                 requested: m,
@@ -276,9 +276,9 @@ impl SubspaceModel {
     /// [`ThresholdPolicy`].
     ///
     /// The Jackson–Mudholkar policy consumes the model's residual power
-    /// sums — exact on every fit engine, including partial spectra that
-    /// never saw the residual eigenvalues. The empirical policy reads the
-    /// `α` order statistic of the training-SPE calibration.
+    /// sums, summed over the complete spectrum every fit engine keeps. The
+    /// empirical policy reads the `α` order statistic of the training-SPE
+    /// calibration.
     ///
     /// # Errors
     ///
@@ -621,22 +621,18 @@ mod tests {
         let x = synthetic_traffic(200, 48, 0.4, 23);
         let dim = DimSelection::Fixed(4);
         let full = SubspaceModel::fit_with(&x, dim, FitStrategy::Full).unwrap();
-        let partial = SubspaceModel::fit_with(&x, dim, FitStrategy::Partial).unwrap();
         let gram = SubspaceModel::fit_with(&x, dim, FitStrategy::Gram).unwrap();
-        assert_eq!(partial.pca().strategy(), FitStrategy::Partial);
         let oracle = full.threshold(0.999).unwrap();
-        for (name, model) in [("partial", &partial), ("gram", &gram)] {
-            let t = model.threshold(0.999).unwrap();
-            assert!(
-                (t - oracle).abs() < 1e-8 * (1.0 + oracle),
-                "{name}: {t} vs {oracle}"
-            );
-            // Same SPEs, so same detections.
-            let probe = x.row(17);
-            let a = full.spe(probe).unwrap();
-            let b = model.spe(probe).unwrap();
-            assert!((a - b).abs() < 1e-8 * (1.0 + a), "{name}: spe {a} vs {b}");
-        }
+        let t = gram.threshold(0.999).unwrap();
+        assert!(
+            (t - oracle).abs() < 1e-8 * (1.0 + oracle),
+            "{t} vs {oracle}"
+        );
+        // Same SPEs, so same detections.
+        let probe = x.row(17);
+        let a = full.spe(probe).unwrap();
+        let b = gram.spe(probe).unwrap();
+        assert!((a - b).abs() < 1e-8 * (1.0 + a), "spe {a} vs {b}");
     }
 
     #[test]

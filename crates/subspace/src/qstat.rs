@@ -15,12 +15,12 @@
 //! This is the threshold the paper uses to turn a residual magnitude into a
 //! detection at a desired false-alarm rate (α = 0.995, 0.999 in §6).
 //!
-//! Crucially, the residual spectrum enters **only** through the power sums
-//! `φ₁, φ₂, φ₃` — which is why the partial-spectrum fit engine never needs
-//! the residual eigenvalues themselves (see
-//! [`Spectrum`](entromine_linalg::Spectrum)). The core entry point here is
-//! [`q_threshold_from_power_sums`]; [`q_statistic_threshold`] remains as a
-//! thin adapter over an explicit eigenvalue slice.
+//! The residual spectrum enters **only** through the power sums
+//! `φ₁, φ₂, φ₃` (see
+//! [`Spectrum::residual_power_sums`](entromine_linalg::Spectrum::residual_power_sums)).
+//! The core entry point here is [`q_threshold_from_power_sums`];
+//! [`q_statistic_threshold`] remains as a thin adapter over an explicit
+//! eigenvalue slice.
 //!
 //! # The empirical alternative
 //!
@@ -83,9 +83,8 @@ pub fn q_statistic_threshold(
 }
 
 /// Computes the Q-statistic threshold `δ²_α` from residual power sums —
-/// the core of the detection threshold, consumed directly by the
-/// partial-spectrum fit path (which obtains exact `φ_i` from trace
-/// identities without ever holding the residual eigenvalues).
+/// the core of the detection threshold, fed by a fitted model's
+/// [`Pca::residual_power_sums`](entromine_linalg::Pca::residual_power_sums).
 ///
 /// Degenerate inputs are handled conservatively:
 ///

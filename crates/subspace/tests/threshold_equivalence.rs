@@ -1,17 +1,16 @@
-//! Partial-spectrum ↔ full-QL threshold equivalence.
+//! Fit-engine threshold equivalence (Gram / blocked / QL).
 //!
-//! The partial-spectrum engine never sees the residual eigenvalues: it
-//! reconstructs their power sums from trace identities and subtraction.
-//! That substitution is only admissible if the detection thresholds it
-//! produces are indistinguishable from the dense oracle's — which this
-//! suite pins at `1e-8` relative (with an absolute floor at the round-off
-//! scale of the spectrum) across random traffic-like data, normal-subspace
+//! Every fit engine must hand the Jackson–Mudholkar threshold the same
+//! residual spectrum, or an engine switch could move an alarm. This suite
+//! pins the thresholds at `1e-8` relative (with an absolute floor at the
+//! round-off scale of the spectrum): the Gram engine against the dense
+//! covariance solve across random traffic-like data, normal-subspace
 //! dimensions, and confidence levels, including the degenerate
-//! zero-residual and `h₀ ≤ 0` fallback branches of the Jackson–Mudholkar
-//! formula.
+//! zero-residual and `h₀ ≤ 0` fallback branches of the formula; and the
+//! blocked tridiagonal eigensolver against the retained QL reference.
 
-use entromine_linalg::{top_k_eigen_detailed, FitStrategy, Mat};
-use entromine_subspace::{DimSelection, SubspaceModel};
+use entromine_linalg::{FitStrategy, Mat, Pca};
+use entromine_subspace::{q_threshold_from_power_sums, DimSelection, SubspaceModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,11 +39,10 @@ fn traffic_like(t: usize, n: usize, noise: f64, seed: u64) -> Mat {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The acceptance property: `FitStrategy::Partial` thresholds agree
-    /// with the full-QL oracle within 1e-8 relative, across data, m, and
-    /// alpha — and the Gram engine ties the same knot from the other side.
+    /// The acceptance property: Gram thresholds agree with the dense
+    /// covariance solve within 1e-8 relative, across data, m, and alpha.
     #[test]
-    fn partial_thresholds_match_full_ql_oracle(
+    fn gram_thresholds_match_full_oracle(
         seed in 0u64..10_000,
         t in 40usize..120,
         n in 24usize..56,
@@ -56,28 +54,14 @@ proptest! {
         let x = traffic_like(t, n, noise, seed);
         let dim = DimSelection::Fixed(m);
         let full = SubspaceModel::fit_with(&x, dim, FitStrategy::Full).unwrap();
-        let partial = SubspaceModel::fit_with(&x, dim, FitStrategy::Partial).unwrap();
         let gram = SubspaceModel::fit_with(&x, dim, FitStrategy::Gram).unwrap();
-        let trace = full.pca().total_variance();
-        let oracle = full.threshold(alpha).unwrap();
+        prop_assert_eq!(gram.pca().strategy(), FitStrategy::Gram);
         assert_threshold_close(
-            oracle,
-            partial.threshold(alpha).unwrap(),
-            trace,
-            "partial vs full",
-        );
-        assert_threshold_close(
-            oracle,
+            full.threshold(alpha).unwrap(),
             gram.threshold(alpha).unwrap(),
-            trace,
+            full.pca().total_variance(),
             "gram vs full",
         );
-        // The partial engine really ran when it had room to pay off
-        // (m + margin < n): this guards against the fallback silently
-        // converting the whole property into Full-vs-Full.
-        if m + 8 < n {
-            prop_assert_eq!(partial.pca().strategy(), FitStrategy::Partial);
-        }
     }
 
     /// Degenerate branch: exact low-rank data (residual spectrum all zero
@@ -103,12 +87,15 @@ proptest! {
         let x = Mat::from_fn(t, n, |i, j| {
             (0..rank).map(|r| coeffs[r][i] * loads[r][j]).sum()
         });
-        let dim = DimSelection::Fixed(m);
-        let full = SubspaceModel::fit_with(&x, dim, FitStrategy::Full).unwrap();
-        let partial = SubspaceModel::fit_with(&x, dim, FitStrategy::Partial).unwrap();
+        let full = SubspaceModel::fit_with(&x, DimSelection::Fixed(m), FitStrategy::Full).unwrap();
+        // The Gram engine carries no axes past the rank, so a model with
+        // m > rank is out of its reach; its zero-padded spectrum still
+        // feeds the threshold directly.
+        let gram = Pca::fit_gram(&x).unwrap();
         let trace = full.pca().total_variance();
         let oracle = full.threshold(alpha).unwrap();
-        let other = partial.threshold(alpha).unwrap();
+        let other =
+            q_threshold_from_power_sums(&gram.residual_power_sums(m).unwrap(), alpha).unwrap();
         // Both are round-off of an exactly-zero residual spectrum.
         prop_assert!(oracle.abs() <= 1e-9 * (1.0 + trace), "oracle {}", oracle);
         assert_threshold_close(oracle, other, trace, "zero-residual");
@@ -136,8 +123,7 @@ fn h0_fallback_branch_agrees_between_engines() {
     let x = Mat::from_fn(t, n, |_, j| sigma[j] * (rng.random::<f64>() - 0.5));
     let dim = DimSelection::Fixed(1);
     let full = SubspaceModel::fit_with(&x, dim, FitStrategy::Full).unwrap();
-    let partial = SubspaceModel::fit_with(&x, dim, FitStrategy::Partial).unwrap();
-    assert_eq!(partial.pca().strategy(), FitStrategy::Partial);
+    let gram = SubspaceModel::fit_with(&x, dim, FitStrategy::Gram).unwrap();
 
     // Confirm the fixture actually reaches the fallback branch.
     let sums = full.pca().residual_power_sums(1).unwrap();
@@ -148,7 +134,7 @@ fn h0_fallback_branch_agrees_between_engines() {
     for alpha in [0.95, 0.995, 0.999] {
         assert_threshold_close(
             full.threshold(alpha).unwrap(),
-            partial.threshold(alpha).unwrap(),
+            gram.threshold(alpha).unwrap(),
             trace,
             "h0 fallback",
         );
@@ -183,71 +169,5 @@ fn blocked_and_ql_spectra_give_same_thresholds() {
                 );
             }
         }
-    }
-}
-
-/// Clustered-eigenvalue stress for the hardened `top_k_eigen`: a spectrum
-/// with exactly repeated leading values (the worst case for per-pair
-/// convergence tests) must still lock, stay orthonormal, and reproduce
-/// the values — with the cut's vanishing gap reported, not hidden.
-#[test]
-fn top_k_survives_clustered_spectra() {
-    let n = 48;
-    // An orthogonal basis from an unrelated eigenproblem.
-    let mut rng = StdRng::seed_from_u64(5);
-    let b = Mat::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
-    let q = entromine_linalg::sym_eigen(&b.transpose().matmul(&b).unwrap())
-        .unwrap()
-        .vectors;
-    // Clusters: a triple at 10, a pair split by 1e-9, then a flat tail.
-    let mut values = vec![10.0, 10.0, 10.0, 7.0, 7.0 - 1e-9, 4.0];
-    values.extend((0..n - 6).map(|i| 0.5 - 1e-3 * i as f64));
-    let mut lam = Mat::zeros(n, n);
-    for (i, &v) in values.iter().enumerate() {
-        lam[(i, i)] = v;
-    }
-    let a = q.matmul(&lam).unwrap().matmul(&q.transpose()).unwrap();
-    // Symmetrize round-off before the solvers look at it.
-    let a = Mat::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-
-    for k in [3usize, 5, 6] {
-        let (eigen, info) = top_k_eigen_detailed(&a, k, 42).unwrap();
-        assert!(info.converged, "k={k} failed to converge: {info:?}");
-        assert!(info.max_residual <= 1e-9 * values[0], "k={k}: {info:?}");
-        for (i, v) in eigen.values.iter().enumerate() {
-            assert!(
-                (v - values[i]).abs() <= 1e-8 * values[0],
-                "k={k} pair {i}: {v} vs {}",
-                values[i]
-            );
-        }
-        // Orthonormal axes, each an approximate eigenvector.
-        let vtv = eigen.vectors.transpose().matmul(&eigen.vectors).unwrap();
-        assert!(vtv.max_abs_diff(&Mat::identity(k)).unwrap() < 1e-8);
-        // Cutting inside the triple reports a vanishing relative gap;
-        // cutting at the 7 -> 4 edge reports a healthy one.
-        if k == 3 {
-            // lambda_3 = 10 vs lambda_4 = 7: healthy.
-            let gap = info.trailing_gap.expect("oversampled run knows the gap");
-            assert!(gap > 0.2, "gap {gap}");
-        }
-        if k == 5 {
-            // lambda_5 = 7 - 1e-9 vs lambda_6 = 4: healthy again.
-            let gap = info.trailing_gap.expect("gap");
-            assert!(gap > 0.2, "gap {gap}");
-        }
-    }
-    // A cut straight through the exact triple: the subspace itself is
-    // still delivered (values right, vectors orthonormal) even though
-    // individual axes inside the cluster are arbitrary.
-    let (eigen, info) = top_k_eigen_detailed(&a, 2, 43).unwrap();
-    assert!(info.converged);
-    let gap = info.trailing_gap.expect("gap");
-    assert!(
-        gap < 1e-6,
-        "cut inside a cluster must report ~zero gap: {gap}"
-    );
-    for v in &eigen.values {
-        assert!((v - 10.0).abs() < 1e-8 * 10.0);
     }
 }

@@ -13,7 +13,11 @@
 //! 3. **Recovery.** Under arbitrary seeded fault schedules — outages,
 //!    duplicates, reordering, garbage storms, refit-poisoning huge
 //!    values — the monitor never panics, never drops or double-scores a
-//!    delivery, and always returns to `Fitted` once the faults stop.
+//!    delivery, and always returns to `Fitted` once the faults stop. On
+//!    the reference lifecycle config the two canonical storms recover in
+//!    asserted time: a 20-bin NaN storm within one refit interval, a
+//!    4-bin huge-finite poisoning after exactly 3 failed refits and 56
+//!    bins.
 //!
 //! The chaos property runs 10 000 random schedules; failures reproduce
 //! exactly from the reported inputs (the injector derives every payload
@@ -21,7 +25,7 @@
 
 use entromine::{
     DiagnoserConfig, FaultInjector, FaultKind, FaultPlan, GarbageKind, Monitor, MonitorConfig,
-    MonitorState, MonitorStep, RetryPolicy, Verdict,
+    MonitorState, MonitorStep, RefitOutcome, RetryPolicy, Verdict,
 };
 use proptest::prelude::*;
 
@@ -167,6 +171,119 @@ fn injected_garbage_cannot_flip_the_fitted_model() {
     // Bit-identical thresholds: the garbage never touched the model.
     assert_eq!(threshold_bits(&poisoned), threshold_bits(&clean));
     assert_eq!(poisoned.window().bins(), clean.window().bins());
+}
+
+/// Scheduled-refit cadence of the storm lifecycle, in scored bins.
+const STORM_REFIT_INTERVAL: usize = 8;
+
+/// Drives 200 bins of the 16-flow fixture through the reference lifecycle
+/// the recovery latencies are recorded on (24-bin warmup, 48-bin window in
+/// 8-bin chunks, scheduled refits every 8 scored bins, 16-bin staleness
+/// budget), with `kind` garbage on the `storm` bins. `after_bin` sees each
+/// upstream bin's steps and the monitor after them.
+fn run_storm(
+    storm: std::ops::Range<usize>,
+    kind: GarbageKind,
+    mut after_bin: impl FnMut(usize, &[MonitorStep], &Monitor),
+) -> Monitor {
+    let p = 16;
+    let config = MonitorConfig {
+        diagnoser: DiagnoserConfig {
+            dim: entromine::subspace::DimSelection::Fixed(4),
+            refit_rounds: 0,
+            ..Default::default()
+        },
+        warmup_bins: 24,
+        window_bins: 48,
+        chunk_bins: 8,
+        refit_interval: Some(STORM_REFIT_INTERVAL),
+        drift: None,
+        retry: RetryPolicy::default(),
+        staleness_budget: Some(16),
+    };
+    let plan = storm.fold(FaultPlan::default(), |plan, bin| {
+        plan.with(bin, FaultKind::GarbageRows(kind))
+    });
+    let mut inj = FaultInjector::new(&plan);
+    let mut m = Monitor::new(p, config).expect("monitor");
+    for bin in 0..200 {
+        let (b, pk, e) = rows(p, bin, 0.0);
+        let steps: Vec<MonitorStep> = inj
+            .deliver_rows(bin, &b, &pk, &e)
+            .into_iter()
+            .map(|d| {
+                m.observe_rows(d.bin, &d.bytes, &d.packets, &d.entropy)
+                    .expect("observe")
+            })
+            .collect();
+        after_bin(bin, &steps, &m);
+    }
+    m
+}
+
+#[test]
+fn nan_storm_degrades_then_recovers_within_one_refit_interval() {
+    // 20 consecutive NaN bins outlive the staleness budget: every one is
+    // quarantined, the serving model ages into Degraded, and clean data
+    // brings back a Fitted model within one refit interval.
+    let storm = 60..80usize;
+    let mut degraded_bins = 0usize;
+    let mut refitted_at = None;
+    let m = run_storm(storm.clone(), GarbageKind::Nan, |bin, steps, m| {
+        for step in steps {
+            assert_eq!(
+                matches!(step.verdict, Verdict::Quarantined),
+                storm.contains(&bin)
+            );
+        }
+        if m.state() == MonitorState::Degraded {
+            degraded_bins += 1;
+        }
+        if bin >= storm.end && refitted_at.is_none() && m.state() == MonitorState::Fitted {
+            refitted_at = Some(bin);
+        }
+    });
+    assert_eq!(m.quarantined_bins(), storm.len() as u64);
+    assert_eq!(m.state(), MonitorState::Fitted);
+    assert!(degraded_bins > 0, "a 20-bin storm must outlive the budget");
+    let recovery = refitted_at.expect("storm recovery") - storm.end;
+    assert!(
+        recovery <= STORM_REFIT_INTERVAL,
+        "degraded serving must end within one refit interval of clean data, took {recovery}"
+    );
+}
+
+#[test]
+fn huge_finite_poisoning_heals_at_its_recorded_latency() {
+    // Four huge-but-finite bins pass every finiteness gate, enter the
+    // window and overflow every refit until the poisoned chunks roll out.
+    // The failed-refit count and the heal latency are deterministic
+    // properties of the lifecycle config; a magnitude gate at the window
+    // would move them on purpose.
+    let poison = 60..64usize;
+    let mut healed_at = None;
+    let m = run_storm(poison.clone(), GarbageKind::HugeFinite, |bin, steps, _| {
+        let swapped = steps.iter().any(|step| {
+            step.refit
+                .as_ref()
+                .is_some_and(|r| matches!(r.outcome, RefitOutcome::Swapped))
+        });
+        if bin >= poison.end && healed_at.is_none() && swapped {
+            healed_at = Some(bin);
+        }
+    });
+    let health = m.health();
+    assert_eq!(health.state, MonitorState::Fitted);
+    assert_eq!(health.consecutive_refit_failures, 0);
+    assert_eq!(
+        health.failed_refits, 3,
+        "failed refits along the backoff chain"
+    );
+    let heal = healed_at.expect("poison recovery") - (poison.end - 1);
+    assert_eq!(
+        heal, 56,
+        "bins from the last poisoned bin to the healing swap"
+    );
 }
 
 /// Upstream length of every chaos run. Faults are confined to bins

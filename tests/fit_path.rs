@@ -247,11 +247,8 @@ fn the_engine_follows_the_window_shape_and_every_round_is_cold() {
     let (tall, tall_trace) = window(8, 60, 5, 0..=59, Some(30)).fit(&config).unwrap();
     assert!(!engines(&tall).contains(&FitStrategy::Gram));
 
-    for round in &wide_trace.rounds {
-        assert_eq!(round.cycles, 0, "Gram has no eigen-iteration to count");
-    }
     for round in wide_trace.rounds.iter().chain(&tall_trace.rounds) {
-        assert!(!round.warm_start && !round.downdated);
+        assert!(!round.warm_start && !round.downdated && round.cycles == 0);
     }
 }
 

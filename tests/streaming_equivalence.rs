@@ -183,12 +183,7 @@ fn streaming_equals_batch_under_every_fit_strategy_and_policy() {
         seed: 11,
     };
     let dataset = Dataset::generate(Topology::line(3), config(77, 60), vec![event]);
-    for strategy in [
-        FitStrategy::Auto,
-        FitStrategy::Full,
-        FitStrategy::Partial,
-        FitStrategy::Gram,
-    ] {
+    for strategy in [FitStrategy::Auto, FitStrategy::Full, FitStrategy::Gram] {
         for policy in [
             ThresholdPolicy::JacksonMudholkar,
             ThresholdPolicy::Empirical,

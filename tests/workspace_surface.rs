@@ -22,8 +22,7 @@ use entromine::entropy::{
     FeatureHistogram, VolumeMatrix, FEATURES,
 };
 use entromine::linalg::{
-    stats, sym_eigen, sym_trace_cubed, top_k_eigen, top_k_eigen_detailed, AxisRequest, Mat,
-    MomentAccumulator, Pca, ResidualPowerSums, Spectrum, TopKInfo,
+    stats, sym_eigen, AxisRequest, Mat, MomentAccumulator, Pca, ResidualPowerSums, Spectrum,
 };
 use entromine::net::{
     AddressPlan, FlowCache, FlowKey, Ipv4, OdIndexer, OdPair, PacketHeader, Prefix, PrefixTable,
