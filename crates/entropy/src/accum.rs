@@ -44,7 +44,7 @@ impl BinAccumulator {
 
     /// An empty exact-tier accumulator whose stores are pre-sized to
     /// absorb the given number of distinct values per feature without
-    /// growing. The streaming builders feed this from the previous bin's
+    /// growing. The sharded plane feeds this from the previous bin's
     /// observed cardinalities ([`size_hints`](Self::size_hints)): traffic
     /// composition is stable bin over bin, so the hint eliminates nearly
     /// all mid-bin rehashing. A zero hint allocates nothing.
@@ -61,7 +61,7 @@ impl<D: DistributionAccumulator> BinAccumulator<D> {
     }
 
     /// [`with_size_hints`](Self::with_size_hints) with explicit store
-    /// parameters — the constructor the tiered grid builders use.
+    /// parameters — the constructor the sharded plane uses.
     pub fn with_size_hints_in(hints: [usize; 4], params: &D::Params) -> Self {
         BinAccumulator {
             hists: std::array::from_fn(|i| D::with_params(params, hints[i])),

@@ -1,38 +1,38 @@
-//! Map-side combining: the shared batch-ingest engine behind
-//! [`StreamingGridBuilder`](crate::StreamingGridBuilder) and
-//! [`ShardedGridBuilder`](crate::ShardedGridBuilder) batch offers.
+//! Map-side combining: the batch-ingest engine behind
+//! [`ShardedGridBuilder`](crate::ShardedGridBuilder)'s batch offers.
 //!
-//! A validated batch is reduced to `(cell, flow-key)`-grouped runs before
-//! any accumulator is touched:
+//! Every batch the sharded plane accepts takes the same three steps
+//! before any accumulator is touched:
 //!
-//! 1. **Validate** every event against the grid (atomic batch error
-//!    semantics; late events dropped and counted), assigning each
-//!    survivor a *cell rank* — `(bin − next_emit) · stride + slot` — that
-//!    totally orders cells by (bin, flow slot). Validation also probes
-//!    the batch's [`BatchShape`]: whether it already arrives in rank
-//!    order (how per-bin batches, flow-major replays, and NetFlow
-//!    exports naturally do) and how many merged runs it would collapse
-//!    to; its hot loop is comparison-only (no division, no allocation).
-//!    Batches with too few packets per run for combining to pay off
-//!    bail out to [`accumulate_per_event`], skipping steps 2–3.
-//! 2. **Sort and group.** Grouped batches take the in-order walk — one
-//!    sequential pass, no index array, no sort. Everything else gets a
-//!    `(rank, index)` key array and one `sort_unstable` on plain
-//!    integers, paying `O(n log n)` once to buy perfect cell locality
-//!    downstream; ties keep offer order, so packets of one flow burst
-//!    stay adjacent either way.
-//! 3. **Run-merge** within each cell: consecutive events sharing one
-//!    feature tuple collapse into a single weighted run fed through
-//!    [`BinAccumulator::absorb_run`]'s `add_n` path, so the histograms
-//!    see four table probes per distinct flow per bin instead of four
-//!    per packet — with the cell borrowed once per contiguous group and
-//!    no allocation per packet.
+//! 1. **Validate** every event against the grid in one forward pass
+//!    ([`validate_batch`]): atomic batch error semantics, late events
+//!    dropped and counted, and each survivor handed to its owning shard
+//!    with a *cell rank* — `(bin − next_emit) · width + slot` — that
+//!    totally orders the shard's cells by (bin, flow slot).
+//! 2. **Sort and group.** Each shard sorts its `(rank, index)` keys with
+//!    one `sort_unstable` on plain integers, paying `O(n log n)` once to
+//!    buy perfect cell locality downstream; the batch index breaks ties,
+//!    so events of one cell keep offer order and a flow burst stays
+//!    adjacent.
+//! 3. **Run-merge** within each cell ([`accumulate_grouped`]):
+//!    consecutive events sharing one feature tuple collapse into a single
+//!    weighted run fed through [`BinAccumulator::absorb_run`]'s `add_n`
+//!    path, so the histograms see four table probes per distinct flow per
+//!    bin instead of four per packet — with the cell borrowed once per
+//!    contiguous group and no allocation per packet.
+//!
+//! There is no in-order walk and no bail-out: every batch, whatever its
+//! shape, is validated, rank-sorted and run-merged. The serial
+//! [`StreamingGridBuilder`](crate::StreamingGridBuilder) shares step 1
+//! only; it absorbs the admitted events one at a time, as the executable
+//! specification.
 //!
 //! Because entropy finalization is a pure function of each histogram's
 //! count multiset (see [`crate::metrics`]), none of this reordering or
-//! weighting is observable downstream: the combining paths emit
+//! weighting is observable downstream: the sharded plane emits
 //! [`FinalizedBin`](crate::FinalizedBin) rows bit-identical to per-packet
-//! offers, which `crates/entropy/tests/shard_equivalence.rs` pins.
+//! offers, which `crates/entropy/tests/shard_equivalence.rs` pins on
+//! shuffled, multi-bin batches at every shard count.
 
 use crate::accum::BinAccumulator;
 use crate::dist::DistributionAccumulator;
@@ -49,12 +49,12 @@ use crate::stream::StreamError;
 pub trait CellGrid<D: DistributionAccumulator = FeatureHistogram> {
     /// Borrows (opening if necessary) the accumulator for `slot` at
     /// `bin`. `slot` is whatever index space the caller's ranks use
-    /// (global flow for the serial plane, shard-local for shards).
+    /// (shard-local flow indices on the sharded plane).
     fn cell(&mut self, bin: usize, slot: usize) -> &mut BinAccumulator<D>;
 }
 
 /// The admission rules of a grid builder, hoisted out so the serial and
-/// sharded planes validate batches identically.
+/// sharded planes admit events identically.
 #[derive(Debug, Clone, Copy)]
 pub struct Admission {
     pub n_flows: usize,
@@ -196,274 +196,9 @@ pub(crate) fn validate_batch<E: IngestEvent>(
     Ok(late)
 }
 
-/// Packets-per-run below which the run-merge machinery (per-event tuple
-/// comparisons, run bookkeeping, and — on ungrouped batches — the rank
-/// sort) costs more than its `add_n` batching saves. On a feed with no
-/// duplicate `(cell, tuple)` adjacency the combining path measured 0.97×
-/// against plain per-event accumulation, while at ~8 packets per run it
-/// measured ~2×; the crossover sits just above 1, and this threshold
-/// keeps a safety margin so [`BatchShape::combining_profitable`] only
-/// engages combining where it genuinely wins.
-pub const COMBINE_MIN_RATIO: f64 = 1.25;
-
-/// What [`validate_grouped`] learned about a batch while validating it:
-/// admission counts plus the shape signals that pick the cheapest
-/// accumulation path.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchShape {
-    /// Late events (sealed bins) — dropped and counted, never absorbed.
-    pub late: u64,
-    /// Whether the admitted events' cell ranks arrive non-decreasing
-    /// (per-bin batches, flow-major replays, NetFlow exports).
-    pub grouped: bool,
-    /// Admitted (non-late) events.
-    pub admitted: u64,
-    /// Maximal groups of consecutive admitted events sharing one cell
-    /// *and* one feature tuple — exactly the weighted runs the merge
-    /// engine would absorb. For ungrouped batches this over-counts what
-    /// the sort path could still merge, making the profitability test
-    /// conservative: a bail-out can only route to a path that is never
-    /// slower than per-event accumulation.
-    pub runs: u64,
-}
-
-impl BatchShape {
-    /// Whether the run-merge machinery pays for itself on this batch:
-    /// the packets-per-run ratio clears [`COMBINE_MIN_RATIO`]. When it
-    /// does not, [`accumulate_per_event`] skips the merge bookkeeping
-    /// (and, for ungrouped batches, the sort) entirely.
-    pub fn combining_profitable(&self) -> bool {
-        self.admitted as f64 >= self.runs as f64 * COMBINE_MIN_RATIO
-    }
-}
-
-/// Validation pre-pass for the serial (single-stride) plane: atomic batch
-/// validation plus the batch-shape probe — whether the admitted events'
-/// cell ranks arrive non-decreasing (how per-bin batches, flow-major
-/// replays, and NetFlow exports naturally arrive), and how many merged
-/// runs the batch would reduce to. Grouped batches with enough packets
-/// per run take [`accumulate_in_order`], which needs no index array and
-/// no sort; ungrouped ones fall back to [`accumulate_grouped`]; and
-/// batches whose packets-per-run ratio is too low for either to win take
-/// [`accumulate_per_event`].
-///
-/// Lateness and horizon checks run as plain timestamp comparisons
-/// against precomputed bin boundaries (`bin < b` ⟺ `ts < b·bin_secs` for
-/// integer division), so the hot loop performs no division; the bin
-/// index is derived once per cell change, not once per event.
-pub fn validate_grouped<E: IngestEvent>(
-    batch: &[(usize, E)],
-    adm: &Admission,
-    stride: usize,
-) -> Result<BatchShape, StreamError> {
-    let n_flows = adm.n_flows;
-    let bin_secs = adm.bin_secs as u128;
-    let late_below = adm.next_emit as u128 * bin_secs;
-    let horizon_end = adm.next_emit.saturating_add(adm.horizon_bins);
-    let horizon_ts = horizon_end as u128 * bin_secs;
-    let mut late = 0u64;
-    let mut admitted = 0u64;
-    let mut runs = 0u64;
-    let mut grouped = true;
-    let mut last_rank = u64::MAX;
-    // Current-cell bounds: events inside them need no division and no
-    // rank update. `prev` is the previously walked admitted event — runs
-    // are maximal same-cell-same-tuple segments, and segment counts are
-    // direction-independent, so the backward walk counts exactly what
-    // the forward merge pass would absorb.
-    let mut cur_flow = usize::MAX;
-    let mut cur_lo = u64::MAX;
-    let mut cur_hi = 0u64;
-    let mut prev: Option<&E> = None;
-    // Walked back to front: validation is order-independent (forward
-    // non-decreasing ranks ⟺ backward non-increasing), and ending at the
-    // batch's head leaves exactly the memory the accumulation pass reads
-    // first sitting warm in the cache. Errors keep scanning instead of
-    // returning, so the error that surfaces is the first one in *offer*
-    // order — matching [`validate_batch`]'s forward walk exactly.
-    let mut error = None;
-    for &(flow, ref ev) in batch.iter().rev() {
-        if flow >= n_flows {
-            error = Some(StreamError::FlowOutOfRange { flow, n_flows });
-            continue;
-        }
-        let ts = ev.event_time();
-        if (ts as u128) >= horizon_ts {
-            error = Some(StreamError::BeyondHorizon {
-                bin: (ts / adm.bin_secs) as usize,
-                horizon_end,
-            });
-            continue;
-        }
-        if (ts as u128) < late_below {
-            late += 1;
-            continue;
-        }
-        admitted += 1;
-        if flow == cur_flow && ts >= cur_lo && ts < cur_hi {
-            if !prev.is_some_and(|p| ev.same_tuple(p)) {
-                runs += 1;
-            }
-            prev = Some(ev);
-            continue;
-        }
-        runs += 1;
-        prev = Some(ev);
-        let bin = (ts / adm.bin_secs) as usize;
-        cur_flow = flow;
-        cur_lo = bin as u64 * adm.bin_secs;
-        cur_hi = cur_lo.saturating_add(adm.bin_secs);
-        let rank = ((bin - adm.next_emit) * stride + flow) as u64;
-        grouped &= rank <= last_rank;
-        last_rank = rank;
-    }
-    match error {
-        Some(e) => Err(e),
-        None => Ok(BatchShape {
-            late,
-            grouped,
-            admitted,
-            runs,
-        }),
-    }
-}
-
-/// Accumulates a *validated, grouped* batch in one sequential pass: no
-/// index array, no sort — the fast path for feeds that already arrive
-/// cell-grouped. Late events are skipped in stride (they were counted
-/// during validation). Each cell's accumulator is borrowed once from the
-/// grid and fed its merged runs directly. Like the validator, the walk
-/// divides once per cell change, never per event.
-///
-/// Callers must have established via [`validate_grouped`] that admitted
-/// cell ranks are non-decreasing; runs of one cell are then contiguous
-/// (up to interleaved late events), so adjacent-merge is complete.
-pub fn accumulate_in_order<E: IngestEvent, D: DistributionAccumulator>(
-    batch: &[(usize, E)],
-    adm: &Admission,
-    grid: &mut impl CellGrid<D>,
-) {
-    let late_below = adm.next_emit as u128 * adm.bin_secs as u128;
-    let len = batch.len();
-    let mut i = 0;
-    while i < len {
-        let (flow, ref ev) = batch[i];
-        let ts = ev.event_time();
-        if (ts as u128) < late_below {
-            i += 1;
-            continue;
-        }
-        // Open a cell: one division, then bounds comparisons only.
-        let bin = (ts / adm.bin_secs) as usize;
-        let lo = bin as u64 * adm.bin_secs;
-        let hi = lo.saturating_add(adm.bin_secs);
-        let acc = grid.cell(bin, flow);
-        'cell: loop {
-            // Start a run at event i (known to belong to this cell).
-            let first = &batch[i].1;
-            let mut weight = first.weight();
-            let mut bytes = first.bytes();
-            i += 1;
-            let same_cell = loop {
-                if i >= len {
-                    break false;
-                }
-                let (next_flow, ref next) = batch[i];
-                let nts = next.event_time();
-                if (nts as u128) < late_below {
-                    i += 1;
-                    continue;
-                }
-                if next_flow != flow || nts < lo || nts >= hi {
-                    break false;
-                }
-                if !next.same_tuple(first) {
-                    break true;
-                }
-                weight += next.weight();
-                bytes += next.bytes();
-                i += 1;
-            };
-            acc.absorb_run(first.tuple(), weight, bytes);
-            if !same_cell {
-                break 'cell;
-            }
-        }
-    }
-}
-
-/// Accumulates a *validated* batch one event at a time, in offer order:
-/// the bail-out path for batches whose packets-per-run ratio is too low
-/// for run merging (or sorting) to pay for itself — see
-/// [`BatchShape::combining_profitable`]. No tuple comparisons, no run
-/// bookkeeping, no index array; each cell is still borrowed once per
-/// contiguous same-cell stretch, and late events are skipped in stride.
-///
-/// Works on *any* event order, grouped or not: entropy finalization is a
-/// pure function of each histogram's count multiset, so per-event
-/// absorption commutes and the emitted bins stay bit-identical to every
-/// other path.
-pub fn accumulate_per_event<E: IngestEvent, D: DistributionAccumulator>(
-    batch: &[(usize, E)],
-    adm: &Admission,
-    grid: &mut impl CellGrid<D>,
-) {
-    let late_below = adm.next_emit as u128 * adm.bin_secs as u128;
-    let len = batch.len();
-    let mut i = 0;
-    while i < len {
-        let (flow, ref ev) = batch[i];
-        let ts = ev.event_time();
-        if (ts as u128) < late_below {
-            i += 1;
-            continue;
-        }
-        // Open a cell: one division, then bounds comparisons only.
-        let bin = (ts / adm.bin_secs) as usize;
-        let lo = bin as u64 * adm.bin_secs;
-        let hi = lo.saturating_add(adm.bin_secs);
-        let acc = grid.cell(bin, flow);
-        acc.absorb_run(ev.tuple(), ev.weight(), ev.bytes());
-        i += 1;
-        while i < len {
-            let (next_flow, ref next) = batch[i];
-            let nts = next.event_time();
-            if (nts as u128) < late_below {
-                i += 1;
-                continue;
-            }
-            if next_flow != flow || nts < lo || nts >= hi {
-                break;
-            }
-            acc.absorb_run(next.tuple(), next.weight(), next.bytes());
-            i += 1;
-        }
-    }
-}
-
-/// Rebuilds the `(rank, index)` key array for an already-validated batch
-/// (the ungrouped fall-back of the serial plane): one cheap sweep, no
-/// error paths, late events skipped.
-pub(crate) fn rank_keys<E: IngestEvent>(
-    batch: &[(usize, E)],
-    adm: &Admission,
-    stride: usize,
-) -> Vec<(u64, u32)> {
-    let mut keys = Vec::with_capacity(batch.len());
-    for (i, &(flow, ref ev)) in batch.iter().enumerate() {
-        let bin = (ev.event_time() / adm.bin_secs) as usize;
-        if bin < adm.next_emit {
-            continue;
-        }
-        keys.push((((bin - adm.next_emit) * stride + flow) as u64, i as u32));
-    }
-    keys
-}
-
 /// Sorts `(rank, index)` keys, combines each cell's events into weighted
 /// runs, and feeds them to the grid cell by cell, where
-/// `rank = (bin − next_emit) · stride + slot` — the general-order path
-/// behind [`accumulate_in_order`]'s fast path.
+/// `rank = (bin − next_emit) · stride + slot`.
 pub(crate) fn accumulate_grouped<E: IngestEvent, D: DistributionAccumulator>(
     batch: &[(usize, E)],
     keys: &mut [(u64, u32)],
@@ -575,116 +310,54 @@ mod tests {
 
     #[test]
     fn validation_error_matches_forward_order() {
-        // Two different errors in one batch: both validators must
-        // surface the earliest one in offer order, even though the
-        // grouped validator walks back to front.
-        let batch = vec![(9usize, pkt(1, 80, 10)), (0, pkt(2, 80, u64::MAX))];
-        let a = adm();
-        let fwd = validate_batch(&batch, &a, |_, _, _| {}).unwrap_err();
-        let rev = validate_grouped(&batch, &a, a.n_flows).unwrap_err();
-        assert_eq!(fwd, rev);
-        assert!(matches!(fwd, StreamError::FlowOutOfRange { flow: 9, .. }));
-    }
-
-    #[test]
-    fn batch_shape_counts_runs_and_flags_low_ratio_feeds() {
-        let a = adm();
-        // Every admitted event is its own run: 4 distinct tuples across
-        // 2 cells → ratio 1, combining not profitable.
-        let singles = vec![
+        // Two different errors behind a valid event: the earliest one in
+        // offer order surfaces.
+        let batch = vec![
             (0usize, pkt(1, 80, 10)),
-            (0, pkt(2, 80, 20)),
-            (1, pkt(3, 80, 30)),
-            (1, pkt(4, 443, 40)),
+            (9, pkt(2, 80, 20)),
+            (0, pkt(3, 80, u64::MAX)),
         ];
-        let shape = validate_grouped(&singles, &a, a.n_flows).unwrap();
-        assert_eq!((shape.admitted, shape.runs), (4, 4));
-        assert!(shape.grouped);
-        assert!(!shape.combining_profitable());
-        // Bursty feed: 6 packets collapse to 2 runs (ratio 3) — and a
-        // late event interleaved inside a run must not split it.
-        let later = Admission {
-            next_emit: 1,
-            ..adm()
-        };
-        let bursts = vec![
-            (0usize, pkt(1, 80, 310)),
-            (0, pkt(1, 80, 315)),
-            (0, pkt(9, 80, 20)), // late: bin 0 is sealed
-            (0, pkt(1, 80, 320)),
-            (2, pkt(7, 443, 350)),
-            (2, pkt(7, 443, 355)),
-            (2, pkt(7, 443, 360)),
-        ];
-        let shape = validate_grouped(&bursts, &later, later.n_flows).unwrap();
-        assert_eq!(shape.late, 1);
-        assert_eq!((shape.admitted, shape.runs), (6, 2));
-        assert!(shape.combining_profitable());
+        let err = validate_batch(&batch, &adm(), |_, _, _| {}).unwrap_err();
+        assert!(matches!(err, StreamError::FlowOutOfRange { flow: 9, .. }));
     }
 
     #[test]
     fn per_event_path_builds_identical_cells() {
-        // Ungrouped, ratio-1 feed: the bail-out path must produce cells
-        // bit-identical to the sort-based combining path.
-        let a = adm();
-        let batch = vec![
-            (2usize, pkt(1, 80, 310)),
-            (0, pkt(2, 80, 10)),
-            (3, pkt(3, 443, 650)),
-            (1, pkt(4, 80, 20)),
-            (2, pkt(5, 80, 30)),
-        ];
-        let shape = validate_grouped(&batch, &a, a.n_flows).unwrap();
-        assert!(!shape.grouped);
-        assert!(!shape.combining_profitable());
-        let mut per_event = MapGrid::default();
-        accumulate_per_event(&batch, &a, &mut per_event);
-        let mut keys = rank_keys(&batch, &a, a.n_flows);
-        let mut sorted = MapGrid::default();
-        accumulate_grouped(&batch, &mut keys, a.n_flows, a.next_emit, &mut sorted);
-        assert_eq!(per_event.cells.len(), sorted.cells.len());
-        for (k, acc) in &per_event.cells {
-            assert_eq!(acc.summarize(), sorted.cells[k].summarize(), "cell {k:?}");
-        }
-    }
-
-    #[test]
-    fn in_order_matches_sorted_path() {
-        // Grouped input incl. interleaved late events: the in-order walk
-        // and the sort-based walk must build identical cells.
+        // An ungrouped, multi-bin batch with a late event and a repeated
+        // tuple: absorbing the admitted events one at a time in offer
+        // order (the serial builder's way) and the sort-and-merge path
+        // must build identical cells.
         let a = Admission {
             next_emit: 1,
             ..adm()
         };
         let batch = vec![
-            (2usize, pkt(1, 80, 310)),
+            (2usize, pkt(1, 80, 610)), // bin 2
+            (0, pkt(9, 80, 20)),       // late: bin 0 is sealed
+            (3, pkt(3, 443, 650)),
             (2, pkt(1, 80, 315)),
-            (0, pkt(9, 80, 20)), // late (bin 0 sealed)
-            (2, pkt(3, 443, 320)),
-            (3, pkt(4, 80, 350)),
-            (3, pkt(4, 80, 650)), // bin 2
+            (1, pkt(4, 80, 320)),
+            (2, pkt(1, 80, 330)),
+            (2, pkt(5, 80, 340)),
         ];
-        let shape = validate_grouped(&batch, &a, a.n_flows).unwrap();
-        assert_eq!(shape.late, 1);
-        assert!(shape.grouped);
-        let mut in_order = MapGrid::default();
-        accumulate_in_order(&batch, &a, &mut in_order);
-        let mut keys = rank_keys(&batch, &a, a.n_flows);
+        let mut per_event = MapGrid::default();
+        let mut keys = Vec::new();
+        let late = validate_batch(&batch, &a, |idx, flow, bin| {
+            let ev = &batch[idx as usize].1;
+            per_event
+                .cell(bin, flow)
+                .absorb_run(ev.tuple(), ev.weight(), ev.bytes());
+            keys.push((((bin - a.next_emit) * a.n_flows + flow) as u64, idx));
+        })
+        .unwrap();
+        assert_eq!(late, 1);
         let mut sorted = MapGrid::default();
         accumulate_grouped(&batch, &mut keys, a.n_flows, a.next_emit, &mut sorted);
-        assert_eq!(in_order.cells.len(), sorted.cells.len());
-        for (k, acc) in &in_order.cells {
-            let other = &sorted.cells[k];
-            assert_eq!(acc.summarize(), other.summarize(), "cell {k:?}");
+        assert_eq!(per_event.cells.len(), 4);
+        assert_eq!(per_event.cells.len(), sorted.cells.len());
+        for (k, acc) in &per_event.cells {
+            assert_eq!(acc.summarize(), sorted.cells[k].summarize(), "cell {k:?}");
         }
-        // The combined runs really combined: cell (1, 2) saw tuple
-        // (1, 1024, 9, 80) twice.
-        assert_eq!(
-            in_order.cells[&(1, 2)]
-                .histogram(crate::Feature::SrcIp)
-                .count(1),
-            2
-        );
     }
 
     /// A trivially inspectable grid for engine tests.

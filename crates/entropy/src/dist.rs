@@ -53,8 +53,8 @@ pub trait DistributionAccumulator: Clone + Debug + Default + PartialEq + Send + 
 
     /// An empty store configured by `params`, pre-sized to absorb about
     /// `capacity_hint` distinct values without reallocating (0 = allocate
-    /// nothing; the builders feed this from the previous bin's observed
-    /// cardinality).
+    /// nothing; the sharded plane feeds this from the previous bin's
+    /// observed cardinality).
     fn with_params(params: &Self::Params, capacity_hint: usize) -> Self;
 
     /// Records one observation of `value`.

@@ -27,23 +27,24 @@
 //!   dstIP | dstPort order).
 //! * [`VolumeMatrix`] — the `t x p` byte and packet count matrices used by
 //!   the volume-based baseline detector of Lakhina et al. SIGCOMM 2004.
-//! * [`stream`] — the streaming ingest stage: a watermark-driven grid
-//!   builder that keeps accumulators only for open bins and emits
-//!   finalized per-bin rows as event time advances, so live feeds never
-//!   materialize the full grid. Batch offers run the map-side combining
-//!   path: validated events are sort-and-grouped into
-//!   `(bin, flow, flow-key)` runs and absorbed through weighted `add_n`.
-//! * [`shard`] — the sharded ingest plane: flows hash-partitioned across
-//!   per-shard builders behind a watermark coordinator, with scoped-thread
-//!   batch fan-out, emitting bit-identical `FinalizedBin` rows to the
-//!   serial builder at any shard count.
+//! * [`stream`] — the streaming ingest stage's contract: event time,
+//!   watermarks, lateness, and the serial [`StreamingGridBuilder`] that
+//!   keeps accumulators only for open bins and absorbs one event at a
+//!   time. It is the executable specification the production plane and
+//!   the equivalence suites are pinned against.
+//! * [`shard`] — the production ingest plane and the only batch engine:
+//!   flows hash-partitioned across per-shard grids behind a watermark
+//!   coordinator. Every batch is validated atomically, rank-sorted into
+//!   `(bin, flow, flow-key)` runs, and absorbed through weighted `add_n`
+//!   with scoped-thread fan-out, emitting `FinalizedBin` rows
+//!   bit-identical to the serial builder's at any shard count.
 //! * [`DistributionAccumulator`] — the trait the whole accumulation plane
 //!   is generic over, with two tiers: the exact [`FeatureHistogram`]
 //!   (default everywhere; bit-identical to the pre-trait plane) and the
 //!   bounded-memory [`SketchHistogram`] (hash-space level sampling with a
 //!   documented entropy error bound, see [`sketch`]). Deployments pick a
-//!   tier at run time via [`AccumulatorPolicy`], which opens
-//!   [`TierGridBuilder`] / [`TierShardedBuilder`] facades.
+//!   tier at run time via [`AccumulatorPolicy`], which opens a
+//!   [`TierShardedBuilder`] facade.
 //! * [`kernel`] — the runtime-dispatched SIMD variant of the entropy
 //!   finalization's compensated `Σ n·log2 n` reduction
 //!   (tolerance-pinned), sharing backend selection — and the
@@ -74,7 +75,7 @@ pub use metrics::{
     distinct_count, entropy_from_sorted_counts, gini_coefficient, normalized_entropy,
     sample_entropy, simpson_index,
 };
-pub use policy::{AccumulatorPolicy, TierGridBuilder, TierShardedBuilder};
+pub use policy::{AccumulatorPolicy, TierShardedBuilder};
 pub use shard::ShardedGridBuilder;
 pub use sketch::{SketchHistogram, SketchParams, DEFAULT_BUDGET};
 pub use stream::{FinalizedBin, StreamConfig, StreamError, StreamingGridBuilder};

@@ -1,22 +1,23 @@
 //! Run-time tier selection for the ingest accumulation plane.
 //!
-//! The grid builders are compile-time generic over their distribution
-//! store ([`DistributionAccumulator`]); deployments, however, pick a tier
-//! from configuration. [`AccumulatorPolicy`] is that configuration value,
-//! and [`TierGridBuilder`] / [`TierShardedBuilder`] are the enum facades
-//! that erase the type parameter: each variant holds one monomorphized
-//! builder, so the exact tier keeps executing exactly the pre-trait code
-//! while callers (the monitor, the bench harness, operator tooling)
-//! switch tiers with a value instead of a type.
+//! The sharded plane is compile-time generic over its distribution store
+//! ([`DistributionAccumulator`](crate::DistributionAccumulator));
+//! deployments, however, pick a tier from configuration.
+//! [`AccumulatorPolicy`] is that configuration value, and
+//! [`TierShardedBuilder`] is the enum facade that erases the type
+//! parameter: each variant holds one monomorphized
+//! [`ShardedGridBuilder`], so the exact tier keeps executing exactly the
+//! pre-trait code while callers (the monitor, the bench harness, operator
+//! tooling) switch tiers with a value instead of a type.
 //!
 //! ```
 //! use entromine_entropy::{AccumulatorPolicy, StreamConfig};
 //! use entromine_net::{Ipv4, PacketHeader};
 //!
 //! let policy = AccumulatorPolicy::Sketched { budget: 1024 };
-//! let mut plane = policy.streaming(StreamConfig::new(2)).unwrap();
+//! let mut plane = policy.sharded(StreamConfig::new(2), 2).unwrap();
 //! plane
-//!     .offer_packet(0, &PacketHeader::tcp(Ipv4(1), 10, Ipv4(2), 80, 100, 12))
+//!     .offer_packets(&[(0, PacketHeader::tcp(Ipv4(1), 10, Ipv4(2), 80, 100, 12))])
 //!     .unwrap();
 //! let sealed = plane.advance_watermark(300);
 //! assert_eq!(sealed[0].summaries[0].packets, 1);
@@ -24,7 +25,7 @@
 
 use crate::shard::ShardedGridBuilder;
 use crate::sketch::{SketchHistogram, SketchParams, DEFAULT_BUDGET};
-use crate::stream::{FinalizedBin, StreamConfig, StreamError, StreamingGridBuilder};
+use crate::stream::{FinalizedBin, StreamConfig, StreamError};
 use entromine_net::flow::FlowRecord;
 use entromine_net::packet::PacketHeader;
 
@@ -58,16 +59,6 @@ impl AccumulatorPolicy {
         }
     }
 
-    /// Opens a serial streaming plane of this tier.
-    pub fn streaming(self, config: StreamConfig) -> Result<TierGridBuilder, StreamError> {
-        Ok(match self {
-            AccumulatorPolicy::Exact => TierGridBuilder::Exact(StreamingGridBuilder::new(config)?),
-            AccumulatorPolicy::Sketched { budget } => TierGridBuilder::Sketched(
-                StreamingGridBuilder::with_params(config, SketchParams { budget })?,
-            ),
-        })
-    }
-
     /// Opens a sharded ingest plane of this tier.
     pub fn sharded(
         self,
@@ -85,7 +76,7 @@ impl AccumulatorPolicy {
     }
 }
 
-/// Forwards the builder surface shared by both tiers of a facade enum.
+/// Forwards a call to whichever tier's builder the facade holds.
 macro_rules! delegate {
     ($self:ident, $b:ident => $e:expr) => {
         match $self {
@@ -93,17 +84,6 @@ macro_rules! delegate {
             Self::Sketched($b) => $e,
         }
     };
-}
-
-/// A serial streaming plane whose tier was chosen at run time by an
-/// [`AccumulatorPolicy`]. Every method forwards to the underlying
-/// [`StreamingGridBuilder`] monomorphization.
-#[derive(Debug, Clone)]
-pub enum TierGridBuilder {
-    /// The exact tier.
-    Exact(StreamingGridBuilder),
-    /// The bounded-memory sketched tier.
-    Sketched(StreamingGridBuilder<SketchHistogram>),
 }
 
 /// A sharded ingest plane whose tier was chosen at run time by an
@@ -117,95 +97,57 @@ pub enum TierShardedBuilder {
     Sketched(ShardedGridBuilder<SketchHistogram>),
 }
 
-macro_rules! tier_common_methods {
-    () => {
-        /// The policy this plane was opened with.
-        pub fn policy(&self) -> AccumulatorPolicy {
-            match self {
-                Self::Exact(_) => AccumulatorPolicy::Exact,
-                Self::Sketched(b) => AccumulatorPolicy::Sketched {
-                    budget: b.params().budget,
-                },
-            }
-        }
-
-        /// Offers one packet; see the underlying builder's `offer_packet`.
-        pub fn offer_packet(&mut self, flow: usize, pkt: &PacketHeader) -> Result<(), StreamError> {
-            delegate!(self, b => b.offer_packet(flow, pkt))
-        }
-
-        /// Offers one aggregated flow record.
-        pub fn offer_flow(&mut self, flow: usize, rec: &FlowRecord) -> Result<(), StreamError> {
-            delegate!(self, b => b.offer_flow(flow, rec))
-        }
-
-        /// Offers a packet batch through the combining path.
-        pub fn offer_packets(
-            &mut self,
-            batch: &[(usize, PacketHeader)],
-        ) -> Result<(), StreamError> {
-            delegate!(self, b => b.offer_packets(batch))
-        }
-
-        /// Offers a flow-record batch through the combining path.
-        pub fn offer_flows(&mut self, batch: &[(usize, FlowRecord)]) -> Result<(), StreamError> {
-            delegate!(self, b => b.offer_flows(batch))
-        }
-
-        /// Advances the event-time watermark, returning newly sealed bins.
-        pub fn advance_watermark(&mut self, event_time: u64) -> Vec<FinalizedBin> {
-            delegate!(self, b => b.advance_watermark(event_time))
-        }
-
-        /// Seals and returns everything still open — end-of-stream flush.
-        pub fn finish(self) -> Vec<FinalizedBin> {
-            delegate!(self, b => b.finish())
-        }
-
-        /// Current event-time watermark, seconds.
-        pub fn watermark(&self) -> u64 {
-            delegate!(self, b => b.watermark())
-        }
-
-        /// Number of bins currently open.
-        pub fn open_bins(&self) -> usize {
-            delegate!(self, b => b.open_bins())
-        }
-
-        /// Events dropped because their bin had sealed.
-        pub fn late_events(&self) -> u64 {
-            delegate!(self, b => b.late_events())
-        }
-
-        /// Offers refused for lying beyond the far-future horizon (a
-        /// refused batch counts once).
-        pub fn rejected_events(&self) -> u64 {
-            delegate!(self, b => b.rejected_events())
-        }
-
-        /// Bins finalized so far.
-        pub fn finalized_bins(&self) -> u64 {
-            delegate!(self, b => b.finalized_bins())
-        }
-
-        /// The next bin index to emit.
-        pub fn next_bin(&self) -> usize {
-            delegate!(self, b => b.next_bin())
-        }
-
-        /// Bytes of heap currently owned by the open cells' stores.
-        pub fn accumulator_heap_bytes(&self) -> usize {
-            delegate!(self, b => b.accumulator_heap_bytes())
-        }
-    };
-}
-
-impl TierGridBuilder {
-    tier_common_methods!();
-}
-
 impl TierShardedBuilder {
-    tier_common_methods!();
+    /// The policy this plane was opened with.
+    pub fn policy(&self) -> AccumulatorPolicy {
+        match self {
+            Self::Exact(_) => AccumulatorPolicy::Exact,
+            Self::Sketched(b) => AccumulatorPolicy::Sketched {
+                budget: b.params().budget,
+            },
+        }
+    }
+
+    /// Offers a packet batch through the combining path.
+    pub fn offer_packets(&mut self, batch: &[(usize, PacketHeader)]) -> Result<(), StreamError> {
+        delegate!(self, b => b.offer_packets(batch))
+    }
+
+    /// Offers a flow-record batch through the combining path.
+    pub fn offer_flows(&mut self, batch: &[(usize, FlowRecord)]) -> Result<(), StreamError> {
+        delegate!(self, b => b.offer_flows(batch))
+    }
+
+    /// Advances the event-time watermark, returning newly sealed bins.
+    pub fn advance_watermark(&mut self, event_time: u64) -> Vec<FinalizedBin> {
+        delegate!(self, b => b.advance_watermark(event_time))
+    }
+
+    /// Seals and returns everything still open — end-of-stream flush.
+    pub fn finish(self) -> Vec<FinalizedBin> {
+        delegate!(self, b => b.finish())
+    }
+
+    /// Number of bins currently open.
+    pub fn open_bins(&self) -> usize {
+        delegate!(self, b => b.open_bins())
+    }
+
+    /// Events dropped because their bin had sealed.
+    pub fn late_events(&self) -> u64 {
+        delegate!(self, b => b.late_events())
+    }
+
+    /// Offers refused for lying beyond the far-future horizon (a refused
+    /// batch counts once).
+    pub fn rejected_events(&self) -> u64 {
+        delegate!(self, b => b.rejected_events())
+    }
+
+    /// Bytes of heap currently owned by the open cells' stores.
+    pub fn accumulator_heap_bytes(&self) -> usize {
+        delegate!(self, b => b.accumulator_heap_bytes())
+    }
 
     /// Number of shards the flow space is partitioned into.
     pub fn shards(&self) -> usize {
@@ -236,7 +178,7 @@ mod tests {
     #[test]
     fn facade_round_trips_policy() {
         let cfg = StreamConfig::new(3);
-        let exact = AccumulatorPolicy::Exact.streaming(cfg.clone()).unwrap();
+        let exact = AccumulatorPolicy::Exact.sharded(cfg.clone(), 1).unwrap();
         assert_eq!(exact.policy(), AccumulatorPolicy::Exact);
         let sk = AccumulatorPolicy::Sketched { budget: 9 }
             .sharded(cfg, 2)
@@ -252,22 +194,16 @@ mod tests {
         let batch: Vec<(usize, PacketHeader)> = (0..60)
             .map(|i| (i % 2, pkt(i as u32 % 7, 80, (i as u64 * 11) % 600)))
             .collect();
-        let mut bins = Vec::new();
-        for policy in [
-            AccumulatorPolicy::Exact,
-            AccumulatorPolicy::Sketched { budget: 64 },
-        ] {
-            let mut plane = policy.streaming(StreamConfig::new(2)).unwrap();
-            plane.offer_packets(&batch).unwrap();
-            bins.push(plane.finish());
-        }
+        let bins: Vec<Vec<FinalizedBin>> = BOTH_TIERS
+            .iter()
+            .map(|policy| {
+                let mut plane = policy.sharded(StreamConfig::new(2), 2).unwrap();
+                plane.offer_packets(&batch).unwrap();
+                plane.finish()
+            })
+            .collect();
+        assert!(!bins[0].is_empty());
         assert_eq!(bins[0], bins[1]);
-
-        let mut sharded = AccumulatorPolicy::Sketched { budget: 64 }
-            .sharded(StreamConfig::new(2), 2)
-            .unwrap();
-        sharded.offer_packets(&batch).unwrap();
-        assert_eq!(sharded.finish(), bins[0]);
     }
 
     /// A 4-bin horizon and a batch whose second packet lies far beyond
@@ -283,20 +219,6 @@ mod tests {
         AccumulatorPolicy::Exact,
         AccumulatorPolicy::Sketched { budget: 64 },
     ];
-
-    #[test]
-    fn serial_facade_forwards_far_future_refusals() {
-        let (cfg, batch) = beyond_horizon_fixture();
-        for policy in BOTH_TIERS {
-            let mut plane = policy.streaming(cfg.clone()).unwrap();
-            assert!(matches!(
-                plane.offer_packets(&batch),
-                Err(StreamError::BeyondHorizon { .. })
-            ));
-            assert_eq!(plane.rejected_events(), 1, "{policy:?}");
-            assert_eq!(plane.late_events(), 0);
-        }
-    }
 
     #[test]
     fn sharded_facade_forwards_far_future_refusals() {
@@ -315,7 +237,7 @@ mod tests {
     #[test]
     fn sketched_facade_reports_bounded_heap() {
         let mut plane = AccumulatorPolicy::Sketched { budget: 16 }
-            .streaming(StreamConfig::new(1))
+            .sharded(StreamConfig::new(1), 1)
             .unwrap();
         let batch: Vec<(usize, PacketHeader)> =
             (0..30_000u32).map(|i| (0, pkt(i, 80, 10))).collect();

@@ -52,18 +52,17 @@
 //!
 //! # Batch error semantics
 //!
-//! The serial builder reports a bad event (unknown flow, corrupt
-//! far-future timestamp) at the *offer* that carries it, with every prior
-//! event already absorbed. A batch is validated **atomically** instead:
-//! if any event is invalid the whole batch is rejected before any shard
+//! A batch is validated **atomically**, exactly like the serial builder's
+//! batch offers: if any event is invalid (unknown flow, corrupt
+//! far-future timestamp) the whole batch is rejected before any shard
 //! touches an accumulator. Late events are not errors in either plane —
 //! they are dropped and counted, never silently.
 
 use crate::accum::{BinAccumulator, BinSummary};
-use crate::combine::{self, CellGrid};
+use crate::combine;
 use crate::dist::DistributionAccumulator;
 use crate::hist::FeatureHistogram;
-use crate::stream::{hinted_capacities, FinalizedBin, StreamConfig, StreamError};
+use crate::stream::{FinalizedBin, StreamConfig, StreamError};
 use entromine_linalg::par;
 use entromine_net::flow::FlowRecord;
 use entromine_net::packet::PacketHeader;
@@ -118,7 +117,7 @@ impl<D: DistributionAccumulator> combine::CellGrid<D> for Shard<D> {
         &mut self.open.entry(bin).or_insert_with(|| {
             hints
                 .iter()
-                .map(|h| BinAccumulator::with_size_hints_in(hinted_capacities(h), params))
+                .map(|h| BinAccumulator::with_size_hints_in(h.map(|d| d as usize), params))
                 .collect()
         })[local]
     }
@@ -175,8 +174,7 @@ pub struct ShardedGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
     shards: Vec<Shard<D>>,
     watermark: u64,
     next_emit: usize,
-    /// Late events dropped (counted by the coordinator on both the
-    /// single-event and the batch path).
+    /// Late events dropped (counted by the coordinator's validation pass).
     late_events: u64,
     /// Offers refused by the far-future horizon bound, mirroring the
     /// serial builder's counter (a refused batch counts once).
@@ -214,17 +212,7 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         shards: usize,
         params: D::Params,
     ) -> Result<Self, StreamError> {
-        if config.n_flows == 0 {
-            return Err(StreamError::BadConfig("grid needs at least one flow"));
-        }
-        if config.bin_secs == 0 {
-            return Err(StreamError::BadConfig("bins must span at least 1 second"));
-        }
-        if config.horizon_bins == 0 {
-            return Err(StreamError::BadConfig(
-                "sanity horizon must allow at least 1 bin",
-            ));
-        }
+        config.validate()?;
         if shards == 0 {
             return Err(StreamError::BadConfig(
                 "ingest plane needs at least 1 shard",
@@ -264,13 +252,6 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
             finalized_bins: 0,
             scratch,
         })
-    }
-
-    /// Skips ahead so emission starts at `bin`, like the serial builder's
-    /// [`starting_at`](crate::StreamingGridBuilder::starting_at).
-    pub fn starting_at(mut self, bin: usize) -> Self {
-        self.next_emit = self.next_emit.max(bin);
-        self
     }
 
     /// The configuration.
@@ -334,50 +315,6 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         self.next_emit
     }
 
-    /// Validates one event, returning its bin; `None` means late.
-    fn admit(&mut self, flow: usize, timestamp: u64) -> Result<Option<usize>, StreamError> {
-        let n_flows = self.config.n_flows;
-        if flow >= n_flows {
-            return Err(StreamError::FlowOutOfRange { flow, n_flows });
-        }
-        let bin = (timestamp / self.config.bin_secs) as usize;
-        if bin < self.next_emit {
-            return Ok(None);
-        }
-        let horizon_end = self.next_emit.saturating_add(self.config.horizon_bins);
-        if bin >= horizon_end {
-            self.rejected_events += 1;
-            return Err(StreamError::BeyondHorizon { bin, horizon_end });
-        }
-        Ok(Some(bin))
-    }
-
-    /// Offers one packet (the serial convenience path; hot feeds should
-    /// use [`offer_packets`](Self::offer_packets)).
-    pub fn offer_packet(&mut self, flow: usize, pkt: &PacketHeader) -> Result<(), StreamError> {
-        match self.admit(flow, pkt.timestamp)? {
-            None => self.late_events += 1,
-            Some(bin) => {
-                let (s, l) = (self.shard_ix[flow] as usize, self.local_ix[flow] as usize);
-                self.shards[s].cell(bin, l).add_packet(pkt);
-            }
-        }
-        Ok(())
-    }
-
-    /// Offers one aggregated flow record, binned by its first-packet
-    /// timestamp like the serial builder.
-    pub fn offer_flow(&mut self, flow: usize, rec: &FlowRecord) -> Result<(), StreamError> {
-        match self.admit(flow, rec.first)? {
-            None => self.late_events += 1,
-            Some(bin) => {
-                let (s, l) = (self.shard_ix[flow] as usize, self.local_ix[flow] as usize);
-                self.shards[s].cell(bin, l).add_flow(rec);
-            }
-        }
-        Ok(())
-    }
-
     /// Offers a batch of packets through the map-side combining path,
     /// fanning accumulation out across the shards. The batch is validated
     /// atomically: on error, nothing has been absorbed. Late events are
@@ -405,12 +342,7 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         // count late events, and assign each survivor its cell rank in
         // its owning shard — each worker then touches only its own events
         // instead of rescanning the whole batch.
-        let adm = combine::Admission {
-            n_flows: self.config.n_flows,
-            bin_secs: self.config.bin_secs,
-            next_emit: self.next_emit,
-            horizon_bins: self.config.horizon_bins,
-        };
+        let adm = self.config.admission(self.next_emit);
         let next_emit = self.next_emit;
         let widths: Vec<usize> = self.shards.iter().map(|s| s.flows.len()).collect();
         // The per-shard sort-key buffers persist on the builder: clearing
@@ -607,6 +539,7 @@ mod tests {
         let mut cfg = StreamConfig::new(3);
         cfg.bin_secs = 0;
         assert!(ShardedGridBuilder::new(cfg, 2).is_err());
+        assert!(ShardedGridBuilder::new(StreamConfig::new(3).with_horizon(0), 2).is_err());
     }
 
     #[test]
@@ -665,18 +598,12 @@ mod tests {
             Err(StreamError::BeyondHorizon { .. })
         ));
         assert_eq!(b.rejected_events(), 1);
-        assert!(b.offer_packet(0, &pkt(2, 80, u64::MAX)).is_err());
+        // A valid event ahead of the corrupt one is not absorbed either,
+        // and the refused batch still counts once.
+        assert!(b
+            .offer_packets(&[(0, pkt(2, 80, 10)), (0, pkt(3, 80, u64::MAX))])
+            .is_err());
         assert_eq!(b.rejected_events(), 2);
-    }
-
-    #[test]
-    fn single_event_offers_match_serial_semantics() {
-        let mut b = ShardedGridBuilder::new(StreamConfig::new(2), 2).unwrap();
-        assert!(b.offer_packet(3, &pkt(1, 80, 0)).is_err());
-        b.offer_packet(0, &pkt(1, 80, 10)).unwrap();
-        let sealed = b.advance_watermark(300);
-        assert_eq!(sealed.len(), 1);
-        b.offer_packet(0, &pkt(2, 80, 20)).unwrap(); // late now
-        assert_eq!(b.late_events(), 1);
+        assert!(b.finish().is_empty());
     }
 }

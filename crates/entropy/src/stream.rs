@@ -37,14 +37,16 @@
 //!
 //! # Per-event vs batch offers
 //!
-//! [`offer_packet`]/[`offer_flow`] absorb one event at a time — the
-//! simple, obviously correct path the equivalence suites treat as the
-//! executable specification. [`offer_packets`]/[`offer_flows`] take a
-//! whole batch through the map-side combining path (validate →
-//! sort-and-group by cell → merge equal flow tuples → weighted `add_n`),
-//! which is the hot production path; its output is bit-identical to the
-//! per-event path because entropy finalization is a pure function of each
-//! histogram's count multiset.
+//! This builder is the executable specification the production plane
+//! ([`ShardedGridBuilder`](crate::ShardedGridBuilder)) and the
+//! equivalence suites are pinned against, so it stays one event at a
+//! time. [`offer_packet`]/[`offer_flow`] absorb a single event.
+//! [`offer_packets`]/[`offer_flows`] validate a whole batch atomically,
+//! then absorb its events in offer order through the same cell path —
+//! no sorting, no run merging, no pre-sizing. Map-side combining lives
+//! only on the sharded plane; its output is bit-identical to this one
+//! because entropy finalization is a pure function of each histogram's
+//! count multiset.
 //!
 //! [`advance_watermark`]: StreamingGridBuilder::advance_watermark
 //! [`late_events`]: StreamingGridBuilder::late_events
@@ -61,37 +63,6 @@ use entromine_net::flow::FlowRecord;
 use entromine_net::packet::PacketHeader;
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Converts a per-feature distinct-count hint into the capacity request
-/// for a fresh accumulator. The request is the last observed cardinality
-/// itself: the table sizes to double that, which both absorbs ordinary
-/// bin-over-bin drift without growth and keeps the slot array small
-/// enough that the per-cell working set stays cache-resident.
-pub(crate) fn hinted_capacities(hint: &[u32; 4]) -> [usize; 4] {
-    hint.map(|h| h as usize)
-}
-
-/// The serial builder's open-bin map viewed as a [`combine::CellGrid`]:
-/// fresh rows are pre-sized from the per-flow hints and built with the
-/// builder's store parameters.
-struct SerialGrid<'a, D: DistributionAccumulator> {
-    open: &'a mut BTreeMap<usize, Vec<BinAccumulator<D>>>,
-    hints: &'a [[u32; 4]],
-    params: &'a D::Params,
-}
-
-impl<D: DistributionAccumulator> combine::CellGrid<D> for SerialGrid<'_, D> {
-    fn cell(&mut self, bin: usize, slot: usize) -> &mut BinAccumulator<D> {
-        let hints = self.hints;
-        let params = self.params;
-        &mut self.open.entry(bin).or_insert_with(|| {
-            hints
-                .iter()
-                .map(|h| BinAccumulator::with_size_hints_in(hinted_capacities(h), params))
-                .collect()
-        })[slot]
-    }
-}
 
 /// Configuration of the streaming ingest stage.
 #[derive(Debug, Clone)]
@@ -138,6 +109,34 @@ impl StreamConfig {
         self.horizon_bins = bins;
         self
     }
+
+    /// The [`StreamError::BadConfig`] checks every grid builder runs
+    /// before opening.
+    pub(crate) fn validate(&self) -> Result<(), StreamError> {
+        if self.n_flows == 0 {
+            return Err(StreamError::BadConfig("grid needs at least one flow"));
+        }
+        if self.bin_secs == 0 {
+            return Err(StreamError::BadConfig("bins must span at least 1 second"));
+        }
+        if self.horizon_bins == 0 {
+            return Err(StreamError::BadConfig(
+                "sanity horizon must allow at least 1 bin",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The admission rules for a builder whose next unemitted bin is
+    /// `next_emit`.
+    pub(crate) fn admission(&self, next_emit: usize) -> combine::Admission {
+        combine::Admission {
+            n_flows: self.n_flows,
+            bin_secs: self.bin_secs,
+            next_emit,
+            horizon_bins: self.horizon_bins,
+        }
+    }
 }
 
 /// Errors from the streaming ingest stage.
@@ -158,7 +157,8 @@ pub enum StreamError {
         /// The first bin the builder considers implausible.
         horizon_end: usize,
     },
-    /// The configuration is unusable (zero flows or zero-length bins).
+    /// The configuration is unusable (zero flows, zero-length bins, or a
+    /// zero-bin horizon).
     BadConfig(&'static str),
 }
 
@@ -280,10 +280,6 @@ pub struct StreamingGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
     rejected_events: u64,
     /// Bins emitted so far.
     finalized_bins: u64,
-    /// Per-flow, per-feature distinct counts observed in the last
-    /// finalized bin with traffic — the sizing hints the batch path uses
-    /// to pre-size fresh accumulators and skip mid-bin rehashing.
-    size_hints: Vec<[u32; 4]>,
 }
 
 impl StreamingGridBuilder {
@@ -293,8 +289,7 @@ impl StreamingGridBuilder {
     /// parameter does not apply in expression position), so every
     /// pre-trait call site — `StreamingGridBuilder::new(cfg)` — keeps
     /// compiling and monomorphizing to exactly the code it always did.
-    /// Other tiers construct via [`with_params`](Self::with_params) or
-    /// the [`AccumulatorPolicy`](crate::AccumulatorPolicy) facade.
+    /// Other tiers construct via [`with_params`](Self::with_params).
     pub fn new(config: StreamConfig) -> Result<Self, StreamError> {
         Self::with_params(config, ())
     }
@@ -306,18 +301,7 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
     ///
     /// [`new`]: StreamingGridBuilder::new
     pub fn with_params(config: StreamConfig, params: D::Params) -> Result<Self, StreamError> {
-        if config.n_flows == 0 {
-            return Err(StreamError::BadConfig("grid needs at least one flow"));
-        }
-        if config.bin_secs == 0 {
-            return Err(StreamError::BadConfig("bins must span at least 1 second"));
-        }
-        if config.horizon_bins == 0 {
-            return Err(StreamError::BadConfig(
-                "sanity horizon must allow at least 1 bin",
-            ));
-        }
-        let size_hints = vec![[0u32; 4]; config.n_flows];
+        config.validate()?;
         Ok(StreamingGridBuilder {
             config,
             params,
@@ -327,7 +311,6 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
             late_events: 0,
             rejected_events: 0,
             finalized_bins: 0,
-            size_hints,
         })
     }
 
@@ -407,72 +390,40 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         Ok(())
     }
 
-    /// Offers a batch of packets through the map-side combining path.
+    /// Offers a batch of packets, all or nothing.
     ///
-    /// The batch is validated **atomically** (any invalid event rejects
-    /// the whole batch before anything is absorbed; late events are
-    /// dropped and counted), then pre-aggregated into `(bin, flow,
-    /// flow-key)`-grouped weighted runs so each cell's histograms see
-    /// four `add_n` probes per distinct flow per bin instead of four per
-    /// packet. The emitted [`FinalizedBin`] rows are bit-identical to
-    /// offering every packet through [`offer_packet`](Self::offer_packet).
+    /// The batch is validated **atomically**: any invalid event rejects
+    /// the whole batch before anything is absorbed (a far-future refusal
+    /// counts once in [`rejected_events`](Self::rejected_events)), and
+    /// late events are dropped and counted. The admitted packets are then
+    /// absorbed one by one, in offer order, into the same cells
+    /// [`offer_packet`](Self::offer_packet) would fill.
     pub fn offer_packets(&mut self, batch: &[(usize, PacketHeader)]) -> Result<(), StreamError> {
         self.offer_batch(batch)
     }
 
     /// Offers a batch of aggregated flow records (binned by first-packet
-    /// timestamp) through the same combining path as
-    /// [`offer_packets`](Self::offer_packets) — the NetFlow-shaped front
-    /// door: records arriving pre-aggregated keep their weights and merge
-    /// further whenever they share a bin, flow, and feature tuple.
+    /// timestamp) with the same atomic validation and in-order absorption
+    /// as [`offer_packets`](Self::offer_packets).
     pub fn offer_flows(&mut self, batch: &[(usize, FlowRecord)]) -> Result<(), StreamError> {
         self.offer_batch(batch)
     }
 
-    /// Shared combining batch path; see the [`combine`] module for the
-    /// validate → sort-and-group → run-merge pipeline.
+    /// Shared batch path: validate everything, then absorb per event.
     fn offer_batch<E: combine::IngestEvent>(
         &mut self,
         batch: &[(usize, E)],
     ) -> Result<(), StreamError> {
-        let adm = combine::Admission {
-            n_flows: self.config.n_flows,
-            bin_secs: self.config.bin_secs,
-            next_emit: self.next_emit,
-            horizon_bins: self.config.horizon_bins,
-        };
-        let stride = self.config.n_flows;
-        let next_emit = self.next_emit;
-        let shape = match combine::validate_grouped(batch, &adm, stride) {
-            Ok(shape) => shape,
-            Err(e) => {
-                if matches!(e, StreamError::BeyondHorizon { .. }) {
-                    self.rejected_events += 1;
-                }
-                return Err(e);
-            }
-        };
+        let adm = self.config.admission(self.next_emit);
+        let mut admitted = Vec::with_capacity(batch.len());
+        let late = combine::validate_batch(batch, &adm, |idx, _, bin| admitted.push((idx, bin)))
+            .map_err(|e| self.refuse(e))?;
         // The batch validated end to end: only now does any state change.
-        self.late_events += shape.late;
-        let mut grid = SerialGrid {
-            open: &mut self.open,
-            hints: &self.size_hints,
-            params: &self.params,
-        };
-        if !shape.combining_profitable() {
-            // Too few packets per distinct run for the merge machinery
-            // (or a sort) to pay for itself: absorb events one by one in
-            // offer order — entropy finalization is order-independent,
-            // so this is never slower than per-packet offers and still
-            // bit-identical.
-            combine::accumulate_per_event(batch, &adm, &mut grid);
-        } else if shape.grouped {
-            // The common shape — per-bin batches, flow-major replay,
-            // NetFlow exports — needs no index array and no sort.
-            combine::accumulate_in_order(batch, &adm, &mut grid);
-        } else {
-            let mut keys = combine::rank_keys(batch, &adm, stride);
-            combine::accumulate_grouped(batch, &mut keys, stride, next_emit, &mut grid);
+        self.late_events += late;
+        for (idx, bin) in admitted {
+            let (flow, ref ev) = batch[idx as usize];
+            self.cell(bin, flow)
+                .absorb_run(ev.tuple(), ev.weight(), ev.bytes());
         }
         Ok(())
     }
@@ -484,26 +435,33 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         flow: usize,
         timestamp: u64,
     ) -> Result<Option<&mut BinAccumulator<D>>, StreamError> {
-        let n_flows = self.config.n_flows;
-        if flow >= n_flows {
-            return Err(StreamError::FlowOutOfRange { flow, n_flows });
+        match self.config.admission(self.next_emit).admit(flow, timestamp) {
+            Err(e) => Err(self.refuse(e)),
+            Ok(None) => {
+                self.late_events += 1;
+                Ok(None)
+            }
+            Ok(Some(bin)) => Ok(Some(self.cell(bin, flow))),
         }
-        let bin = (timestamp / self.config.bin_secs) as usize;
-        if bin < self.next_emit {
-            self.late_events += 1;
-            return Ok(None);
-        }
-        let horizon_end = self.next_emit.saturating_add(self.config.horizon_bins);
-        if bin >= horizon_end {
-            self.rejected_events += 1;
-            return Err(StreamError::BeyondHorizon { bin, horizon_end });
-        }
-        let params = &self.params;
-        let row = self
+    }
+
+    /// Borrows (opening the bin if necessary) the accumulator of an
+    /// admitted `(bin, flow)` cell.
+    fn cell(&mut self, bin: usize, flow: usize) -> &mut BinAccumulator<D> {
+        let (n_flows, params) = (self.config.n_flows, &self.params);
+        &mut self
             .open
             .entry(bin)
-            .or_insert_with(|| vec![BinAccumulator::from_params(params); n_flows]);
-        Ok(Some(&mut row[flow]))
+            .or_insert_with(|| vec![BinAccumulator::from_params(params); n_flows])[flow]
+    }
+
+    /// Counts a far-future refusal (once per refused offer) and passes
+    /// the error through.
+    fn refuse(&mut self, e: StreamError) -> StreamError {
+        if matches!(e, StreamError::BeyondHorizon { .. }) {
+            self.rejected_events += 1;
+        }
+        e
     }
 
     /// Bytes of heap currently owned by the distribution stores of every
@@ -551,20 +509,7 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         while self.next_emit < upto {
             let bin = self.next_emit;
             let summaries = match self.open.remove(&bin) {
-                Some(row) => {
-                    // Feed the observed cardinalities back as sizing
-                    // hints for the next bin this flow opens. Flows (and
-                    // whole gap bins) that saw no traffic keep their
-                    // previous hints — a flow's cardinality profile
-                    // outlives a quiet bin.
-                    for (hint, acc) in self.size_hints.iter_mut().zip(&row) {
-                        if acc.packets() > 0 {
-                            let d = acc.size_hints();
-                            *hint = [d[0] as u32, d[1] as u32, d[2] as u32, d[3] as u32];
-                        }
-                    }
-                    row.iter().map(BinAccumulator::summarize).collect()
-                }
+                Some(row) => row.iter().map(BinAccumulator::summarize).collect(),
                 None => vec![BinSummary::default(); self.config.n_flows],
             };
             out.push(FinalizedBin { bin, summaries });
@@ -595,6 +540,7 @@ mod tests {
         let mut cfg = StreamConfig::new(3);
         cfg.bin_secs = 0;
         assert!(StreamingGridBuilder::new(cfg).is_err());
+        assert!(StreamingGridBuilder::new(StreamConfig::new(3).with_horizon(0)).is_err());
     }
 
     #[test]
@@ -757,10 +703,9 @@ mod tests {
 
     #[test]
     fn batch_offers_match_per_packet_offers_exactly() {
-        // The combining batch path must be invisible in the output: same
-        // traffic via offer_packets (in shuffled order, so combining and
-        // sorting really happen) finalizes bit-identically to per-packet
-        // offers.
+        // The batch path must be invisible in the output: the same
+        // traffic via offer_packets (reversed, in chunks straddling bins)
+        // finalizes bit-identically to per-packet offers.
         let packets: Vec<(usize, PacketHeader)> = (0..600)
             .map(|i| {
                 (

@@ -13,12 +13,11 @@
 //! records, and the end-of-stream flush; the proptest sweeps random
 //! traffic shapes across shard counts 1/2/7/16.
 //!
-//! The `combining_*` tests pin the map-side combining batch path
-//! specifically (these are what CI's `combining-equivalence` step runs):
-//! batches — including shuffled ones, flow-record ones, and batches
-//! straddling bins — must finalize bit-identically to per-packet offers
-//! on the serial builder and on every shard count, late events and gap
-//! bins included.
+//! The `combining_*` tests pin the map-side combining batch path — the
+//! sharded plane's only batch engine — specifically: batches, including
+//! shuffled ones, flow-record ones, and batches straddling bins, must
+//! finalize bit-identically to per-packet serial offers at every shard
+//! count, late events and gap bins included.
 
 use entromine_entropy::shard::ShardedGridBuilder;
 use entromine_entropy::stream::{StreamConfig, StreamingGridBuilder};
@@ -103,12 +102,14 @@ fn run_serial(
 }
 
 /// Drives the sharded builder with the same slicing, offering each slice
-/// as one batch.
+/// as one batch — optionally shuffled deterministically first, since
+/// combining must be order-blind.
 fn run_sharded(
     config: &StreamConfig,
     shards: usize,
     events: &[(usize, PacketHeader)],
     watermarks: &[u64],
+    shuffle_seed: Option<u64>,
 ) -> (Vec<entromine_entropy::FinalizedBin>, u64) {
     let mut b = ShardedGridBuilder::new(config.clone(), shards).expect("sharded builder");
     let mut out = Vec::new();
@@ -122,7 +123,15 @@ fn run_sharded(
         .min(remaining.len());
         let (now, rest) = remaining.split_at(take);
         remaining = rest;
-        b.offer_packets(now).expect("offer batch");
+        let mut batch: Vec<(usize, PacketHeader)> = now.to_vec();
+        if let Some(seed) = shuffle_seed {
+            let mut rng = StdRng::seed_from_u64(seed ^ i as u64);
+            for i in (1..batch.len()).rev() {
+                let j = rng.random_range(0..=i);
+                batch.swap(i, j);
+            }
+        }
+        b.offer_packets(&batch).expect("offer batch");
         out.extend(b.advance_watermark(wm));
     }
     let late = b.late_events();
@@ -163,7 +172,7 @@ fn sharded_matches_serial_with_gaps_and_stragglers() {
     );
     assert!(serial_late > 0, "fixture must exercise late events");
     for shards in SHARD_COUNTS {
-        let (sharded, late) = run_sharded(&config, shards, &events, &watermarks);
+        let (sharded, late) = run_sharded(&config, shards, &events, &watermarks, None);
         assert_bit_identical(&serial, &sharded, &format!("{shards} shards"));
         assert_eq!(late, serial_late, "{shards} shards: late-event accounting");
     }
@@ -177,7 +186,7 @@ fn sharded_matches_serial_under_lateness_slack() {
     let watermarks: Vec<u64> = (1..=9).map(|b| b * 300 + 60).collect();
     let (serial, serial_late) = run_serial(&config, &events, &watermarks);
     for shards in SHARD_COUNTS {
-        let (sharded, late) = run_sharded(&config, shards, &events, &watermarks);
+        let (sharded, late) = run_sharded(&config, shards, &events, &watermarks, None);
         assert_bit_identical(&serial, &sharded, &format!("{shards} shards (slack)"));
         assert_eq!(late, serial_late);
     }
@@ -236,57 +245,23 @@ fn flow_record_batches_match_serial_packet_feed() {
     }
 }
 
-/// Drives the serial builder through the combining batch path with the
-/// same slicing as [`run_serial`], optionally shuffling each batch
-/// deterministically first (combining must be order-blind).
-fn run_serial_batched(
-    config: &StreamConfig,
-    events: &[(usize, PacketHeader)],
-    watermarks: &[u64],
-    shuffle_seed: Option<u64>,
-) -> (Vec<entromine_entropy::FinalizedBin>, u64) {
-    let mut b = StreamingGridBuilder::new(config.clone()).expect("serial builder");
-    let mut out = Vec::new();
-    let mut remaining = events;
-    for (i, &wm) in watermarks.iter().enumerate() {
-        let take = if i + 1 == watermarks.len() {
-            remaining.len()
-        } else {
-            events.len() / watermarks.len()
-        }
-        .min(remaining.len());
-        let (now, rest) = remaining.split_at(take);
-        remaining = rest;
-        let mut batch: Vec<(usize, PacketHeader)> = now.to_vec();
-        if let Some(seed) = shuffle_seed {
-            let mut rng = StdRng::seed_from_u64(seed ^ i as u64);
-            for i in (1..batch.len()).rev() {
-                let j = rng.random_range(0..=i);
-                batch.swap(i, j);
-            }
-        }
-        b.offer_packets(&batch).expect("offer batch");
-        out.extend(b.advance_watermark(wm));
-    }
-    let late = b.late_events();
-    out.extend(b.finish());
-    (out, late)
-}
-
 #[test]
 fn combining_batch_matches_per_packet_offers() {
-    // Serial builder, same events: per-packet offers vs the combining
-    // batch path (in offer order and shuffled) with gap bins, stragglers,
-    // and mid-stream watermarks.
+    // Per-packet serial offers vs the combining batch path (in offer
+    // order and shuffled) at every shard count, with gap bins,
+    // stragglers, and mid-stream watermarks.
     let n_flows = 17;
     let config = StreamConfig::new(n_flows);
     let events = traffic(1234, n_flows, 10, 350, &[2, 7], 30);
     let watermarks: Vec<u64> = (1..=11).map(|b| b * 300).collect();
     let (serial, serial_late) = run_serial(&config, &events, &watermarks);
-    for (label, shuffle) in [("offer order", None), ("shuffled", Some(99u64))] {
-        let (batched, late) = run_serial_batched(&config, &events, &watermarks, shuffle);
-        assert_bit_identical(&serial, &batched, &format!("serial combining ({label})"));
-        assert_eq!(late, serial_late, "late accounting ({label})");
+    for shards in SHARD_COUNTS {
+        for (label, shuffle) in [("offer order", None), ("shuffled", Some(99u64))] {
+            let (batched, late) = run_sharded(&config, shards, &events, &watermarks, shuffle);
+            let label = format!("{shards}-shard combining ({label})");
+            assert_bit_identical(&serial, &batched, &label);
+            assert_eq!(late, serial_late, "{label}: late accounting");
+        }
     }
 }
 
@@ -295,7 +270,8 @@ fn combining_matches_per_packet_across_shards_with_late_and_gap_bins() {
     // The sharded batch path *is* the combining path; pin it against the
     // per-packet serial spec across every shard count on a fixture that
     // exercises late events and gap bins, with batches spanning several
-    // bins (so the sort-and-group really reorders across cells).
+    // bins (so the sort-and-group really reorders across cells), in offer
+    // order and shuffled.
     let n_flows = 23;
     let config = StreamConfig::new(n_flows).with_lateness(60);
     let events = traffic(77, n_flows, 9, 300, &[4], 20);
@@ -304,9 +280,12 @@ fn combining_matches_per_packet_across_shards_with_late_and_gap_bins() {
     let (serial, serial_late) = run_serial(&config, &events, &watermarks);
     assert!(serial_late > 0, "fixture must exercise late events");
     for shards in SHARD_COUNTS {
-        let (sharded, late) = run_sharded(&config, shards, &events, &watermarks);
-        assert_bit_identical(&serial, &sharded, &format!("combining {shards} shards"));
-        assert_eq!(late, serial_late);
+        for shuffle in [None, Some(7u64)] {
+            let (sharded, late) = run_sharded(&config, shards, &events, &watermarks, shuffle);
+            let label = format!("combining {shards} shards (shuffle {shuffle:?})");
+            assert_bit_identical(&serial, &sharded, &label);
+            assert_eq!(late, serial_late, "{label}");
+        }
     }
 }
 
@@ -375,10 +354,13 @@ proptest! {
         let events = traffic(seed, n_flows, n_bins, per_bin, &gaps, stragglers);
         let watermarks: Vec<u64> = (1..=(n_bins as u64 + 1)).map(|b| b * 300).collect();
         let (serial, serial_late) = run_serial(&config, &events, &watermarks);
-        let (batched, late) =
-            run_serial_batched(&config, &events, &watermarks, Some(shuffle_seed));
-        assert_bit_identical(&serial, &batched, &format!("serial combining (seed {seed})"));
-        prop_assert_eq!(late, serial_late);
+        for shards in SHARD_COUNTS {
+            let (batched, late) =
+                run_sharded(&config, shards, &events, &watermarks, Some(shuffle_seed));
+            let label = format!("{shards}-shard combining (seed {seed})");
+            assert_bit_identical(&serial, &batched, &label);
+            prop_assert_eq!(late, serial_late);
+        }
     }
 
     #[test]
@@ -404,7 +386,7 @@ proptest! {
         let watermarks: Vec<u64> = (1..=(n_bins as u64 + 1)).map(|b| b * 300).collect();
         let (serial, serial_late) = run_serial(&config, &events, &watermarks);
         for shards in SHARD_COUNTS {
-            let (sharded, late) = run_sharded(&config, shards, &events, &watermarks);
+            let (sharded, late) = run_sharded(&config, shards, &events, &watermarks, None);
             assert_bit_identical(&serial, &sharded, &format!("{shards} shards (seed {seed})"));
             prop_assert_eq!(late, serial_late);
         }

@@ -10,9 +10,10 @@
 //!    and the estimate is the exact value bit for bit.
 //! 2. **Purity of the sketched plane.** The sketch's state is a pure
 //!    function of the offered multiset, so the sketched serial per-event,
-//!    serial batched, and sharded (1/2/7/16) planes all emit bit-identical
-//!    `FinalizedBin` rows — the same equivalence discipline the exact
-//!    tier pins in `shard_equivalence.rs`, now per tier.
+//!    serial batched, and sharded (1/2/7/16, in-order and shuffled
+//!    batches) planes all emit bit-identical `FinalizedBin` rows — the
+//!    same equivalence discipline the exact tier pins in
+//!    `shard_equivalence.rs`, now per tier.
 //! 3. **Bounded memory where exact is not.** On a feed with ≥ 1e6
 //!    distinct keys the exact histogram's heap scales with the key count
 //!    while the sketch stays under its precomputed
@@ -185,15 +186,22 @@ fn sketched_plane_is_order_batch_and_shard_invariant() {
     }
     assert_eq!(batched.finish(), reference, "batched ≠ per-event");
 
-    // Sharded planes at every shard count, batch path.
+    // Sharded planes at every shard count, batch path, in offer order and
+    // shuffled (both segmentations straddle bins).
     for shards in SHARD_COUNTS {
-        let mut sharded =
-            ShardedGridBuilder::<SketchHistogram>::with_params(config.clone(), shards, params)
-                .unwrap();
-        for chunk in events.chunks(311) {
-            sharded.offer_packets(chunk).unwrap();
+        for (label, feed, chunk) in [("in order", &events, 311), ("shuffled", &shuffled, 173)] {
+            let mut sharded =
+                ShardedGridBuilder::<SketchHistogram>::with_params(config.clone(), shards, params)
+                    .unwrap();
+            for batch in feed.chunks(chunk) {
+                sharded.offer_packets(batch).unwrap();
+            }
+            assert_eq!(
+                sharded.finish(),
+                reference,
+                "shards={shards} {label} ≠ serial"
+            );
         }
-        assert_eq!(sharded.finish(), reference, "shards={shards} ≠ serial");
     }
 
     // And the run-time facade resolves to the same plane.

@@ -287,8 +287,10 @@ fn sketched_ingest_plane_runs_the_lifecycle_under_a_memory_ceiling() {
         .expect("sketched plane");
     assert_eq!(plane.policy(), AccumulatorPolicy::Sketched { budget });
 
-    // Per-store ceiling, summed over every open (shard, flow, feature)
-    // store the plane can hold at once.
+    // Per-store ceiling, summed over every open (bin, flow, feature)
+    // store the plane can hold at once. Each flow lives on exactly one
+    // shard, so an open bin holds at most `p · 4` stores; a plane that
+    // duplicated cells across shards would overrun this.
     let ceiling = SketchHistogram::heap_ceiling(budget);
     let mut peak = 0usize;
     let mut sketched_steps = Vec::new();
@@ -302,7 +304,7 @@ fn sketched_ingest_plane_runs_the_lifecycle_under_a_memory_ceiling() {
         plane.offer_packets(&batch).expect("offer");
         peak = peak.max(plane.accumulator_heap_bytes());
         assert!(
-            plane.accumulator_heap_bytes() <= plane.shards() * plane.open_bins() * p * 4 * ceiling,
+            plane.accumulator_heap_bytes() <= plane.open_bins() * p * 4 * ceiling,
             "bin {bin}: sketched plane exceeded its accumulator ceiling"
         );
         for sealed in plane.advance_watermark((bin + 1) as u64 * BIN_SECS) {
@@ -352,8 +354,7 @@ fn sketched_ingest_plane_runs_the_lifecycle_under_a_memory_ceiling() {
         }
         plane.offer_packets(&batch).expect("offer");
         assert!(
-            plane.accumulator_heap_bytes()
-                <= plane.shards() * plane.open_bins() * p * 4 * tight_ceiling,
+            plane.accumulator_heap_bytes() <= plane.open_bins() * p * 4 * tight_ceiling,
             "bin {bin}: tight plane exceeded its accumulator ceiling"
         );
         for sealed in plane.advance_watermark((bin + 1) as u64 * BIN_SECS) {
