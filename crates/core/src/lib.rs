@@ -89,8 +89,10 @@ pub use report::{cluster_rows, label_breakdown, match_truth, ClusterRow, LabelRo
 pub use stream::StreamingDiagnoser;
 pub use window::TrainingWindow;
 
-/// Re-exports of the [`DiagnoserConfig`] knob types, so pipeline callers
-/// need not reach into the subspace crate.
+/// Re-exports of the subspace types pipeline callers name — the
+/// [`DiagnoserConfig`] threshold knob, the sharpness warning, and the fit
+/// engine a model reports — so they need not reach into the subspace
+/// crate.
 pub use entromine_subspace::{EmpiricalSharpness, FitStrategy, ThresholdPolicy};
 
 /// Re-export of the clustering layer.

@@ -42,12 +42,6 @@ pub struct DiagnoserConfig {
     /// bins, the exclusion is considered implausible and refitting stops
     /// with the current models.
     pub max_excluded_fraction: f64,
-    /// Which eigensolver engine fits the three models. The default,
-    /// [`FitStrategy::Auto`], dispatches per matrix shape (Gram when a
-    /// training window has fewer rows than columns, the dense solve
-    /// otherwise); [`FitStrategy::Full`] pins the dense reference oracle.
-    /// All engines agree to round-off.
-    pub strategy: FitStrategy,
     /// How `alpha` becomes an SPE threshold:
     /// [`ThresholdPolicy::JacksonMudholkar`] (the paper's analytic
     /// threshold, exact for Gaussian residuals) or
@@ -73,7 +67,6 @@ impl Default for DiagnoserConfig {
             max_ident_flows: 5,
             refit_rounds: 1,
             max_excluded_fraction: 0.25,
-            strategy: FitStrategy::Auto,
             threshold_policy: ThresholdPolicy::JacksonMudholkar,
             accumulator: AccumulatorPolicy::Exact,
         }
@@ -295,7 +288,7 @@ impl RefitTrace {
 ///
 /// `bytes` and `packets` are `t × p`, `entropy_raw` is the raw unfolded
 /// `t × 4p` matrix, all over the same `t` bins. Every round fits through
-/// [`SubspaceModel::fit_with`] / [`MultiwayModel::fit_unfolded`], so the
+/// [`SubspaceModel::fit`] / [`MultiwayModel::fit_unfolded`], so the
 /// engine follows the round's shape under [`FitStrategy::Auto`] — Gram
 /// when the round has fewer rows than columns, the dense covariance
 /// solve otherwise — and every model is calibrated on its own training rows.
@@ -329,23 +322,14 @@ pub(crate) fn fit_rounds(
         ));
     }
     let fit_on = |rows: &[usize]| -> Result<FittedDiagnoser, DiagnosisError> {
-        let strategy = config.strategy;
         Ok(FittedDiagnoser {
             config: *config,
-            bytes_model: SubspaceModel::fit_with(
-                &bytes.select_rows(rows),
-                config.capped_dim(p),
-                strategy,
-            )?,
-            packets_model: SubspaceModel::fit_with(
-                &packets.select_rows(rows),
-                config.capped_dim(p),
-                strategy,
-            )?,
+            bytes_model: SubspaceModel::fit(&bytes.select_rows(rows), config.capped_dim(p))?,
+            packets_model: SubspaceModel::fit(&packets.select_rows(rows), config.capped_dim(p))?,
             entropy_model: MultiwayModel::fit_unfolded(
                 entropy_raw.select_rows(rows),
                 config.capped_dim(4 * p),
-                strategy,
+                FitStrategy::Auto,
             )?,
         })
     };
@@ -766,39 +750,6 @@ mod tests {
             empirical.total(),
             jm.total()
         );
-    }
-
-    #[test]
-    fn strategy_choice_does_not_change_diagnoses() {
-        // The engines differ at round-off; a detection set on a dataset
-        // with a clear injected anomaly must not.
-        let ev = event(AnomalyLabel::PortScan, 45, 12, 900.0, 17);
-        let d = Dataset::generate(Topology::abilene(), cfg(16, 90), vec![ev]);
-        let reports: Vec<Vec<usize>> = [
-            entromine_subspace::FitStrategy::Auto,
-            entromine_subspace::FitStrategy::Full,
-            entromine_subspace::FitStrategy::Gram,
-        ]
-        .into_iter()
-        .map(|strategy| {
-            let fitted = Diagnoser::new(DiagnoserConfig {
-                strategy,
-                ..Default::default()
-            })
-            .fit(&d)
-            .unwrap();
-            fitted
-                .diagnose(&d)
-                .unwrap()
-                .diagnoses
-                .iter()
-                .map(|x| x.bin)
-                .collect()
-        })
-        .collect();
-        assert!(reports[0].contains(&45), "anomaly lost: {:?}", reports[0]);
-        assert_eq!(reports[0], reports[1], "auto vs full");
-        assert_eq!(reports[0], reports[2], "auto vs gram");
     }
 
     #[test]

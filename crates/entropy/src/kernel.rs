@@ -45,8 +45,6 @@ pub fn term_sum(groups: impl Iterator<Item = (u64, u64)>) -> f64 {
 }
 
 /// [`term_sum`] on an explicit backend (the equivalence-test seam).
-/// SSE2 shares the scalar reference — a two-lane compensated reduction
-/// is not worth a third floating-point sequence to pin.
 pub fn term_sum_on(backend: Backend, groups: impl Iterator<Item = (u64, u64)>) -> f64 {
     match backend {
         #[cfg(target_arch = "x86_64")]

@@ -1,12 +1,14 @@
 //! Runtime-dispatched SIMD kernel tier.
 //!
 //! Every accelerated op in this module ships as a family: a **pinned
-//! scalar reference** (the `scalar` submodule) plus explicit-SIMD variants
-//! (`std::arch` SSE2 and AVX2) selected once per process by runtime CPU
-//! feature detection. The public entry points ([`axpy`], [`dot4`],
-//! [`dot4_tile`]) dispatch through [`active_backend`]; the `*_on` variants
-//! take an explicit [`Backend`] so tests can pit every available
-//! implementation against the scalar reference in one process.
+//! scalar reference** (the `scalar` submodule) plus one explicit-SIMD
+//! variant (`std::arch` AVX2), selected once per process by runtime CPU
+//! feature detection: AVX2 where the CPU reports it, scalar everywhere
+//! else (including every non-x86 target). The public entry points
+//! ([`axpy`], [`dot4`], [`dot4_tile`]) dispatch through
+//! [`active_backend`]; the `*_on` variants take an explicit [`Backend`]
+//! so tests can pit every available implementation against the scalar
+//! reference in one process.
 //!
 //! # Dispatch contract
 //!
@@ -24,14 +26,13 @@
 //!   under SIMD.
 //! * [`dot4`] is **bitwise-pinned to the 4-lane scalar reference**: the
 //!   four independent accumulator lanes of the scalar version map lane-
-//!   for-lane onto one AVX2 register (or two SSE2 registers), and the
-//!   final reduction order is identical, so the value is the same bit
-//!   pattern under every backend.
+//!   for-lane onto one AVX2 register, and the final reduction order is
+//!   identical, so the value is the same bit pattern under both backends.
 //! * [`dot4_tile`] is **bitwise-pinned to per-pair [`dot4`]**: a 4 × 2
 //!   block of products whose AVX2 body keeps eight independent
 //!   accumulators, one per entry, each with `dot4`'s lanes and reduction;
-//!   the other backends literally make the eight `dot4` calls. It carries
-//!   the Gram product.
+//!   the scalar backend literally makes the eight `dot4` calls. It
+//!   carries the Gram product.
 //! * [`axpy_fused`]/[`dot4_fused`] are the **throughput tier**:
 //!   FMA-contracted on hosts with AVX2+FMA, falling back to the bitwise
 //!   kernels elsewhere. They are tolerance-pinned only and are reserved
@@ -52,8 +53,6 @@ mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(target_arch = "x86_64")]
-mod sse2;
 
 use std::sync::OnceLock;
 
@@ -62,8 +61,6 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// The pinned scalar reference (always available).
     Scalar,
-    /// 128-bit `std::arch` SSE2 (baseline on x86-64).
-    Sse2,
     /// 256-bit `std::arch` AVX2.
     Avx2,
 }
@@ -73,7 +70,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
         }
     }
@@ -82,8 +78,6 @@ impl Backend {
 /// The CPU features backend selection reads.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuFeatures {
-    /// SSE2 (baseline on x86-64).
-    pub sse2: bool,
     /// AVX2.
     pub avx2: bool,
     /// Fused multiply-add. The bitwise-pinned kernels never contract, but
@@ -97,7 +91,6 @@ pub fn cpu_features() -> CpuFeatures {
     #[cfg(target_arch = "x86_64")]
     {
         CpuFeatures {
-            sse2: std::arch::is_x86_feature_detected!("sse2"),
             avx2: std::arch::is_x86_feature_detected!("avx2"),
             fma: std::arch::is_x86_feature_detected!("fma"),
         }
@@ -105,7 +98,6 @@ pub fn cpu_features() -> CpuFeatures {
     #[cfg(not(target_arch = "x86_64"))]
     {
         CpuFeatures {
-            sse2: false,
             avx2: false,
             fma: false,
         }
@@ -131,11 +123,8 @@ pub fn active_backend() -> Backend {
         if forced_scalar() {
             return Backend::Scalar;
         }
-        let f = cpu_features();
-        if f.avx2 {
+        if cpu_features().avx2 {
             Backend::Avx2
-        } else if f.sse2 {
-            Backend::Sse2
         } else {
             Backend::Scalar
         }
@@ -147,11 +136,7 @@ pub fn active_backend() -> Backend {
 /// of which backend the process latched.
 pub fn available_backends() -> Vec<Backend> {
     let mut v = vec![Backend::Scalar];
-    let f = cpu_features();
-    if f.sse2 {
-        v.push(Backend::Sse2);
-    }
-    if f.avx2 {
+    if cpu_features().avx2 {
         v.push(Backend::Avx2);
     }
     v
@@ -179,11 +164,9 @@ pub fn axpy_on(backend: Backend, acc: &mut [f64], x: f64, ys: &[f64]) {
     match backend {
         Backend::Scalar => scalar::axpy(acc, x, ys),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Sse2`/`Avx2` are only reachable through
-        // `active_backend`/`available_backends`, which gate them on
+        // SAFETY: `Backend::Avx2` is only reachable through
+        // `active_backend`/`available_backends`, which gate it on
         // runtime feature detection.
-        Backend::Sse2 => unsafe { sse2::axpy(acc, x, ys) },
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::axpy(acc, x, ys) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::axpy(acc, x, ys),
@@ -195,11 +178,10 @@ pub fn axpy_on(backend: Backend, acc: &mut [f64], x: f64, ys: &[f64]) {
 /// The lane structure is part of the contract: lane `i` sums
 /// `a[4k+i]·b[4k+i]` in index order, the tail runs strictly
 /// left-to-right, and the final reduction is
-/// `(l0 + l1) + (l2 + l3) + tail`. Every backend implements exactly this
-/// sequence (SSE2 holds the lanes in two 128-bit registers, AVX2 in one
-/// 256-bit register), so the value is **bitwise identical** across
-/// backends — which keeps the Gram panels deterministic per input no
-/// matter where they run.
+/// `(l0 + l1) + (l2 + l3) + tail`. Both backends implement exactly this
+/// sequence (AVX2 holds the lanes in one 256-bit register), so the value
+/// is **bitwise identical** across backends — which keeps the Gram panels
+/// deterministic per input no matter where they run.
 #[inline]
 pub fn dot4(a: &[f64], b: &[f64]) -> f64 {
     dot4_on(active_backend(), a, b)
@@ -212,10 +194,8 @@ pub fn dot4_on(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
     match backend {
         Backend::Scalar => scalar::dot4(a, b),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `axpy_on` — SIMD backends are feature-gated by
+        // SAFETY: as in `axpy_on` — `Backend::Avx2` is feature-gated by
         // the detection in `active_backend`/`available_backends`.
-        Backend::Sse2 => unsafe { sse2::dot4(a, b) },
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { avx2::dot4(a, b) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::dot4(a, b),
@@ -240,9 +220,9 @@ pub fn dot4_tile(a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 2]; 4] {
     dot4_tile_on(active_backend(), a, b)
 }
 
-/// [`dot4_tile`] on an explicit backend (test seam). Backends
-/// without a tile body run eight [`dot4_on`] calls, which is the
-/// reference the AVX2 tile is pinned against.
+/// [`dot4_tile`] on an explicit backend (test seam). The scalar
+/// backend runs eight [`dot4_on`] calls, which is the reference the AVX2
+/// tile is pinned against.
 #[inline]
 pub fn dot4_tile_on(backend: Backend, a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 2]; 4] {
     let n = b[0].len();
@@ -456,7 +436,6 @@ mod tests {
     #[test]
     fn backend_names() {
         assert_eq!(Backend::Scalar.name(), "scalar");
-        assert_eq!(Backend::Sse2.name(), "sse2");
         assert_eq!(Backend::Avx2.name(), "avx2");
     }
 

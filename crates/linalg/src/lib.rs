@@ -30,8 +30,8 @@
 //!   norm identity `‖x−μ‖² − Σⱼ sⱼ²` with a cancellation guard and a
 //!   batch entry point, built from a fitted model by [`Pca::score_plan`].
 //!   The project–reconstruct–residual chain stays as
-//!   [`Pca::spe_reference`] (executable spec, automatic fallback, and the
-//!   `ENTROMINE_FORCE_REFERENCE_SCORE` pin — [`reference_score_forced`]).
+//!   [`Pca::spe_reference`] (executable spec and the guard's automatic
+//!   fallback); every consumer scores through the plan.
 //! * [`stats`] — the standard-normal quantile function (needed by the
 //!   Jackson–Mudholkar Q-statistic threshold) and friends.
 //!
@@ -83,6 +83,6 @@ pub use error::LinalgError;
 pub use matrix::Mat;
 pub use moments::MomentAccumulator;
 pub use pca::{AxisRequest, FitStrategy, Pca};
-pub use score::{reference_score_forced, ScorePlan, GUARD_EPS};
+pub use score::{ScorePlan, GUARD_EPS};
 pub use solve::{solve, solve_regularized};
 pub use spectrum::{ResidualPowerSums, Spectrum};

@@ -643,8 +643,8 @@ pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// no bitwise agreement with a strict left-to-right reference — only
 /// determinism for a fixed input, which the fixed lane structure provides
 /// at any thread count *and under every backend*: the kernel contract
-/// pins the lane sequence and reduction order bitwise across scalar,
-/// SSE2, and AVX2.
+/// pins the lane sequence and reduction order bitwise across scalar and
+/// AVX2.
 #[inline]
 pub(crate) fn dot4(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());

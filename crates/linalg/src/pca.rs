@@ -245,12 +245,21 @@ impl Pca {
     ///
     /// # Errors
     ///
-    /// The shape conditions of the selected engine.
+    /// [`LinalgError::Domain`] for a `VarianceFraction` that is not finite
+    /// and strictly inside `(0, 1)`; otherwise the shape conditions of the
+    /// selected engine.
     pub fn fit_with(
         x: &Mat,
         strategy: FitStrategy,
         request: AxisRequest,
     ) -> Result<Self, LinalgError> {
+        if let AxisRequest::VarianceFraction(f) = request {
+            if !(f > 0.0 && f < 1.0) {
+                return Err(LinalgError::Domain {
+                    what: "variance fraction must be finite and lie strictly inside (0, 1)",
+                });
+            }
+        }
         let (t, n) = x.shape();
         match strategy {
             FitStrategy::Full => Self::full_for(x, request),
@@ -408,19 +417,13 @@ impl Pca {
             .collect())
     }
 
-    /// Squared prediction error: `||x_tilde||^2`, the detection statistic of
-    /// the subspace method. Alias of [`spe_reference`](Self::spe_reference);
-    /// the serving layers score through a fused [`ScorePlan`] instead (see
-    /// [`score_plan`](Self::score_plan)).
-    pub fn spe(&self, x: &[f64], m: usize) -> Result<f64, LinalgError> {
-        self.spe_reference(x, m)
-    }
-
-    /// The reference SPE chain — project, reconstruct, residual, norm —
-    /// kept verbatim as the executable spec of the statistic. The fused
-    /// [`ScorePlan`] path is pinned against it (≤1e-10 relative) and falls
-    /// back to this computation shape when its cancellation guard trips;
-    /// `ENTROMINE_FORCE_REFERENCE_SCORE` routes whole processes here.
+    /// Squared prediction error `||x_tilde||^2`, the detection statistic of
+    /// the subspace method, through the reference chain — project,
+    /// reconstruct, residual, norm — kept verbatim as the executable spec
+    /// of the statistic. The serving layers score through a fused
+    /// [`ScorePlan`] instead (see [`score_plan`](Self::score_plan)), which
+    /// is pinned against this (≤1e-10 relative) and falls back to this
+    /// computation shape when its cancellation guard trips.
     pub fn spe_reference(&self, x: &[f64], m: usize) -> Result<f64, LinalgError> {
         let r = self.residual(x, m)?;
         Ok(dot(&r, &r))
@@ -548,7 +551,7 @@ mod tests {
     fn full_rank_projection_has_zero_residual() {
         let x = line_data(100, 0.3, 4);
         let pca = Pca::fit(&x).unwrap();
-        let spe = pca.spe(x.row(5), 3).unwrap();
+        let spe = pca.spe_reference(x.row(5), 3).unwrap();
         assert!(spe < 1e-18, "full-dimensional SPE should vanish, got {spe}");
     }
 
@@ -557,9 +560,9 @@ mod tests {
         let x = line_data(300, 0.4, 5);
         let pca = Pca::fit(&x).unwrap();
         let probe = x.row(7);
-        let spe0 = pca.spe(probe, 0).unwrap();
-        let spe1 = pca.spe(probe, 1).unwrap();
-        let spe2 = pca.spe(probe, 2).unwrap();
+        let spe0 = pca.spe_reference(probe, 0).unwrap();
+        let spe1 = pca.spe_reference(probe, 1).unwrap();
+        let spe2 = pca.spe_reference(probe, 2).unwrap();
         assert!(spe0 >= spe1 - 1e-12);
         assert!(spe1 >= spe2 - 1e-12);
     }
@@ -568,10 +571,10 @@ mod tests {
     fn outlier_has_larger_spe_than_inliers() {
         let x = line_data(300, 0.05, 6);
         let pca = Pca::fit(&x).unwrap();
-        let inlier_spe = pca.spe(x.row(50), 1).unwrap();
+        let inlier_spe = pca.spe_reference(x.row(50), 1).unwrap();
         // A point far off the line.
         let outlier = [0.0, 20.0, 10.0];
-        let outlier_spe = pca.spe(&outlier, 1).unwrap();
+        let outlier_spe = pca.spe_reference(&outlier, 1).unwrap();
         assert!(outlier_spe > 100.0 * inlier_spe);
     }
 
@@ -619,8 +622,8 @@ mod tests {
         // The models score observations identically.
         for m in [1usize, 3, 8] {
             for probe in [x.row(0), x.row(17), x.row(39)] {
-                let a = cov_path.spe(probe, m).unwrap();
-                let b = gram_path.spe(probe, m).unwrap();
+                let a = cov_path.spe_reference(probe, m).unwrap();
+                let b = gram_path.spe_reference(probe, m).unwrap();
                 assert!((a - b).abs() < 1e-8 * (1.0 + a), "spe {a} vs {b} at m={m}");
             }
         }
@@ -674,9 +677,19 @@ mod tests {
     fn variance_fraction_request_escalates_to_an_answer() {
         // Wide data dispatches to Gram; the fraction resolves against the
         // complete spectrum and the model carries exactly the resolved
-        // axes. (Fractions outside (0, 1) are rejected one layer up, by
-        // `SubspaceModel::fit_with`; `Pca` resolves whatever it is given.)
+        // axes. A fraction that is not finite and strictly inside (0, 1)
+        // answers nothing and is rejected by every engine.
         let x = wide_data(200, 300, 27);
+        for bad in [f64::NAN, 0.0, 1.0, -1.0, f64::INFINITY] {
+            for strategy in [FitStrategy::Auto, FitStrategy::Full, FitStrategy::Gram] {
+                let fit = Pca::fit_with(&x, strategy, AxisRequest::VarianceFraction(bad));
+                assert!(
+                    matches!(fit, Err(LinalgError::Domain { .. })),
+                    "fraction {bad} under {strategy:?}: {:?}",
+                    fit.map(|p| p.n_axes())
+                );
+            }
+        }
         let pca = Pca::fit_with(&x, FitStrategy::Auto, AxisRequest::VarianceFraction(0.9)).unwrap();
         assert_eq!(pca.strategy(), FitStrategy::Gram);
         let d = pca.dims_for_variance(0.9);
@@ -718,7 +731,7 @@ mod tests {
         let x = Mat::from_fn(10, 4, |_, _| 2.5);
         let pca = Pca::fit_gram(&x).unwrap();
         assert_eq!(pca.n_axes(), 0);
-        assert!(pca.spe(x.row(0), 0).unwrap() < 1e-18);
+        assert!(pca.spe_reference(x.row(0), 0).unwrap() < 1e-18);
         assert!(pca.project(x.row(0), 1).is_err(), "no axes to project on");
     }
 

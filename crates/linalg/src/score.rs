@@ -1,6 +1,7 @@
 //! The fused scoring plane: allocation-free SPE via the norm identity.
 //!
-//! [`Pca::spe`](crate::Pca::spe) — the reference chain — scores one
+//! [`Pca::spe_reference`](crate::Pca::spe_reference) — the reference
+//! chain, kept as the executable spec and the guard's fallback — scores one
 //! observation by *project, reconstruct, residual, norm*: two full scans
 //! of the axis matrix plus four heap allocations per row. The residual is
 //! orthogonal to the modeled subspace, so the same statistic is
@@ -26,21 +27,11 @@
 //! computation — so the statistic stays trustworthy everywhere. Rows that
 //! trip the guard are far below any detection threshold, so the fallback
 //! never runs on the hot path of normal traffic.
-//!
-//! # The reference pin
-//!
-//! Setting the `ENTROMINE_FORCE_REFERENCE_SCORE` environment variable (to
-//! anything but `0`/empty) latches [`reference_score_forced`] for the
-//! life of the process; the subspace layer consults it and routes every
-//! consumer through the retained [`Pca::spe_reference`](crate::Pca::spe_reference)
-//! chain — the seam CI uses to check plan-vs-reference equivalence on
-//! whole suites.
 
 use crate::error::LinalgError;
 use crate::kernel;
 use crate::matrix::Mat;
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 /// Guard threshold of the norm-identity cancellation check: when the
 /// fused `SPE < GUARD_EPS · ‖x − μ‖²`, the plan recomputes through the
@@ -48,19 +39,6 @@ use std::sync::OnceLock;
 /// relative error stays well under the 1e-10 plan-vs-reference pin (the
 /// subtraction magnifies rounding by at most `1/GUARD_EPS`).
 pub const GUARD_EPS: f64 = 1e-3;
-
-/// `true` when `ENTROMINE_FORCE_REFERENCE_SCORE` pins this process to the
-/// reference project–reconstruct–residual scoring chain. Latched once on
-/// first use, like the kernel tier's
-/// [`forced_scalar`](crate::kernel::forced_scalar).
-pub fn reference_score_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("ENTROMINE_FORCE_REFERENCE_SCORE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
 
 /// Reusable buffers of the scoring plane, one set per thread. Grow-only:
 /// scoring models of different widths from one thread re-slices the same

@@ -5,7 +5,7 @@
 //!
 //! * **Kernel pins** — `axpy`, `dot4` and the 4 × 2 `dot4_tile` (against
 //!   per-pair scalar `dot4`) must be *bitwise* identical on every backend
-//!   this host can run (scalar, SSE2, AVX2), asserted
+//!   this host can run (scalar, AVX2), asserted
 //!   through the explicit `*_on` seam so one process certifies every
 //!   implementation. CI additionally runs this suite under
 //!   `ENTROMINE_FORCE_SCALAR=1`, which pins the auto-dispatch seam itself.

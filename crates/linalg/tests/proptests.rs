@@ -241,7 +241,7 @@ proptest! {
         let x = m.row(row);
         let mut prev = f64::INFINITY;
         for k in 0..=5 {
-            let spe = pca.spe(x, k).unwrap();
+            let spe = pca.spe_reference(x, k).unwrap();
             prop_assert!(spe <= prev + 1e-9, "SPE must not grow with more components");
             prev = spe;
         }
@@ -312,8 +312,8 @@ proptest! {
         let gram_path = Pca::fit_gram(&m).unwrap();
         prop_assume!(k <= gram_path.n_axes());
         for row in m.row_iter() {
-            let a = cov_path.spe(row, k).unwrap();
-            let b = gram_path.spe(row, k).unwrap();
+            let a = cov_path.spe_reference(row, k).unwrap();
+            let b = gram_path.spe_reference(row, k).unwrap();
             prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "spe {} vs {}", a, b);
         }
     }

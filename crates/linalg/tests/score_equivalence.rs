@@ -10,9 +10,8 @@
 //! * the guard threshold itself behaves as documented (fallback SPE is
 //!   never negative).
 //!
-//! CI runs this suite under auto dispatch, `ENTROMINE_FORCE_SCALAR`, and
-//! `ENTROMINE_FORCE_REFERENCE_SCORE`, so the agreement holds on every
-//! kernel tier and the pin seam stays exercised.
+//! CI runs this suite under auto dispatch and `ENTROMINE_FORCE_SCALAR`,
+//! so the agreement holds on every kernel tier.
 
 use entromine_linalg::{AxisRequest, FitStrategy, Mat, Pca};
 use proptest::prelude::*;

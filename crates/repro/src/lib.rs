@@ -4,7 +4,7 @@
 //! `src/bin/` that regenerates it from synthetic data (see DESIGN.md §6
 //! for the experiment index). This library holds what they share:
 //!
-//! * [`Scale`] — quick (default) vs full (`--full` / `ENTROMINE_FULL=1`)
+//! * [`Scale`] — quick (default) vs full (`--full`)
 //!   experiment sizing; quick keeps every binary in the minutes range on a
 //!   laptop-class machine, full matches the paper's three-week windows.
 //! * [`abilene_config`] / [`geant_config`] — the canonical dataset
@@ -34,12 +34,9 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--full` from argv or `ENTROMINE_FULL=1` from the
-    /// environment; defaults to [`Scale::Quick`].
+    /// Parses `--full` from argv; defaults to [`Scale::Quick`].
     pub fn from_env() -> Scale {
-        let argv_full = std::env::args().any(|a| a == "--full");
-        let env_full = std::env::var("ENTROMINE_FULL").is_ok_and(|v| v == "1");
-        if argv_full || env_full {
+        if std::env::args().any(|a| a == "--full") {
             Scale::Full
         } else {
             Scale::Quick

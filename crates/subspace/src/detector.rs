@@ -2,7 +2,7 @@
 
 use crate::qstat::{empirical_quantile, q_threshold_from_power_sums, ThresholdPolicy};
 use crate::SubspaceError;
-use entromine_linalg::{reference_score_forced, AxisRequest, FitStrategy, Mat, Pca, ScorePlan};
+use entromine_linalg::{AxisRequest, FitStrategy, Mat, Pca, ScorePlan};
 
 /// How the dimension of the normal subspace is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,19 +25,6 @@ impl Default for DimSelection {
 }
 
 impl DimSelection {
-    /// Rejects a non-finite or out-of-`(0, 1)` variance fraction before
-    /// any fitting work happens.
-    fn validate(self) -> Result<(), SubspaceError> {
-        if let DimSelection::VarianceFraction(f) = self {
-            if !f.is_finite() || f <= 0.0 || f >= 1.0 {
-                return Err(SubspaceError::BadInput(
-                    "variance fraction must be finite and lie strictly inside (0, 1)",
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// The axis request this selection poses to the fit dispatcher.
     fn request(self) -> AxisRequest {
         match self {
@@ -73,8 +60,7 @@ pub struct SubspaceModel {
     m: usize,
     /// The fused scoring plane over the leading `m` axes, built once at
     /// fit time. Every SPE/T² consumer scores through it (allocation-free
-    /// norm identity) unless `ENTROMINE_FORCE_REFERENCE_SCORE` pins the
-    /// process to the reference chain.
+    /// norm identity).
     plan: ScorePlan,
     /// Sorted (ascending) SPEs of the training rows.
     calibration: Vec<f64>,
@@ -90,7 +76,8 @@ impl SubspaceModel {
     /// # Errors
     ///
     /// Fails on degenerate input (fewer than two rows, zero columns), on a
-    /// non-finite or out-of-`(0, 1)` variance fraction, or if the
+    /// non-finite or out-of-`(0, 1)` variance fraction (rejected by
+    /// [`Pca::fit_with`]), or if the
     /// requested dimension does not leave a non-empty residual space (or
     /// exceeds the axes the chosen engine can support).
     pub fn fit(x: &Mat, dim: DimSelection) -> Result<Self, SubspaceError> {
@@ -104,7 +91,6 @@ impl SubspaceModel {
         dim: DimSelection,
         strategy: FitStrategy,
     ) -> Result<Self, SubspaceError> {
-        dim.validate()?;
         if x.rows() < 2 {
             return Err(SubspaceError::BadInput(
                 "need at least two timepoints to model variation",
@@ -147,8 +133,8 @@ impl SubspaceModel {
     }
 
     /// The eigenvalue floor below which an axis counts as zero-variance
-    /// for T² (shared by the plan and reference paths).
-    fn t2_floor(&self) -> f64 {
+    /// for T² (the multiway model scores against it too).
+    pub(crate) fn t2_floor(&self) -> f64 {
         1e-12 * self.pca.total_variance().max(1e-300)
     }
 
@@ -187,13 +173,8 @@ impl SubspaceModel {
     }
 
     /// Squared prediction error of one observation row, via the fused
-    /// scoring plane (norm identity, allocation-free, cancellation-guarded)
-    /// — or the reference project–reconstruct–residual chain when
-    /// `ENTROMINE_FORCE_REFERENCE_SCORE` pins the process.
+    /// scoring plane (norm identity, allocation-free, cancellation-guarded).
     pub fn spe(&self, row: &[f64]) -> Result<f64, SubspaceError> {
-        if reference_score_forced() {
-            return Ok(self.pca.spe_reference(row, self.m)?);
-        }
         Ok(self.plan.spe(row)?)
     }
 
@@ -210,13 +191,6 @@ impl SubspaceModel {
         rows: impl IntoIterator<Item = &'r [f64]>,
         out: &mut Vec<f64>,
     ) -> Result<(), SubspaceError> {
-        if reference_score_forced() {
-            out.clear();
-            for row in rows {
-                out.push(self.pca.spe_reference(row, self.m)?);
-            }
-            return Ok(());
-        }
         self.plan.spe_batch(rows, out)?;
         Ok(())
     }
@@ -229,9 +203,6 @@ impl SubspaceModel {
     ///
     /// Shape errors from scoring.
     pub fn spe_t2(&self, row: &[f64]) -> Result<(f64, f64), SubspaceError> {
-        if reference_score_forced() {
-            return Ok((self.spe(row)?, self.t2(row)?));
-        }
         Ok(self
             .plan
             .spe_t2(row, self.pca.eigenvalues(), self.t2_floor())?)
@@ -249,13 +220,6 @@ impl SubspaceModel {
         rows: impl IntoIterator<Item = &'r [f64]>,
         out: &mut Vec<(f64, f64)>,
     ) -> Result<(), SubspaceError> {
-        if reference_score_forced() {
-            out.clear();
-            for row in rows {
-                out.push((self.spe(row)?, self.t2(row)?));
-            }
-            return Ok(());
-        }
         self.plan
             .spe_t2_batch(rows, self.pca.eigenvalues(), self.t2_floor(), out)?;
         Ok(())
@@ -320,17 +284,7 @@ impl SubspaceModel {
     ///
     /// Axes with (numerically) zero variance are skipped.
     pub fn t2(&self, row: &[f64]) -> Result<f64, SubspaceError> {
-        let floor = self.t2_floor();
-        if reference_score_forced() {
-            let scores = self.pca.project(row, self.m)?;
-            return Ok(scores
-                .iter()
-                .zip(self.pca.eigenvalues())
-                .filter(|(_, &l)| l > floor)
-                .map(|(s, &l)| s * s / l)
-                .sum());
-        }
-        Ok(self.plan.t2(row, self.pca.eigenvalues(), floor)?)
+        Ok(self.plan.t2(row, self.pca.eigenvalues(), self.t2_floor())?)
     }
 
     /// The `χ²_m` quantile used as the T² trimming threshold.

@@ -11,7 +11,7 @@ use crate::ident::{identify_greedy, FlowContribution};
 use crate::qstat::ThresholdPolicy;
 use crate::SubspaceError;
 use entromine_entropy::EntropyTensor;
-use entromine_linalg::{reference_score_forced, FitStrategy, Mat, ScorePlan};
+use entromine_linalg::{FitStrategy, Mat, ScorePlan};
 
 /// A fitted multiway subspace model over an entropy tensor.
 #[derive(Debug, Clone)]
@@ -38,36 +38,13 @@ impl MultiwayModel {
     /// the square root of the energy (the Frobenius norm), after which each
     /// submatrix has energy exactly 1.
     pub fn fit(tensor: &EntropyTensor, dim: DimSelection) -> Result<Self, SubspaceError> {
-        Self::fit_with(tensor, dim, FitStrategy::Auto)
+        Self::fit_unfolded(tensor.unfold(), dim, FitStrategy::Auto)
     }
 
-    /// Like [`fit`](Self::fit) with an explicit fit engine (the unfolded
-    /// `t × 4p` matrix is the widest in the pipeline — at Geant width the
-    /// Gram engine is what makes refits routine).
-    pub fn fit_with(
-        tensor: &EntropyTensor,
-        dim: DimSelection,
-        strategy: FitStrategy,
-    ) -> Result<Self, SubspaceError> {
-        let all: Vec<usize> = (0..tensor.n_bins()).collect();
-        Self::fit_on_rows_with(tensor, dim, &all, strategy)
-    }
-
-    /// Fits the model using only the given time bins.
-    ///
-    /// The clean-training iteration of the diagnosis pipeline uses this to
-    /// refit with detected bins excluded, preventing a strong anomaly from
-    /// polluting the normal subspace (a known failure mode of PCA-based
-    /// detectors). Normalization energies are computed over the same rows.
-    pub fn fit_on_rows(
-        tensor: &EntropyTensor,
-        dim: DimSelection,
-        rows: &[usize],
-    ) -> Result<Self, SubspaceError> {
-        Self::fit_on_rows_with(tensor, dim, rows, FitStrategy::Auto)
-    }
-
-    /// [`fit_on_rows`](Self::fit_on_rows) with an explicit fit engine.
+    /// Fits the model using only the given time bins, with an explicit
+    /// fit engine. Normalization energies are computed over the same rows,
+    /// so excluding a strong anomaly keeps it from polluting the normal
+    /// subspace (a known failure mode of PCA-based detectors).
     pub fn fit_on_rows_with(
         tensor: &EntropyTensor,
         dim: DimSelection,
@@ -170,11 +147,7 @@ impl MultiwayModel {
 
     /// Applies the stored unit-energy normalization to a raw unfolded row.
     pub fn normalize_row(&self, raw: &[f64]) -> Result<Vec<f64>, SubspaceError> {
-        if raw.len() != 4 * self.n_flows {
-            return Err(SubspaceError::BadInput(
-                "row length must be 4p (one value per feature per flow)",
-            ));
-        }
+        self.check_width(raw)?;
         let p = self.n_flows;
         let mut out = raw.to_vec();
         for (k, &d) in self.divisors.iter().enumerate() {
@@ -187,15 +160,8 @@ impl MultiwayModel {
 
     /// SPE of a raw (un-normalized) unfolded row, through the
     /// divisor-folded scoring plane (allocation-free; the fold `raw/d − μ`
-    /// is bitwise identical to normalizing first). The
-    /// `ENTROMINE_FORCE_REFERENCE_SCORE` pin routes through
-    /// [`normalize_row`](Self::normalize_row) plus the inner model's
-    /// reference chain instead.
+    /// is bitwise identical to normalizing first).
     pub fn spe(&self, raw: &[f64]) -> Result<f64, SubspaceError> {
-        if reference_score_forced() {
-            let normalized = self.normalize_row(raw)?;
-            return self.model.spe(&normalized);
-        }
         self.check_width(raw)?;
         Ok(self.plan.spe(raw)?)
     }
@@ -212,14 +178,6 @@ impl MultiwayModel {
         rows: impl IntoIterator<Item = &'r [f64]>,
         out: &mut Vec<f64>,
     ) -> Result<(), SubspaceError> {
-        if reference_score_forced() {
-            out.clear();
-            for raw in rows {
-                let normalized = self.normalize_row(raw)?;
-                out.push(self.model.spe(&normalized)?);
-            }
-            return Ok(());
-        }
         self.plan.spe_batch(rows, out)?;
         Ok(())
     }
@@ -231,13 +189,9 @@ impl MultiwayModel {
     ///
     /// Shape errors from scoring.
     pub fn spe_t2(&self, raw: &[f64]) -> Result<(f64, f64), SubspaceError> {
-        if reference_score_forced() {
-            return Ok((self.spe(raw)?, self.t2(raw)?));
-        }
         self.check_width(raw)?;
-        let pca = self.model.pca();
-        let floor = 1e-12 * pca.total_variance().max(1e-300);
-        Ok(self.plan.spe_t2(raw, pca.eigenvalues(), floor)?)
+        let (lambdas, floor) = (self.model.pca().eigenvalues(), self.model.t2_floor());
+        Ok(self.plan.spe_t2(raw, lambdas, floor)?)
     }
 
     /// Batched [`spe_t2`](Self::spe_t2) over raw unfolded rows: one
@@ -251,17 +205,8 @@ impl MultiwayModel {
         rows: impl IntoIterator<Item = &'r [f64]>,
         out: &mut Vec<(f64, f64)>,
     ) -> Result<(), SubspaceError> {
-        if reference_score_forced() {
-            out.clear();
-            for raw in rows {
-                out.push((self.spe(raw)?, self.t2(raw)?));
-            }
-            return Ok(());
-        }
-        let pca = self.model.pca();
-        let floor = 1e-12 * pca.total_variance().max(1e-300);
-        self.plan
-            .spe_t2_batch(rows, pca.eigenvalues(), floor, out)?;
+        let (lambdas, floor) = (self.model.pca().eigenvalues(), self.model.t2_floor());
+        self.plan.spe_t2_batch(rows, lambdas, floor, out)?;
         Ok(())
     }
 
@@ -309,14 +254,9 @@ impl MultiwayModel {
     /// Hotelling's T² of a raw unfolded row (see
     /// [`SubspaceModel::t2`](crate::SubspaceModel::t2)).
     pub fn t2(&self, raw: &[f64]) -> Result<f64, SubspaceError> {
-        if reference_score_forced() {
-            let normalized = self.normalize_row(raw)?;
-            return self.model.t2(&normalized);
-        }
         self.check_width(raw)?;
-        let pca = self.model.pca();
-        let floor = 1e-12 * pca.total_variance().max(1e-300);
-        Ok(self.plan.t2(raw, pca.eigenvalues(), floor)?)
+        let (lambdas, floor) = (self.model.pca().eigenvalues(), self.model.t2_floor());
+        Ok(self.plan.t2(raw, lambdas, floor)?)
     }
 
     /// Scores one raw (un-normalized) unfolded row against a precomputed
@@ -408,18 +348,13 @@ impl MultiwayModel {
         let residual = self.model.residual(&normalized)?;
         identify_greedy(
             &residual,
-            components(&self.model),
+            self.model.pca().components(),
             self.model.normal_dim(),
             self.n_flows,
             threshold,
             max_flows,
         )
     }
-}
-
-/// Borrow the principal-axis matrix of the fitted model.
-fn components(model: &SubspaceModel) -> &Mat {
-    model.pca().components()
 }
 
 /// The score half of a fitted [`MultiwayModel`]: a borrow of the model

@@ -1,7 +1,9 @@
 //! Property-based tests for the subspace method.
 
-use entromine_linalg::Mat;
-use entromine_subspace::{q_statistic_threshold, DimSelection, SubspaceModel};
+use entromine_linalg::{Mat, Pca};
+use entromine_subspace::{
+    q_statistic_threshold, DimSelection, FitStrategy, MultiwayModel, SubspaceModel, ThresholdPolicy,
+};
 use proptest::prelude::*;
 
 /// Strategy: a low-rank-plus-noise data matrix (t x n), the structure the
@@ -20,8 +22,160 @@ fn traffic_like(t: usize, n: usize) -> impl Strategy<Value = Mat> {
         })
 }
 
+/// `x`'s rows, then one copy of a row per spike with `bump` added to one
+/// column, so the probes straddle every threshold.
+fn with_spikes(x: &Mat, spikes: &[(usize, usize, f64)]) -> Vec<Vec<f64>> {
+    let mut rows: Vec<Vec<f64>> = x.row_iter().map(<[f64]>::to_vec).collect();
+    for &(bin, col, bump) in spikes {
+        let mut row = x.row(bin % x.rows()).to_vec();
+        row[col % x.cols()] += bump;
+        rows.push(row);
+    }
+    rows
+}
+
+/// Every served statistic of a `SubspaceModel` or `MultiwayModel` (same
+/// method names, no shared trait) for `rows`, as `(entry point, values,
+/// is T²)`.
+macro_rules! served {
+    ($model:expr, $rows:expr) => {{
+        let (model, rows) = (&$model, $rows.iter().map(Vec::as_slice));
+        let (mut batch, mut pairs) = (Vec::new(), Vec::new());
+        model.spe_batch(rows.clone(), &mut batch).unwrap();
+        model.spe_t2_batch(rows.clone(), &mut pairs).unwrap();
+        let one: Vec<(f64, f64)> = rows.clone().map(|r| model.spe_t2(r).unwrap()).collect();
+        let spe = rows.clone().map(|r| model.spe(r).unwrap()).collect();
+        let t2 = rows.map(|r| model.t2(r).unwrap()).collect();
+        [
+            ("spe", spe, false),
+            ("spe_batch", batch, false),
+            ("spe_t2.0", one.iter().map(|p| p.0).collect(), false),
+            ("spe_t2_batch.0", pairs.iter().map(|p| p.0).collect(), false),
+            ("t2", t2, true),
+            ("spe_t2.1", one.iter().map(|p| p.1).collect(), true),
+            ("spe_t2_batch.1", pairs.iter().map(|p| p.1).collect(), true),
+        ]
+    }};
+}
+
+/// Within the pin `score_equivalence` uses: 1e-10 relative plus 1e-13 of
+/// `scale`, the centered energy `‖x − μ‖²` in the statistic's units.
+fn close(got: f64, want: f64, scale: f64) -> bool {
+    (got - want).abs() <= 1e-10 * want.abs() + 1e-13 * scale
+}
+
+/// Pins `served` over the (normalized) probe `rows` to the reference
+/// chain of `pca` at dimension `m` — `spe_reference` for SPE, `project`
+/// for T² — and the sorted `calibration` to the sorted reference SPEs of
+/// the leading training rows (sorting is monotone, so the largest floor
+/// carries over). Returns every probe's reference SPE.
+fn check_served(
+    what: &str,
+    (pca, m): (&Pca, usize),
+    rows: &[Vec<f64>],
+    served: &[(&str, Vec<f64>, bool)],
+    calibration: &[f64],
+) -> Result<Vec<f64>, String> {
+    // Axes at or below the T² floor contribute nothing (1/∞ = 0).
+    let floor = 1e-12 * pca.total_variance().max(1e-300);
+    let lambdas: Vec<f64> = pca.eigenvalues()[..m]
+        .iter()
+        .map(|&l| if l > floor { l } else { f64::INFINITY })
+        .collect();
+    let smallest = lambdas.iter().copied().fold(f64::INFINITY, f64::min);
+    let (mut spes, mut c2_max) = (Vec::new(), 0.0f64);
+    for (i, row) in rows.iter().enumerate() {
+        let spe = pca.spe_reference(row, m).unwrap();
+        // The centered energy `‖x − μ‖²` is the SPE of an empty subspace.
+        let c2 = pca.spe_reference(row, 0).unwrap();
+        let scores = pca.project(row, m).unwrap();
+        let t2: f64 = scores.iter().zip(&lambdas).map(|(s, l)| s * s / l).sum();
+        for (entry, values, is_t2) in served {
+            let (got, want) = (values[i], if *is_t2 { t2 } else { spe });
+            let scale = c2 / if *is_t2 { smallest } else { 1.0 };
+            prop_assert!(
+                close(got, want, scale),
+                "{what} {entry} row {i}: {got} vs {want}"
+            );
+        }
+        spes.push(spe);
+        c2_max = c2_max.max(c2);
+    }
+    let mut sorted = spes[..calibration.len()].to_vec();
+    sorted.sort_by(f64::total_cmp);
+    for (k, (&got, &want)) in calibration.iter().zip(&sorted).enumerate() {
+        prop_assert!(
+            close(got, want, c2_max),
+            "{what} calibration[{k}]: {got} vs {want}"
+        );
+    }
+    Ok(spes)
+}
+
+/// Every served alarm flag equals `reference SPE > t` outside a 1e-9
+/// relative band around the threshold `t`, and the probes alarm on some
+/// rows but not all.
+fn check_alarms(
+    what: &str,
+    t: f64,
+    spes: &[f64],
+    flags: &[(&str, Vec<bool>)],
+) -> Result<(), String> {
+    let alarms = spes.iter().filter(|&&s| s > t).count();
+    prop_assert!(
+        alarms > 0 && alarms < spes.len(),
+        "{what}: {alarms} probes alarm"
+    );
+    for (i, &spe) in spes.iter().enumerate() {
+        if (spe - t).abs() > 1e-9 * t {
+            for (entry, flag) in flags {
+                prop_assert_eq!(flag[i], spe > t, "{what} {entry} row {i}: {spe} vs {t}");
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn served_statistics_and_alarms_match_the_reference_chain(
+        x in traffic_like(60, 8),
+        entropy in traffic_like(60, 16),
+        spikes in proptest::collection::vec((0usize..60, 0usize..16, -1.0f64..1.0), 6),
+    ) {
+        let (m, dim) = (2, DimSelection::Fixed(2));
+        let model = SubspaceModel::fit(&x, dim).unwrap();
+        let probes = with_spikes(&x, &spikes);
+        let served = served!(model, &probes);
+        let spes = check_served("single", (model.pca(), m), &probes, &served, model.calibration())?;
+        prop_assert_eq!(model.calibration().len(), x.rows());
+        let probe_mat = Mat::from_fn(probes.len(), x.cols(), |i, j| probes[i][j]);
+        for policy in [ThresholdPolicy::JacksonMudholkar, ThresholdPolicy::Empirical] {
+            let scorer = model.scorer_with(0.99, policy).unwrap();
+            let scored = probes.iter().enumerate().map(|(i, r)| scorer.score(i, r).unwrap());
+            let mut flags = vec![("score", scored.map(|d| d.is_some()).collect())];
+            if policy == ThresholdPolicy::JacksonMudholkar {
+                let mut hit = vec![false; probes.len()];
+                model.detect(&probe_mat, 0.99).unwrap().iter().for_each(|d| hit[d.bin] = true);
+                flags.push(("detect", hit));
+            }
+            check_alarms("single", scorer.threshold(), &spes, &flags)?;
+        }
+
+        // The multiway reference reads raw rows through `normalize_row`.
+        let model = MultiwayModel::fit_unfolded(entropy.clone(), dim, FitStrategy::Auto).unwrap();
+        let raw = with_spikes(&entropy, &spikes);
+        let rows: Vec<Vec<f64>> = raw.iter().map(|r| model.normalize_row(r).unwrap()).collect();
+        let (served, inner) = (served!(model, &raw), model.inner());
+        let spes = check_served("multi", (inner.pca(), m), &rows, &served, inner.calibration())?;
+        prop_assert_eq!(inner.calibration().len(), entropy.rows());
+        let scorer = model.scorer(0.99).unwrap();
+        let scored = raw.iter().enumerate().map(|(i, r)| scorer.score(i, r).unwrap());
+        let flags = [("score", scored.map(|d| d.is_some()).collect())];
+        check_alarms("multi", scorer.threshold(), &spes, &flags)?;
+    }
 
     #[test]
     fn spe_nonnegative_everywhere(x in traffic_like(60, 8)) {

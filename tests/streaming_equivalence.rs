@@ -14,7 +14,7 @@
 use entromine::entropy::{StreamConfig, StreamingGridBuilder, FEATURES};
 use entromine::net::Topology;
 use entromine::synth::{AnomalyEvent, AnomalyLabel, Dataset, DatasetConfig};
-use entromine::{Diagnoser, DiagnoserConfig, Diagnosis, FitStrategy, ThresholdPolicy};
+use entromine::{Diagnoser, DiagnoserConfig, Diagnosis, ThresholdPolicy};
 use proptest::prelude::*;
 
 const BIN_SECS: u64 = DatasetConfig::BIN_SECS;
@@ -169,11 +169,9 @@ fn late_packets_are_dropped_not_misfiled() {
 }
 
 #[test]
-fn streaming_equals_batch_under_every_fit_strategy_and_policy() {
-    // The fit/score split means equivalence must be independent of *how*
-    // the models were fitted (the score path never touches the engine)
-    // and of how alpha became a threshold. One dataset, every engine,
-    // both threshold policies.
+fn streaming_equals_batch_under_every_threshold_policy() {
+    // The fit/score split means equivalence must be independent of how
+    // alpha became a threshold. One dataset, both threshold policies.
     let event = AnomalyEvent {
         label: AnomalyLabel::PortScan,
         start_bin: 25,
@@ -183,21 +181,18 @@ fn streaming_equals_batch_under_every_fit_strategy_and_policy() {
         seed: 11,
     };
     let dataset = Dataset::generate(Topology::line(3), config(77, 60), vec![event]);
-    for strategy in [FitStrategy::Auto, FitStrategy::Full, FitStrategy::Gram] {
-        for policy in [
-            ThresholdPolicy::JacksonMudholkar,
-            ThresholdPolicy::Empirical,
-        ] {
-            let diagnoser = Diagnoser::new(DiagnoserConfig {
-                strategy,
-                threshold_policy: policy,
-                ..Default::default()
-            });
-            let fitted = diagnoser.fit(&dataset).expect("fit");
-            let batch = fitted.diagnose(&dataset).expect("diagnose");
-            let streamed = stream_diagnoses(&dataset, &fitted, fitted.config().alpha);
-            assert_identical(&batch.diagnoses, &streamed);
-        }
+    for policy in [
+        ThresholdPolicy::JacksonMudholkar,
+        ThresholdPolicy::Empirical,
+    ] {
+        let diagnoser = Diagnoser::new(DiagnoserConfig {
+            threshold_policy: policy,
+            ..Default::default()
+        });
+        let fitted = diagnoser.fit(&dataset).expect("fit");
+        let batch = fitted.diagnose(&dataset).expect("diagnose");
+        let streamed = stream_diagnoses(&dataset, &fitted, fitted.config().alpha);
+        assert_identical(&batch.diagnoses, &streamed);
     }
 }
 

@@ -68,7 +68,6 @@ fn spectral_engine_knobs_are_on_the_default_config() {
     // The core re-exports and the subspace originals are the same types,
     // and the defaults are the documented ones.
     let config = DiagnoserConfig::default();
-    assert_eq!(config.strategy, entromine::subspace::FitStrategy::Auto);
     assert_eq!(
         config.threshold_policy,
         entromine::subspace::ThresholdPolicy::JacksonMudholkar
