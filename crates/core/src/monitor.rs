@@ -686,7 +686,6 @@ impl Monitor {
                 let diagnosis = score_rows_against(
                     fitted,
                     self.thresholds,
-                    self.config.diagnoser.alpha,
                     bin,
                     bytes_row,
                     packets_row,

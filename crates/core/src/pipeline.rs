@@ -398,27 +398,18 @@ impl FittedDiagnoser {
         let policy = self.config.threshold_policy;
         let mut flags = vec![false; bytes.rows()];
         let mut pairs = Vec::with_capacity(bytes.rows());
-        let mut mark = |pairs: &[(f64, f64)], t_spe: f64, t_t2: f64| {
-            for (flag, &(spe, t2)) in flags.iter_mut().zip(pairs) {
+        for (model, x) in self
+            .detectors()
+            .into_iter()
+            .zip([bytes, packets, entropy_raw])
+        {
+            let t_spe = model.threshold_with(alpha, policy)?;
+            model.spe_t2_batch(x.row_iter(), &mut pairs)?;
+            let t_t2 = model.t2_threshold(alpha);
+            for (flag, &(spe, t2)) in flags.iter_mut().zip(&pairs) {
                 *flag |= spe > t_spe || t2 > t_t2;
             }
-        };
-        let t_spe = self.bytes_model.threshold_with(alpha, policy)?;
-        self.bytes_model
-            .spe_t2_batch(bytes.row_iter(), &mut pairs)?;
-        mark(&pairs, t_spe, self.bytes_model.t2_threshold(alpha));
-        let t_spe = self.packets_model.threshold_with(alpha, policy)?;
-        self.packets_model
-            .spe_t2_batch(packets.row_iter(), &mut pairs)?;
-        mark(&pairs, t_spe, self.packets_model.t2_threshold(alpha));
-        let t_spe = self.entropy_model.threshold_with(alpha, policy)?;
-        self.entropy_model
-            .spe_t2_batch(entropy_raw.row_iter(), &mut pairs)?;
-        mark(
-            &pairs,
-            t_spe,
-            self.entropy_model.inner().t2_threshold(alpha),
-        );
+        }
         Ok(flags)
     }
 
@@ -434,17 +425,22 @@ impl FittedDiagnoser {
         if self.config.threshold_policy != ThresholdPolicy::Empirical {
             return Vec::new();
         }
-        let mut warnings = Vec::new();
-        if let Some(w) = self.bytes_model.empirical_sharpness(alpha) {
-            warnings.push(("bytes", w));
-        }
-        if let Some(w) = self.packets_model.empirical_sharpness(alpha) {
-            warnings.push(("packets", w));
-        }
-        if let Some(w) = self.entropy_model.empirical_sharpness(alpha) {
-            warnings.push(("entropy", w));
-        }
-        warnings
+        ["bytes", "packets", "entropy"]
+            .into_iter()
+            .zip(self.detectors())
+            .filter_map(|(name, model)| Some((name, model.empirical_sharpness(alpha)?)))
+            .collect()
+    }
+
+    /// The three detectors `[bytes, packets, entropy]`, one type: the
+    /// entropy detector is the multiway model's inner model, which takes
+    /// raw unfolded rows.
+    pub(crate) fn detectors(&self) -> [&SubspaceModel; 3] {
+        [
+            &self.bytes_model,
+            &self.packets_model,
+            self.entropy_model.inner(),
+        ]
     }
 
     /// The fitted multiway entropy model.
@@ -512,10 +508,15 @@ impl FittedDiagnoser {
         &self,
         dataset: &Dataset,
     ) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>), DiagnosisError> {
-        let b = self.bytes_model.spe_series(dataset.volumes.bytes())?;
-        let p = self.packets_model.spe_series(dataset.volumes.packets())?;
-        let e = self.entropy_model.spe_series(&dataset.tensor)?;
-        Ok((b, p, e))
+        let unfolded = dataset.tensor.unfold();
+        let rows = [
+            dataset.volumes.bytes(),
+            dataset.volumes.packets(),
+            &unfolded,
+        ];
+        let detectors = self.detectors();
+        let [b, p, e] = [0, 1, 2].map(|i| detectors[i].spe_series(rows[i]));
+        Ok((b?, p?, e?))
     }
 }
 

@@ -39,11 +39,10 @@ pub(crate) fn thresholds_for(
     alpha: f64,
 ) -> Result<(f64, f64, f64), DiagnosisError> {
     let policy = fitted.config().threshold_policy;
-    Ok((
-        fitted.bytes_model().threshold_with(alpha, policy)?,
-        fitted.packets_model().threshold_with(alpha, policy)?,
-        fitted.entropy_model().threshold_with(alpha, policy)?,
-    ))
+    let [b, p, e] = fitted
+        .detectors()
+        .map(|model| model.threshold_with(alpha, policy));
+    Ok((b?, p?, e?))
 }
 
 /// Scores one bin's measurement rows against a model set and its
@@ -63,22 +62,23 @@ pub(crate) fn thresholds_for(
 pub(crate) fn score_rows_against(
     fitted: &FittedDiagnoser,
     thresholds: (f64, f64, f64),
-    alpha: f64,
     bin: usize,
     bytes_row: &[f64],
     packets_row: &[f64],
     entropy_raw: &[f64],
 ) -> Result<Option<Diagnosis>, DiagnosisError> {
-    let finite = |row: &[f64]| row.iter().all(|v| v.is_finite());
-    if !finite(bytes_row) || !finite(packets_row) || !finite(entropy_raw) {
+    let rows = [bytes_row, packets_row, entropy_raw];
+    if !rows.iter().all(|row| row.iter().all(|v| v.is_finite())) {
         return Err(DiagnosisError::NonFiniteInput(
             "measurement rows must be finite to score",
         ));
     }
     let (t_bytes, t_packets, t_entropy) = thresholds;
-    let bytes_spe = fitted.bytes_model().spe(bytes_row)?;
-    let packets_spe = fitted.packets_model().spe(packets_row)?;
-    let entropy_spe = fitted.entropy_model().spe(entropy_raw)?;
+    let mut spes = [0.0; 3];
+    for ((spe, model), row) in spes.iter_mut().zip(fitted.detectors()).zip(rows) {
+        *spe = model.spe(row)?;
+    }
+    let [bytes_spe, packets_spe, entropy_spe] = spes;
 
     let methods = DetectionMethods {
         bytes: bytes_spe > t_bytes,
@@ -90,11 +90,12 @@ pub(crate) fn score_rows_against(
     }
 
     // Identification runs on the entropy residual whenever it is above
-    // threshold; volume-only detections carry no blamed flows.
+    // threshold, and stops at that same threshold; volume-only detections
+    // carry no blamed flows.
     let flows = if methods.entropy {
         fitted
             .entropy_model()
-            .identify(entropy_raw, alpha, fitted.config().max_ident_flows)?
+            .identify(entropy_raw, t_entropy, fitted.config().max_ident_flows)?
     } else {
         Vec::new()
     };
@@ -208,7 +209,6 @@ impl<'a> StreamingDiagnoser<'a> {
         let diagnosis = score_rows_against(
             self.fitted,
             (self.t_bytes, self.t_packets, self.t_entropy),
-            self.alpha,
             bin,
             bytes_row,
             packets_row,
@@ -334,6 +334,63 @@ mod tests {
                 streaming.score_rows(0, &bytes, &vec![1.0; p], &vec![1.0; 4 * p]),
                 Err(DiagnosisError::NonFiniteInput(_))
             ));
+        }
+    }
+
+    #[test]
+    fn identification_stops_at_the_detection_threshold_in_force() {
+        // Under the empirical policy the entropy alarm fires against a
+        // threshold above the Jackson–Mudholkar one; identification must
+        // stop at the threshold the alarm fired against, so every blamed
+        // flow was blamed while the residual still exceeded it.
+        let config = DatasetConfig {
+            seed: 1,
+            n_bins: 400,
+            sample_rate: 100,
+            traffic_scale: 1.0,
+            rate_noise: 0.02,
+            anonymize: false,
+        };
+        let events = (0..8)
+            .map(|i| AnomalyEvent {
+                label: if i % 2 == 0 {
+                    AnomalyLabel::PortScan
+                } else {
+                    AnomalyLabel::DosSingle
+                },
+                start_bin: 40 * (i + 1),
+                duration: 1,
+                flows: vec![(7 * i + 3) % 121],
+                packets_per_cell: 3000.0,
+                seed: i as u64,
+            })
+            .collect();
+        let d = Dataset::generate(Topology::abilene(), config, events);
+        let fitted = Diagnoser::new(crate::DiagnoserConfig {
+            threshold_policy: crate::ThresholdPolicy::Empirical,
+            ..Default::default()
+        })
+        .fit(&d)
+        .unwrap();
+        let report = fitted.diagnose(&d).unwrap();
+        let t_entropy = report.thresholds.2;
+        let entropy_alarms: Vec<&Diagnosis> = report
+            .diagnoses
+            .iter()
+            .filter(|d| d.methods.entropy)
+            .collect();
+        assert!(!entropy_alarms.is_empty());
+        for diagnosis in entropy_alarms {
+            assert!(!diagnosis.flows.is_empty(), "bin {}", diagnosis.bin);
+            for flow in &diagnosis.flows {
+                assert!(
+                    flow.spe_before > t_entropy,
+                    "bin {}: flow {} blamed at SPE {} <= {t_entropy}",
+                    diagnosis.bin,
+                    flow.flow,
+                    flow.spe_before
+                );
+            }
         }
     }
 

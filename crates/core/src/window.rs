@@ -317,8 +317,8 @@ mod tests {
             fb.bytes_model().spe(&probe_bytes).unwrap()
         );
         assert_eq!(
-            fa.entropy_model().spe(&probe_entropy).unwrap(),
-            fb.entropy_model().spe(&probe_entropy).unwrap()
+            fa.entropy_model().inner().spe(&probe_entropy).unwrap(),
+            fb.entropy_model().inner().spe(&probe_entropy).unwrap()
         );
         assert_eq!(
             fa.bytes_model().threshold(0.999).unwrap(),
@@ -345,6 +345,7 @@ mod tests {
             .is_ok());
         assert!(fitted
             .entropy_model()
+            .inner()
             .threshold_with(0.99, ThresholdPolicy::Empirical)
             .is_ok());
         // And the sharpness surface reports the 100-bin window cannot

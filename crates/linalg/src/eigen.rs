@@ -39,32 +39,6 @@ pub struct SymEigen {
     pub vectors: Mat,
 }
 
-impl SymEigen {
-    /// Sum of all eigenvalues (equals the trace of the input matrix).
-    pub fn total_variance(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
-    /// Fraction of total variance captured by the leading `m` eigenvalues.
-    ///
-    /// Returns 1.0 when the total variance is zero (a constant matrix has no
-    /// variance to explain).
-    pub fn explained(&self, m: usize) -> f64 {
-        let total = self.total_variance();
-        if total <= 0.0 {
-            return 1.0;
-        }
-        self.values.iter().take(m).sum::<f64>() / total
-    }
-
-    /// Smallest `m` such that the leading `m` eigenvalues capture at least
-    /// `fraction` of total variance.
-    pub fn dims_for_variance(&self, fraction: f64) -> usize {
-        crate::spectrum::leading_dims(&self.values, self.total_variance(), fraction)
-            .unwrap_or(self.values.len())
-    }
-}
-
 /// Full eigendecomposition of a symmetric matrix — the production path,
 /// and the "every vector" case of [`sym_eigen_leading`].
 ///
@@ -1151,6 +1125,7 @@ fn apply_q(taus: &[f64], vtails: &[Vec<f64>], z: &mut Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Spectrum;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1253,10 +1228,7 @@ mod tests {
 
     #[test]
     fn explained_variance_helpers() {
-        let e = SymEigen {
-            values: vec![6.0, 3.0, 1.0],
-            vectors: Mat::identity(3),
-        };
+        let e = Spectrum::complete(vec![6.0, 3.0, 1.0], Mat::identity(3)).unwrap();
         assert_close(e.total_variance(), 10.0, 1e-15);
         assert_close(e.explained(1), 0.6, 1e-15);
         assert_close(e.explained(2), 0.9, 1e-15);
@@ -1267,10 +1239,7 @@ mod tests {
 
     #[test]
     fn explained_variance_of_zero_matrix() {
-        let e = SymEigen {
-            values: vec![0.0, 0.0],
-            vectors: Mat::identity(2),
-        };
+        let e = Spectrum::complete(vec![0.0, 0.0], Mat::identity(2)).unwrap();
         assert_eq!(e.explained(1), 1.0);
         assert_eq!(e.dims_for_variance(0.9), 0);
     }
@@ -1287,7 +1256,7 @@ mod tests {
             assert!(*v > -1e-9, "PSD matrix produced negative eigenvalue {v}");
         }
         let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
-        assert_close(e.total_variance(), trace, 1e-8 * trace.abs().max(1.0));
+        assert_close(e.values.iter().sum(), trace, 1e-8 * trace.abs().max(1.0));
         // Rank is at most 30, so eigenvalues past 30 are ~0.
         for v in &e.values[30..] {
             assert!(v.abs() < 1e-8);

@@ -82,7 +82,7 @@ pub use eigen::{sym_eigen, sym_eigen_leading, sym_eigen_ql, SymEigen};
 pub use error::LinalgError;
 pub use matrix::Mat;
 pub use moments::MomentAccumulator;
-pub use pca::{AxisRequest, FitStrategy, Pca};
+pub use pca::{DimSelection, FitStrategy, Pca};
 pub use score::{ScorePlan, GUARD_EPS};
 pub use solve::{solve, solve_regularized};
 pub use spectrum::{ResidualPowerSums, Spectrum};

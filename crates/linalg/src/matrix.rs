@@ -285,10 +285,9 @@ impl Mat {
     /// panels, upper triangle split across scoped worker threads.
     ///
     /// [`covariance`](Self::covariance) routes here whenever blocking can
-    /// pay (wide matrices, or more than one worker); it is public so
-    /// benches and tests can pit the kernels against each other at any
-    /// size. Bitwise-equal to the other two kernels.
-    pub fn covariance_blocked(&self) -> Result<Mat, LinalgError> {
+    /// pay (wide matrices, or more than one worker). Bitwise-equal to
+    /// [`covariance_serial`](Self::covariance_serial).
+    fn covariance_blocked(&self) -> Result<Mat, LinalgError> {
         if self.rows < 2 {
             return Err(LinalgError::Empty {
                 what: "covariance needs at least 2 rows",
@@ -911,5 +910,21 @@ mod tests {
         let b = Mat::from_rows(&[&[1.5, 1.0]]);
         assert_eq!(a.max_abs_diff(&b).unwrap(), 1.0);
         assert!(a.max_abs_diff(&Mat::zeros(2, 2)).is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn blocked_covariance_equals_serial(
+            data in proptest::collection::vec(-10.0f64..10.0, 70 * 9),
+        ) {
+            // The blocked scoped-thread kernel must agree with the serial
+            // reference *bitwise*, not just to tolerance.
+            let m = Mat::from_vec(70, 9, data);
+            let blocked = m.covariance_blocked().unwrap();
+            let serial = m.covariance_serial().unwrap();
+            let adaptive = m.covariance().unwrap();
+            proptest::prop_assert_eq!(blocked.as_slice(), serial.as_slice());
+            proptest::prop_assert_eq!(adaptive.as_slice(), serial.as_slice());
+        }
     }
 }

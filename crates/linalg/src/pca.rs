@@ -13,7 +13,7 @@
 //! Two engines produce the same model at different costs. Both keep the
 //! **whole** eigenvalue spectrum (thresholds, variance fractions and
 //! explained-variance read all of it) and materialize eigen*vectors* only
-//! for the axes the caller's [`AxisRequest`] names, because scoring, T²,
+//! for the axes the caller's [`DimSelection`] names, because scoring, T²,
 //! calibration and flow identification never index past the normal
 //! subspace.
 //!
@@ -28,7 +28,7 @@
 //!   [`Pca::fit_gram`] itself back-projects every axis the rank supports.
 //!
 //! [`FitStrategy`] names the engines; [`FitStrategy::Auto`] picks Gram or
-//! Full from the data shape and the caller's [`AxisRequest`]. Both yield
+//! Full from the data shape and the caller's [`DimSelection`]. Both yield
 //! thresholds within round-off of the all-axes dense oracle; the
 //! equivalence is pinned by proptests in the subspace crate.
 
@@ -55,35 +55,46 @@ pub enum FitStrategy {
     Gram,
 }
 
-/// How many principal axes a fit must deliver — and how many it
-/// materializes.
+/// How many principal axes a fit keeps: the dimension of the normal
+/// subspace, and the axes the fit materializes.
 ///
-/// [`Components`] requests come with their dimension attached;
-/// [`VarianceFraction`] requests are resolved against the eigenvalues,
+/// [`Fixed`] selections come with their dimension attached;
+/// [`VarianceFraction`] selections are resolved against the eigenvalues,
 /// which both engines have in full before the first vector is computed.
 ///
-/// [`Components`]: Self::Components
+/// [`Fixed`]: Self::Fixed
 /// [`VarianceFraction`]: Self::VarianceFraction
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AxisRequest {
+pub enum DimSelection {
     /// Exactly this many leading axes.
-    Components(usize),
-    /// Enough axes to capture this fraction of total variance.
+    ///
+    /// The paper found "a knee in the amount of variance captured at
+    /// m ≈ 10 (which accounted for 85% of the total variance)" and fixed
+    /// m = 10 for both networks.
+    Fixed(usize),
+    /// The smallest count capturing at least this fraction of total
+    /// variance (e.g. `0.85`).
     VarianceFraction(f64),
+}
+
+impl Default for DimSelection {
+    fn default() -> Self {
+        DimSelection::Fixed(10)
+    }
 }
 
 /// What [`Pca::fit`] and [`Pca::fit_gram`] ask for: every axis the engine
 /// can carry.
-const ALL_AXES: AxisRequest = AxisRequest::Components(usize::MAX);
+const ALL_AXES: DimSelection = DimSelection::Fixed(usize::MAX);
 
-impl AxisRequest {
+impl DimSelection {
     /// The number of leading axes that answers this request over a
     /// complete, descending spectrum — the same cut
     /// [`Pca::dims_for_variance`] reports on the fitted model.
     fn resolve(self, values: &[f64]) -> usize {
         match self {
-            AxisRequest::Components(m) => m.min(values.len()),
-            AxisRequest::VarianceFraction(f) => {
+            DimSelection::Fixed(m) => m.min(values.len()),
+            DimSelection::VarianceFraction(f) => {
                 leading_dims(values, values.iter().sum(), f).unwrap_or(values.len())
             }
         }
@@ -122,7 +133,7 @@ impl Pca {
     }
 
     /// The dense engine, materializing the axes `request` names.
-    fn full_for(x: &Mat, request: AxisRequest) -> Result<Self, LinalgError> {
+    fn full_for(x: &Mat, request: DimSelection) -> Result<Self, LinalgError> {
         if x.cols() == 0 {
             return Err(LinalgError::Empty {
                 what: "PCA of a matrix with zero columns",
@@ -168,7 +179,7 @@ impl Pca {
 
     /// The Gram engine, back-projecting the axes `request` names (at most
     /// the numerical rank).
-    fn gram_for(x: &Mat, request: AxisRequest) -> Result<Self, LinalgError> {
+    fn gram_for(x: &Mat, request: DimSelection) -> Result<Self, LinalgError> {
         let (t, n) = x.shape();
         if n == 0 {
             return Err(LinalgError::Empty {
@@ -229,7 +240,7 @@ impl Pca {
     }
 
     /// Fits with an explicit [`FitStrategy`], dispatching on the data
-    /// shape and the [`AxisRequest`] when the strategy is
+    /// shape and the [`DimSelection`] when the strategy is
     /// [`Auto`](FitStrategy::Auto).
     ///
     /// The dispatch rules, in order:
@@ -239,7 +250,7 @@ impl Pca {
     /// 2. Otherwise → **Full**.
     ///
     /// Either way the model carries every eigenvalue and the axes
-    /// `request` names, no more: `Components(m)` materializes `m`,
+    /// `request` names, no more: `Fixed(m)` materializes `m`,
     /// `VarianceFraction(f)` the count the eigenvalues resolve `f` to.
     /// Check [`strategy`](Self::strategy) for the engine actually used.
     ///
@@ -251,9 +262,9 @@ impl Pca {
     pub fn fit_with(
         x: &Mat,
         strategy: FitStrategy,
-        request: AxisRequest,
+        request: DimSelection,
     ) -> Result<Self, LinalgError> {
-        if let AxisRequest::VarianceFraction(f) = request {
+        if let DimSelection::VarianceFraction(f) = request {
             if !(f > 0.0 && f < 1.0) {
                 return Err(LinalgError::Domain {
                     what: "variance fraction must be finite and lie strictly inside (0, 1)",
@@ -288,7 +299,7 @@ impl Pca {
     }
 
     /// Number of principal axes the model carries: what the
-    /// [`AxisRequest`] asked for, at most `dim()` on the full path and the
+    /// [`DimSelection`] asked for, at most `dim()` on the full path and the
     /// data's numerical rank on the Gram path ([`fit`](Self::fit) and
     /// [`fit_gram`](Self::fit_gram) ask for everything). Projections
     /// require `m <= n_axes()`.
@@ -469,21 +480,21 @@ impl Pca {
 /// Whether the Gram path's a-priori rank bound (`rank ≤ t − 1`) can
 /// support the request. Fixed requests need `m` backprojectable axes;
 /// variance fractions always resolve (the Gram spectrum is complete).
-fn gram_supports(t: usize, request: AxisRequest) -> bool {
+fn gram_supports(t: usize, request: DimSelection) -> bool {
     match request {
-        AxisRequest::Components(m) => t >= m.saturating_add(2),
-        AxisRequest::VarianceFraction(_) => true,
+        DimSelection::Fixed(m) => t >= m.saturating_add(2),
+        DimSelection::VarianceFraction(_) => true,
     }
 }
 
 /// Whether a *fitted* Gram model actually carries the axes the request
 /// needs (it holds `min(request, numerical rank)`) — the a-posteriori
 /// check behind [`gram_supports`], which only knew the row count.
-fn gram_delivers(gram: &Pca, request: AxisRequest) -> bool {
+fn gram_delivers(gram: &Pca, request: DimSelection) -> bool {
     match request {
-        AxisRequest::Components(m) => gram.n_axes() >= m,
+        DimSelection::Fixed(m) => gram.n_axes() >= m,
         // A complete spectrum resolves any fraction within its own rank.
-        AxisRequest::VarianceFraction(_) => true,
+        DimSelection::VarianceFraction(_) => true,
     }
 }
 
@@ -633,17 +644,17 @@ mod tests {
     fn auto_dispatch_picks_shape_appropriate_engines() {
         // Wide: Gram.
         let wide = wide_data(30, 80, 22);
-        let pca = Pca::fit_with(&wide, FitStrategy::Auto, AxisRequest::Components(5)).unwrap();
+        let pca = Pca::fit_with(&wide, FitStrategy::Auto, DimSelection::Fixed(5)).unwrap();
         assert_eq!(pca.strategy(), FitStrategy::Gram);
         // Rows >= cols: Full, however thin the request against the width.
         for (t, n) in [(150, 64), (150, 8)] {
             let tall = wide_data(t, n, 23);
-            let pca = Pca::fit_with(&tall, FitStrategy::Auto, AxisRequest::Components(5)).unwrap();
+            let pca = Pca::fit_with(&tall, FitStrategy::Auto, DimSelection::Fixed(5)).unwrap();
             assert_eq!(pca.strategy(), FitStrategy::Full, "{t}x{n}");
         }
         // Wide but with too few rows to support the request: not Gram.
         let stub = wide_data(5, 80, 25);
-        let pca = Pca::fit_with(&stub, FitStrategy::Auto, AxisRequest::Components(10)).unwrap();
+        let pca = Pca::fit_with(&stub, FitStrategy::Auto, DimSelection::Fixed(10)).unwrap();
         assert_ne!(pca.strategy(), FitStrategy::Gram);
         assert!(pca.n_axes() >= 10);
     }
@@ -665,7 +676,7 @@ mod tests {
         let x = Mat::from_fn(t, n, |i, j| {
             coeffs[i].0 * loads[j].0 + coeffs[i].1 * loads[j].1
         });
-        let auto = Pca::fit_with(&x, FitStrategy::Auto, AxisRequest::Components(10)).unwrap();
+        let auto = Pca::fit_with(&x, FitStrategy::Auto, DimSelection::Fixed(10)).unwrap();
         assert_eq!(auto.strategy(), FitStrategy::Full);
         assert!(auto.n_axes() >= 10);
         // A forced Gram fit on the same data honestly reports its rank.
@@ -682,7 +693,7 @@ mod tests {
         let x = wide_data(200, 300, 27);
         for bad in [f64::NAN, 0.0, 1.0, -1.0, f64::INFINITY] {
             for strategy in [FitStrategy::Auto, FitStrategy::Full, FitStrategy::Gram] {
-                let fit = Pca::fit_with(&x, strategy, AxisRequest::VarianceFraction(bad));
+                let fit = Pca::fit_with(&x, strategy, DimSelection::VarianceFraction(bad));
                 assert!(
                     matches!(fit, Err(LinalgError::Domain { .. })),
                     "fraction {bad} under {strategy:?}: {:?}",
@@ -690,13 +701,14 @@ mod tests {
                 );
             }
         }
-        let pca = Pca::fit_with(&x, FitStrategy::Auto, AxisRequest::VarianceFraction(0.9)).unwrap();
+        let pca =
+            Pca::fit_with(&x, FitStrategy::Auto, DimSelection::VarianceFraction(0.9)).unwrap();
         assert_eq!(pca.strategy(), FitStrategy::Gram);
         let d = pca.dims_for_variance(0.9);
         assert!(d >= 1 && d == pca.n_axes(), "d={d} axes={}", pca.n_axes());
         assert!(pca.explained_variance_ratio(d) >= 0.9);
         let full =
-            Pca::fit_with(&x, FitStrategy::Full, AxisRequest::VarianceFraction(0.9)).unwrap();
+            Pca::fit_with(&x, FitStrategy::Full, DimSelection::VarianceFraction(0.9)).unwrap();
         assert_eq!(full.dims_for_variance(0.9), d);
     }
 
@@ -712,7 +724,7 @@ mod tests {
             let mut x = wide_data(t, n, 41);
             x.row_mut(t / 2).fill(1e300);
             for strategy in [FitStrategy::Auto, FitStrategy::Full, FitStrategy::Gram] {
-                let fit = Pca::fit_with(&x, strategy, AxisRequest::Components(2));
+                let fit = Pca::fit_with(&x, strategy, DimSelection::Fixed(2));
                 assert!(
                     matches!(fit, Err(LinalgError::NoConvergence { .. })),
                     "{t}x{n} {strategy:?}: {:?}",

@@ -63,9 +63,9 @@ thread_local! {
 ///
 /// Built by [`Pca::score_plan`](crate::Pca::score_plan). One fixed
 /// per-row arithmetic backs every entry point — [`spe`](Self::spe),
-/// [`spe_batch`](Self::spe_batch), [`spe_t2`](Self::spe_t2) — so batch
-/// and streamed scoring of the same row are bitwise identical by
-/// construction.
+/// [`spe_batch`](Self::spe_batch), [`spe_t2_batch`](Self::spe_t2_batch)
+/// — so batch and streamed scoring of the same row are bitwise identical
+/// by construction.
 #[derive(Debug, Clone)]
 pub struct ScorePlan {
     mean: Vec<f64>,
@@ -123,6 +123,12 @@ impl ScorePlan {
         }
         self.divisors = Some(divisors);
         Ok(self)
+    }
+
+    /// The per-column divisors folded into the centering pass, or `None`
+    /// when rows are scored as given.
+    pub fn divisors(&self) -> Option<&[f64]> {
+        self.divisors.as_deref()
     }
 
     /// Number of variables `n` a scored row must have.
@@ -252,50 +258,6 @@ impl ScorePlan {
         SCRATCH.with(|s| Ok(self.spe_in_scratch(x, &mut s.borrow_mut())))
     }
 
-    /// SPE and Hotelling's T² of one row from a single axis pass: the
-    /// scores feed both statistics, so the refit-trimming gate pays one
-    /// matrix scan per model instead of three. `eigenvalues` aligns with
-    /// the plan's axes; entries at or below `floor` are skipped (the
-    /// zero-variance convention of
-    /// [`SubspaceModel::t2`]).
-    ///
-    /// [`SubspaceModel::t2`]: ../entromine_subspace/struct.SubspaceModel.html#method.t2
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when `x.len() != dim()`.
-    pub fn spe_t2(
-        &self,
-        x: &[f64],
-        eigenvalues: &[f64],
-        floor: f64,
-    ) -> Result<(f64, f64), LinalgError> {
-        self.check(x)?;
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            let (spe, _) = self.spe_in_scratch(x, s);
-            Ok((spe, Self::t2_of_scores(&s.scores, eigenvalues, floor)))
-        })
-    }
-
-    /// Hotelling's T² alone (one axis pass, no residual work at all).
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when `x.len() != dim()`.
-    pub fn t2(&self, x: &[f64], eigenvalues: &[f64], floor: f64) -> Result<f64, LinalgError> {
-        self.check(x)?;
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            let n = self.dim();
-            s.centered.resize(n, 0.0);
-            s.scores.resize(self.n_axes(), 0.0);
-            self.center_into(x, &mut s.centered);
-            self.scores_into(&s.centered, &mut s.scores);
-            Ok(Self::t2_of_scores(&s.scores, eigenvalues, floor))
-        })
-    }
-
     /// Batch entry point: pushes every row through the **same** per-row
     /// arithmetic as [`spe`](Self::spe) (so batch and streamed scores of
     /// one row are bitwise identical) over one shared scratch, appending
@@ -323,9 +285,13 @@ impl ScorePlan {
         })
     }
 
-    /// Batched [`spe_t2`](Self::spe_t2): one `(SPE, T²)` pair per row
-    /// appended to `out` (cleared first), single axis pass per row over
-    /// one shared scratch — the refit-trimming scan.
+    /// SPE and Hotelling's T² of every row from a single axis pass per
+    /// row: the scores feed both statistics, so the refit-trimming scan
+    /// pays one matrix pass per row instead of three. One `(SPE, T²)` pair
+    /// per row is appended to `out` (cleared first), over one shared
+    /// scratch. `eigenvalues` aligns with the plan's axes; entries at or
+    /// below `floor` are skipped (the zero-variance convention of
+    /// `SubspaceModel::spe_t2_batch` in the subspace crate).
     ///
     /// # Errors
     ///
@@ -402,7 +368,9 @@ mod tests {
     fn shapes_validated() {
         let plan = plan_2d();
         assert!(plan.spe(&[1.0]).is_err());
-        assert!(plan.spe_t2(&[1.0, 2.0, 3.0], &[1.0], 0.0).is_err());
+        let mut pairs = Vec::new();
+        let wide: &[f64] = &[1.0, 2.0, 3.0];
+        assert!(plan.spe_t2_batch([wide], &[1.0], 0.0, &mut pairs).is_err());
         let axes = Mat::from_fn(1, 2, |_, _| 1.0);
         assert!(ScorePlan::new(vec![0.0; 3], axes.clone()).is_err());
         assert!(ScorePlan::new(vec![0.0; 2], axes.clone())

@@ -123,8 +123,7 @@ impl Spectrum {
     }
 
     /// Fraction of total variance captured by the leading `m` eigenvalues
-    /// (1.0 for a zero-variance spectrum, as in
-    /// [`SymEigen::explained`](crate::SymEigen::explained)).
+    /// (1.0 for a zero-variance spectrum: there is no variance to explain).
     pub fn explained(&self, m: usize) -> f64 {
         let total = self.total_variance();
         if total <= 0.0 {
@@ -137,8 +136,7 @@ impl Spectrum {
     /// of total variance.
     ///
     /// Zero-variance spectra answer 0; a fraction the spectrum never
-    /// reaches answers its own length, both matching
-    /// [`SymEigen::dims_for_variance`](crate::SymEigen::dims_for_variance).
+    /// reaches answers its own length.
     pub fn dims_for_variance(&self, fraction: f64) -> usize {
         leading_dims(&self.values, self.total_variance(), fraction).unwrap_or(self.values.len())
     }
@@ -205,17 +203,14 @@ mod tests {
 
     #[test]
     fn dims_for_variance_matches_the_cumulative_cut() {
-        let a = random_psd(16, 16, 13);
-        let eigen = sym_eigen(&a).unwrap();
-        let full = complete_of(&a);
-        for fraction in [0.3, 0.9, 0.999999] {
-            assert_eq!(
-                full.dims_for_variance(fraction),
-                eigen.dims_for_variance(fraction)
-            );
+        // Cumulative shares of [8, 4, 2, 1, 1] / 16: 0.5, 0.75, 0.875,
+        // 0.9375, 1 — every cut below is read off that list by hand.
+        let full = Spectrum::complete(vec![8.0, 4.0, 2.0, 1.0, 1.0], Mat::identity(5)).unwrap();
+        for (fraction, m) in [(0.3, 1), (0.5, 1), (0.75, 2), (0.9, 4), (0.999999, 5)] {
+            assert_eq!(full.dims_for_variance(fraction), m, "fraction {fraction}");
         }
         // A fraction past the floating-point total saturates at n.
-        assert_eq!(full.dims_for_variance(2.0), 16);
+        assert_eq!(full.dims_for_variance(2.0), 5);
         // Zero-variance spectra need no axes at all.
         let zero = complete_of(&Mat::zeros(3, 3));
         assert_eq!(zero.dims_for_variance(0.9), 0);

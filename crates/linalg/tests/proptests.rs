@@ -268,17 +268,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_covariance_equals_serial(m in mat_strategy(70, 9)) {
-        // The blocked scoped-thread kernel must agree with the serial
-        // reference *bitwise*, not just to tolerance.
-        let blocked = m.covariance_blocked().unwrap();
-        let serial = m.covariance_serial().unwrap();
-        let adaptive = m.covariance().unwrap();
-        prop_assert_eq!(blocked.as_slice(), serial.as_slice());
-        prop_assert_eq!(adaptive.as_slice(), serial.as_slice());
-    }
-
-    #[test]
     fn streamed_moments_match_batch_covariance(m in mat_strategy(40, 6)) {
         let acc = MomentAccumulator::from_rows(&m);
         let streamed = acc.covariance().unwrap();

@@ -13,7 +13,7 @@
 //! CI runs this suite under auto dispatch and `ENTROMINE_FORCE_SCALAR`,
 //! so the agreement holds on every kernel tier.
 
-use entromine_linalg::{AxisRequest, FitStrategy, Mat, Pca};
+use entromine_linalg::{DimSelection, FitStrategy, Mat, Pca};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,7 +99,7 @@ proptest! {
         // to m·d·‖s‖² of it, so the floor carries that term too.
         let m = 10;
         let x = low_rank_traffic(64, 1936, traffic_seed);
-        let pca = Pca::fit_with(&x, FitStrategy::Auto, AxisRequest::Components(m)).unwrap();
+        let pca = Pca::fit_with(&x, FitStrategy::Auto, DimSelection::Fixed(m)).unwrap();
         prop_assert_eq!(pca.strategy(), FitStrategy::Gram);
         let axes = pca.components();
         let defect = axes
@@ -221,20 +221,19 @@ fn t2_matches_reference_projection() {
         .filter(|(_, &l)| l > floor)
         .map(|(s, &l)| s * s / l)
         .sum();
-    let fused = plan.t2(&probe, pca.eigenvalues(), floor).unwrap();
+    let mut pairs = Vec::new();
+    plan.spe_t2_batch([probe.as_slice()], pca.eigenvalues(), floor, &mut pairs)
+        .unwrap();
+    let [(spe, fused)] = pairs[..] else {
+        panic!("one pair per row: {pairs:?}")
+    };
     assert!(
         (fused - reference).abs() <= 1e-10 * (1.0 + reference.abs()),
         "{fused} vs {reference}"
     );
-    let (spe, t2) = plan.spe_t2(&probe, pca.eigenvalues(), floor).unwrap();
-    assert_eq!(
-        t2.to_bits(),
-        fused.to_bits(),
-        "spe_t2 shares the score pass"
-    );
     assert_eq!(
         spe.to_bits(),
         plan.spe(&probe).unwrap().to_bits(),
-        "spe_t2's SPE is the plan SPE"
+        "spe_t2_batch's SPE is the plan SPE"
     );
 }

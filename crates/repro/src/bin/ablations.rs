@@ -132,6 +132,7 @@ fn main() {
                 continue;
             }
         };
+        let model = model.inner();
         let threshold = model.threshold(0.999).expect("threshold");
         // Score the dataset's actual tensor rows (which carry anomalies).
         let mut hits = 0usize;
@@ -204,7 +205,7 @@ fn main() {
         let mut without_energy = [0.0f64; 4];
         for bin in 0..dataset.n_bins() {
             let row = dataset.tensor.unfolded_row(bin);
-            let rw = with.residual(&row).expect("residual");
+            let rw = with.inner().residual(&row).expect("residual");
             let ro = without.residual(&row).expect("residual");
             for k in 0..4 {
                 with_energy[k] += rw[k * p..(k + 1) * p].iter().map(|v| v * v).sum::<f64>();

@@ -150,27 +150,19 @@ impl InjectionBench {
         let e = self
             .fitted
             .entropy_model()
+            .inner()
             .spe(&entropy_row)
             .expect("entropy spe");
         (b, pk, e)
     }
 
-    /// The three detection thresholds at `alpha`.
+    /// The three detection thresholds at `alpha`, under the pipeline's
+    /// configured threshold policy.
     pub fn thresholds(&self, alpha: f64) -> (f64, f64, f64) {
-        (
-            self.fitted
-                .bytes_model()
-                .threshold(alpha)
-                .expect("threshold"),
-            self.fitted
-                .packets_model()
-                .threshold(alpha)
-                .expect("threshold"),
-            self.fitted
-                .entropy_model()
-                .threshold(alpha)
-                .expect("threshold"),
-        )
+        self.fitted
+            .streaming(alpha)
+            .expect("thresholds")
+            .thresholds()
     }
 }
 

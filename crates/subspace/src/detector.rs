@@ -2,37 +2,7 @@
 
 use crate::qstat::{empirical_quantile, q_threshold_from_power_sums, ThresholdPolicy};
 use crate::SubspaceError;
-use entromine_linalg::{AxisRequest, FitStrategy, Mat, Pca, ScorePlan};
-
-/// How the dimension of the normal subspace is chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DimSelection {
-    /// Use exactly this many principal components.
-    ///
-    /// The paper found "a knee in the amount of variance captured at
-    /// m ≈ 10 (which accounted for 85% of the total variance)" and fixed
-    /// m = 10 for both networks.
-    Fixed(usize),
-    /// Use the smallest dimension capturing at least this variance
-    /// fraction (e.g. `0.85`).
-    VarianceFraction(f64),
-}
-
-impl Default for DimSelection {
-    fn default() -> Self {
-        DimSelection::Fixed(10)
-    }
-}
-
-impl DimSelection {
-    /// The axis request this selection poses to the fit dispatcher.
-    fn request(self) -> AxisRequest {
-        match self {
-            DimSelection::Fixed(m) => AxisRequest::Components(m),
-            DimSelection::VarianceFraction(f) => AxisRequest::VarianceFraction(f),
-        }
-    }
-}
+use entromine_linalg::{DimSelection, FitStrategy, Mat, Pca, ScorePlan};
 
 /// One detection: a time bin whose squared residual exceeded the threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,6 +24,14 @@ pub struct Detection {
 /// Every fit also **calibrates** the model: the training rows' SPE order
 /// statistics are retained (sorted), which is what the
 /// [`ThresholdPolicy::Empirical`] threshold consumes.
+///
+/// The multiway entropy model ([`MultiwayModel::inner`]) is fitted on rows
+/// divided by fixed per-feature divisors and carries them in its scoring
+/// plane, so it takes rows in the caller's raw units like the volume
+/// models do; its PCA, thresholds and calibration stay in the divided
+/// units.
+///
+/// [`MultiwayModel::inner`]: crate::MultiwayModel::inner
 #[derive(Debug, Clone)]
 pub struct SubspaceModel {
     pca: Pca,
@@ -96,7 +74,7 @@ impl SubspaceModel {
                 "need at least two timepoints to model variation",
             ));
         }
-        let pca = Pca::fit_with(x, strategy, dim.request())?;
+        let pca = Pca::fit_with(x, strategy, dim)?;
         let n = pca.dim();
         let m = match dim {
             DimSelection::Fixed(m) => m,
@@ -132,9 +110,19 @@ impl SubspaceModel {
         Ok(model)
     }
 
+    /// Folds fixed per-column divisors into the scoring plane, after the
+    /// model was fitted and calibrated on rows already divided by them:
+    /// from here on every entry point takes rows in the caller's raw
+    /// units (`x/d` is applied inside the centering pass, bitwise equal to
+    /// dividing first), and [`residual`](Self::residual) divides too.
+    pub(crate) fn fold_divisors(&mut self, divisors: Vec<f64>) -> Result<(), SubspaceError> {
+        self.plan = self.pca.score_plan(self.m)?.with_divisors(divisors)?;
+        Ok(())
+    }
+
     /// The eigenvalue floor below which an axis counts as zero-variance
-    /// for T² (the multiway model scores against it too).
-    pub(crate) fn t2_floor(&self) -> f64 {
+    /// for T².
+    fn t2_floor(&self) -> f64 {
         1e-12 * self.pca.total_variance().max(1e-300)
     }
 
@@ -195,22 +183,19 @@ impl SubspaceModel {
         Ok(())
     }
 
-    /// SPE and T² of one row from a single axis-matrix pass — the
-    /// refit-trimming gate's statistic pair at a third of the scans the
-    /// separate calls pay.
-    ///
-    /// # Errors
-    ///
-    /// Shape errors from scoring.
-    pub fn spe_t2(&self, row: &[f64]) -> Result<(f64, f64), SubspaceError> {
-        Ok(self
-            .plan
-            .spe_t2(row, self.pca.eigenvalues(), self.t2_floor())?)
-    }
-
-    /// Batched [`spe_t2`](Self::spe_t2): one `(SPE, T²)` pair per row
+    /// SPE and Hotelling's T² of every row, one `(SPE, T²)` pair per row
     /// appended to `out` (cleared first) — the refit-trimming scan, one
     /// fused axis pass per row over shared scratch.
+    ///
+    /// T² is the variance-weighted squared magnitude of a row's
+    /// normal-subspace scores, `Σ_{j<m} score_j² / λ_j`. SPE is blind to
+    /// anomalies whose direction the PCA absorbed into the normal
+    /// subspace; such observations instead show an extreme score along
+    /// the stolen axis, which T² exposes. The diagnosis pipeline uses T²
+    /// (against a `χ²_m` quantile, [`t2_threshold`](Self::t2_threshold))
+    /// for robust training-data trimming only — reported detections remain
+    /// pure SPE exceedances as in the paper. Axes with (numerically) zero
+    /// variance are skipped.
     ///
     /// # Errors
     ///
@@ -225,8 +210,20 @@ impl SubspaceModel {
         Ok(())
     }
 
-    /// The residual vector `x̃` of one observation row.
+    /// The residual vector `x̃` of one observation row, in the units the
+    /// model was fitted in: a row given in raw units is divided by the
+    /// plan's folded divisors first, if any.
     pub fn residual(&self, row: &[f64]) -> Result<Vec<f64>, SubspaceError> {
+        let scaled: Vec<f64>;
+        let row = match self.plan.divisors() {
+            // A wrong-width row skips the division and fails the shape
+            // check below.
+            Some(div) if div.len() == row.len() => {
+                scaled = row.iter().zip(div).map(|(v, d)| v / d).collect();
+                &scaled
+            }
+            _ => row,
+        };
         Ok(self.pca.residual(row, self.m)?)
     }
 
@@ -271,73 +268,16 @@ impl SubspaceModel {
         }
     }
 
-    /// Hotelling's T² statistic of one observation: the variance-weighted
-    /// squared magnitude of its normal-subspace scores,
-    /// `Σ_{j<m} score_j² / λ_j`.
-    ///
-    /// SPE is blind to anomalies whose direction the PCA absorbed into the
-    /// normal subspace; such observations instead show an extreme score
-    /// along the stolen axis, which T² exposes. The diagnosis pipeline
-    /// uses T² (against a `χ²_m` quantile, [`t2_threshold`](Self::t2_threshold))
-    /// for robust training-data trimming only — reported detections remain
-    /// pure SPE exceedances as in the paper.
-    ///
-    /// Axes with (numerically) zero variance are skipped.
-    pub fn t2(&self, row: &[f64]) -> Result<f64, SubspaceError> {
-        Ok(self.plan.t2(row, self.pca.eigenvalues(), self.t2_floor())?)
-    }
-
     /// The `χ²_m` quantile used as the T² trimming threshold.
     pub fn t2_threshold(&self, alpha: f64) -> f64 {
         entromine_linalg::stats::chi2_quantile(self.m, alpha)
     }
 
-    /// Scores one observation row against a precomputed threshold: the
-    /// **score half** of the fit/score split. Returns the [`Detection`]
-    /// if the row's SPE exceeds `threshold`, tagged with `bin`.
-    ///
-    /// Cost is one fused axis-matrix pass — `O(n·m)` with contiguous
-    /// access and zero allocations — so a live monitor can afford it on
-    /// every arriving bin without ever refitting. Batch detection
-    /// ([`detect`](Self::detect)) pushes rows through the same per-row
-    /// plan arithmetic via [`spe_batch`](Self::spe_batch), which is what
-    /// guarantees batch and streaming agree exactly (bitwise).
-    pub fn score_row(
-        &self,
-        bin: usize,
-        row: &[f64],
-        threshold: f64,
-    ) -> Result<Option<Detection>, SubspaceError> {
-        let spe = self.spe(row)?;
-        Ok((spe > threshold).then_some(Detection {
-            bin,
-            spe,
-            threshold,
-        }))
-    }
-
-    /// A scoring head with the Q-threshold for `alpha` precomputed: the
-    /// artifact the fit phase hands to the streaming score path.
-    pub fn scorer(&self, alpha: f64) -> Result<RowScorer<'_>, SubspaceError> {
-        self.scorer_with(alpha, ThresholdPolicy::JacksonMudholkar)
-    }
-
-    /// A scoring head under an explicit [`ThresholdPolicy`].
-    pub fn scorer_with(
-        &self,
-        alpha: f64,
-        policy: ThresholdPolicy,
-    ) -> Result<RowScorer<'_>, SubspaceError> {
-        Ok(RowScorer {
-            model: self,
-            threshold: self.threshold_with(alpha, policy)?,
-        })
-    }
-
     /// Evaluates every row of `x` and returns the bins whose SPE exceeds
-    /// `δ²_α`, in time order — one [`spe_batch`](Self::spe_batch) pass
-    /// (bitwise equal to replaying [`score_row`](Self::score_row), since
-    /// both run the same per-row plan arithmetic).
+    /// the Jackson–Mudholkar `δ²_α`, in time order — one
+    /// [`spe_batch`](Self::spe_batch) pass (bitwise equal to per-row
+    /// [`spe`](Self::spe), since both run the same per-row plan
+    /// arithmetic).
     pub fn detect(&self, x: &Mat, alpha: f64) -> Result<Vec<Detection>, SubspaceError> {
         let threshold = self.threshold(alpha)?;
         let mut spes = Vec::with_capacity(x.rows());
@@ -360,35 +300,6 @@ impl SubspaceModel {
         let mut out = Vec::with_capacity(x.rows());
         self.spe_batch(x.row_iter(), &mut out)?;
         Ok(out)
-    }
-}
-
-/// The score half of a fitted [`SubspaceModel`]: a borrow of the model
-/// plus its precomputed Q-statistic threshold.
-///
-/// Constructed once per confidence level by [`SubspaceModel::scorer`];
-/// thereafter each arriving observation costs one `O(n·m)` projection and
-/// a comparison — no eigenwork, no threshold recomputation, no refit.
-#[derive(Debug, Clone, Copy)]
-pub struct RowScorer<'a> {
-    model: &'a SubspaceModel,
-    threshold: f64,
-}
-
-impl RowScorer<'_> {
-    /// The precomputed threshold `δ²_α`.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The model being scored against.
-    pub fn model(&self) -> &SubspaceModel {
-        self.model
-    }
-
-    /// Scores one observation row, tagging any detection with `bin`.
-    pub fn score(&self, bin: usize, row: &[f64]) -> Result<Option<Detection>, SubspaceError> {
-        self.model.score_row(bin, row, self.threshold)
     }
 }
 
@@ -478,24 +389,6 @@ mod tests {
         let spe = model.spe(row).unwrap();
         let norm2: f64 = r.iter().map(|v| v * v).sum();
         assert!((norm2 - spe).abs() < 1e-10);
-    }
-
-    #[test]
-    fn score_row_matches_detect() {
-        let mut x = synthetic_traffic(300, 12, 0.4, 8);
-        let model = SubspaceModel::fit(&x, DimSelection::Fixed(3)).unwrap();
-        x[(200, 5)] += 35.0;
-        let alpha = 0.999;
-        let batch = model.detect(&x, alpha).unwrap();
-        let scorer = model.scorer(alpha).unwrap();
-        let streamed: Vec<Detection> = x
-            .row_iter()
-            .enumerate()
-            .filter_map(|(bin, row)| scorer.score(bin, row).unwrap())
-            .collect();
-        assert_eq!(batch, streamed, "replaying score_row must equal detect");
-        assert!(streamed.iter().any(|d| d.bin == 200));
-        assert_eq!(scorer.threshold(), model.threshold(alpha).unwrap());
     }
 
     #[test]

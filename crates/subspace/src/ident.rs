@@ -153,7 +153,7 @@ fn normal_equations(components: &Mat, m: usize, cols: &[usize; 4]) -> Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{DimSelection, SubspaceModel};
+    use crate::{DimSelection, SubspaceModel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

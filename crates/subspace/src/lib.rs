@@ -26,12 +26,13 @@
 //! * Fit once — from the training rows ([`SubspaceModel::fit_with`];
 //!   [`MultiwayModel::fit_unfolded`] for raw unfolded entropy rows, which
 //!   the tensor entry points delegate to).
-//! * Score cheaply — [`SubspaceModel::score_row`] /
-//!   [`MultiwayModel::score_row`] evaluate one observation against a
-//!   precomputed Q-threshold in `O(n·m)`, and the [`RowScorer`] /
-//!   [`MultiwayScorer`] heads package a model borrow with that threshold.
-//!   Batch detection replays the same score path over stored rows, so the
-//!   two modes cannot disagree.
+//! * Score cheaply — all three detectors (bytes, packets, and the entropy
+//!   model's [`MultiwayModel::inner`]) are [`SubspaceModel`]s serving rows
+//!   in their caller's units through [`SubspaceModel::spe`],
+//!   [`SubspaceModel::spe_batch`] and [`SubspaceModel::spe_t2_batch`]: one
+//!   `O(n·m)` pass per row against a threshold computed once. Batch
+//!   detection ([`SubspaceModel::detect`]) replays the same per-row
+//!   arithmetic over stored rows, so the two modes cannot disagree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,14 +43,15 @@ mod ident;
 mod multiway;
 mod qstat;
 
-pub use detector::{Detection, DimSelection, RowScorer, SubspaceModel};
+pub use detector::{Detection, SubspaceModel};
 pub use error::SubspaceError;
 pub use ident::FlowContribution;
-pub use multiway::{MultiwayModel, MultiwayScorer};
+pub use multiway::MultiwayModel;
 pub use qstat::{
     empirical_quantile, empirical_sharpness, q_statistic_threshold, q_threshold_from_power_sums,
     EmpiricalSharpness, ThresholdPolicy,
 };
 
-/// Re-export of the fit-engine selector threaded through every fit path.
-pub use entromine_linalg::FitStrategy;
+/// Re-exports of the fit-engine selector and the normal-subspace
+/// dimension choice threaded through every fit path.
+pub use entromine_linalg::{DimSelection, FitStrategy};

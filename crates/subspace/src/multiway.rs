@@ -5,28 +5,32 @@
 //! that no one feature dominates our analysis"), and applies the standard
 //! subspace method to the result. Detections are correlated distributional
 //! changes across OD flows *and* traffic features.
+//!
+//! The result is an ordinary [`SubspaceModel`] ([`MultiwayModel::inner`])
+//! whose scoring plane carries the unit-energy divisors, so it scores raw
+//! unfolded rows through the same `spe` / `spe_batch` / `spe_t2_batch`
+//! entry points, thresholds and calibration as the volume detectors.
+//! [`MultiwayModel`] adds only what is specific to the entropy tensor:
+//! the fit, the normalization metadata and identification.
 
-use crate::detector::{Detection, DimSelection, SubspaceModel};
+use crate::detector::SubspaceModel;
 use crate::ident::{identify_greedy, FlowContribution};
-use crate::qstat::ThresholdPolicy;
 use crate::SubspaceError;
 use entromine_entropy::EntropyTensor;
-use entromine_linalg::{FitStrategy, Mat, ScorePlan};
+use entromine_linalg::{DimSelection, FitStrategy, Mat};
 
 /// A fitted multiway subspace model over an entropy tensor.
 #[derive(Debug, Clone)]
 pub struct MultiwayModel {
+    /// The subspace model over the normalized unfolding, with the
+    /// unit-energy divisors folded into its scoring plane: it takes raw
+    /// unfolded rows.
     model: SubspaceModel,
     /// Per-feature normalization divisors (Frobenius norm of each
     /// submatrix at fit time). Applied to every row evaluated later, so a
     /// model fitted on clean data can score injected rows consistently.
     divisors: [f64; 4],
     n_flows: usize,
-    /// The inner model's scoring plane with the unit-energy divisors
-    /// folded into its centering pass (`c = raw/d − μ`, bitwise identical
-    /// to normalizing first), so raw unfolded rows score allocation-free
-    /// without materializing the normalized row.
-    plan: ScorePlan,
 }
 
 impl MultiwayModel {
@@ -66,7 +70,8 @@ impl MultiwayModel {
     /// Normalizes each feature block to unit energy over exactly these
     /// rows (consuming the matrix: normalization happens in place), then
     /// applies the single-way method, which also calibrates the model on
-    /// the same rows.
+    /// the same rows. The divisors are then folded into the model's
+    /// scoring plane, so [`inner`](Self::inner) takes raw unfolded rows.
     ///
     /// # Errors
     ///
@@ -113,20 +118,17 @@ impl MultiwayModel {
                 }
             }
         }
-        let model = SubspaceModel::fit_with(&unfolded, dim, strategy)?;
+        // Calibrated on the normalized rows before the fold.
+        let mut model = SubspaceModel::fit_with(&unfolded, dim, strategy)?;
         let mut per_col = vec![0.0; 4 * p];
         for (k, &d) in divisors.iter().enumerate() {
             per_col[k * p..(k + 1) * p].fill(d);
         }
-        let plan = model
-            .pca()
-            .score_plan(model.normal_dim())?
-            .with_divisors(per_col)?;
+        model.fold_divisors(per_col)?;
         Ok(MultiwayModel {
             model,
             divisors,
             n_flows: p,
-            plan,
         })
     }
 
@@ -135,7 +137,9 @@ impl MultiwayModel {
         self.n_flows
     }
 
-    /// The fitted single-way model over the normalized unfolding.
+    /// The fitted single-way model over the normalized unfolding: the
+    /// entropy detector. It scores raw unfolded rows; its thresholds,
+    /// calibration and residuals are in normalized units.
     pub fn inner(&self) -> &SubspaceModel {
         &self.model
     }
@@ -145,179 +149,6 @@ impl MultiwayModel {
         self.divisors
     }
 
-    /// Applies the stored unit-energy normalization to a raw unfolded row.
-    pub fn normalize_row(&self, raw: &[f64]) -> Result<Vec<f64>, SubspaceError> {
-        self.check_width(raw)?;
-        let p = self.n_flows;
-        let mut out = raw.to_vec();
-        for (k, &d) in self.divisors.iter().enumerate() {
-            for v in &mut out[k * p..(k + 1) * p] {
-                *v /= d;
-            }
-        }
-        Ok(out)
-    }
-
-    /// SPE of a raw (un-normalized) unfolded row, through the
-    /// divisor-folded scoring plane (allocation-free; the fold `raw/d − μ`
-    /// is bitwise identical to normalizing first).
-    pub fn spe(&self, raw: &[f64]) -> Result<f64, SubspaceError> {
-        self.check_width(raw)?;
-        Ok(self.plan.spe(raw)?)
-    }
-
-    /// SPEs of a batch of raw unfolded rows through the plan's batch
-    /// entry — bitwise identical to per-row [`spe`](Self::spe). `out` is
-    /// cleared first.
-    ///
-    /// # Errors
-    ///
-    /// Shape errors from scoring, on the first offending row.
-    pub fn spe_batch<'r>(
-        &self,
-        rows: impl IntoIterator<Item = &'r [f64]>,
-        out: &mut Vec<f64>,
-    ) -> Result<(), SubspaceError> {
-        self.plan.spe_batch(rows, out)?;
-        Ok(())
-    }
-
-    /// SPE and T² of one raw unfolded row from a single axis pass (see
-    /// [`SubspaceModel::spe_t2`]).
-    ///
-    /// # Errors
-    ///
-    /// Shape errors from scoring.
-    pub fn spe_t2(&self, raw: &[f64]) -> Result<(f64, f64), SubspaceError> {
-        self.check_width(raw)?;
-        let (lambdas, floor) = (self.model.pca().eigenvalues(), self.model.t2_floor());
-        Ok(self.plan.spe_t2(raw, lambdas, floor)?)
-    }
-
-    /// Batched [`spe_t2`](Self::spe_t2) over raw unfolded rows: one
-    /// `(SPE, T²)` pair per row appended to `out` (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Shape errors from scoring, on the first offending row.
-    pub fn spe_t2_batch<'r>(
-        &self,
-        rows: impl IntoIterator<Item = &'r [f64]>,
-        out: &mut Vec<(f64, f64)>,
-    ) -> Result<(), SubspaceError> {
-        let (lambdas, floor) = (self.model.pca().eigenvalues(), self.model.t2_floor());
-        self.plan.spe_t2_batch(rows, lambdas, floor, out)?;
-        Ok(())
-    }
-
-    /// The multiway wording of the `4p` width check (the plan would report
-    /// a bare shape mismatch).
-    fn check_width(&self, raw: &[f64]) -> Result<(), SubspaceError> {
-        if raw.len() != 4 * self.n_flows {
-            return Err(SubspaceError::BadInput(
-                "row length must be 4p (one value per feature per flow)",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Residual vector `h̃` of a raw unfolded row (in normalized units).
-    pub fn residual(&self, raw: &[f64]) -> Result<Vec<f64>, SubspaceError> {
-        let normalized = self.normalize_row(raw)?;
-        self.model.residual(&normalized)
-    }
-
-    /// The detection threshold `δ²_α` (Jackson–Mudholkar policy).
-    pub fn threshold(&self, alpha: f64) -> Result<f64, SubspaceError> {
-        self.model.threshold(alpha)
-    }
-
-    /// The detection threshold under an explicit [`ThresholdPolicy`].
-    /// The empirical policy reads the inner model's training-SPE
-    /// calibration (in normalized entropy units — the same units every
-    /// scored row is normalized into).
-    pub fn threshold_with(
-        &self,
-        alpha: f64,
-        policy: ThresholdPolicy,
-    ) -> Result<f64, SubspaceError> {
-        self.model.threshold_with(alpha, policy)
-    }
-
-    /// Structured sharpness warning for an empirical threshold at
-    /// `alpha`, read from the inner model's calibration (see
-    /// [`SubspaceModel::empirical_sharpness`]).
-    pub fn empirical_sharpness(&self, alpha: f64) -> Option<crate::EmpiricalSharpness> {
-        self.model.empirical_sharpness(alpha)
-    }
-
-    /// Hotelling's T² of a raw unfolded row (see
-    /// [`SubspaceModel::t2`](crate::SubspaceModel::t2)).
-    pub fn t2(&self, raw: &[f64]) -> Result<f64, SubspaceError> {
-        self.check_width(raw)?;
-        let (lambdas, floor) = (self.model.pca().eigenvalues(), self.model.t2_floor());
-        Ok(self.plan.t2(raw, lambdas, floor)?)
-    }
-
-    /// Scores one raw (un-normalized) unfolded row against a precomputed
-    /// threshold — the multiway score path. Normalization uses the
-    /// divisors stored at fit time, so a bin arriving months after
-    /// training is scored in the same units the model was fitted in.
-    pub fn score_row(
-        &self,
-        bin: usize,
-        raw: &[f64],
-        threshold: f64,
-    ) -> Result<Option<Detection>, SubspaceError> {
-        let spe = self.spe(raw)?;
-        Ok((spe > threshold).then_some(Detection {
-            bin,
-            spe,
-            threshold,
-        }))
-    }
-
-    /// A scoring head with the Q-threshold for `alpha` precomputed.
-    pub fn scorer(&self, alpha: f64) -> Result<MultiwayScorer<'_>, SubspaceError> {
-        Ok(MultiwayScorer {
-            model: self,
-            threshold: self.threshold(alpha)?,
-        })
-    }
-
-    /// Detects anomalous bins across the whole tensor — one
-    /// [`spe_batch`](Self::spe_batch) pass, bitwise equal to replaying
-    /// [`score_row`](Self::score_row) per bin.
-    pub fn detect(
-        &self,
-        tensor: &EntropyTensor,
-        alpha: f64,
-    ) -> Result<Vec<Detection>, SubspaceError> {
-        let threshold = self.threshold(alpha)?;
-        let spes = self.spe_series(tensor)?;
-        Ok(spes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &spe)| spe > threshold)
-            .map(|(bin, &spe)| Detection {
-                bin,
-                spe,
-                threshold,
-            })
-            .collect())
-    }
-
-    /// SPE of every bin (for residual scatter plots, Figure 4) — one
-    /// batch pass over shared scratch.
-    pub fn spe_series(&self, tensor: &EntropyTensor) -> Result<Vec<f64>, SubspaceError> {
-        let rows: Vec<Vec<f64>> = (0..tensor.n_bins())
-            .map(|bin| tensor.unfolded_row(bin))
-            .collect();
-        let mut out = Vec::with_capacity(rows.len());
-        self.spe_batch(rows.iter().map(Vec::as_slice), &mut out)?;
-        Ok(out)
-    }
-
     /// The residual entropy 4-vector of one OD flow at one bin:
     /// `[H̃(srcIP), H̃(srcPort), H̃(dstIP), H̃(dstPort)]` (FEATURES order),
     /// extracted from the full residual of the raw row.
@@ -325,7 +156,7 @@ impl MultiwayModel {
         if flow >= self.n_flows {
             return Err(SubspaceError::BadInput("flow index out of range"));
         }
-        let r = self.residual(raw)?;
+        let r = self.model.residual(raw)?;
         let p = self.n_flows;
         Ok([r[flow], r[p + flow], r[2 * p + flow], r[3 * p + flow]])
     }
@@ -336,16 +167,16 @@ impl MultiwayModel {
     /// Greedily removes the per-flow 4-feature contribution `θ_k f_k` that
     /// best explains the residual, recursing "until the resulting state
     /// vector is below the detection threshold", or until `max_flows`
-    /// flows have been blamed.
+    /// flows have been blamed. `threshold` is that detection threshold:
+    /// the one the alarm being explained fired against, under whichever
+    /// [`ThresholdPolicy`](crate::ThresholdPolicy) produced it.
     pub fn identify(
         &self,
         raw: &[f64],
-        alpha: f64,
+        threshold: f64,
         max_flows: usize,
     ) -> Result<Vec<FlowContribution>, SubspaceError> {
-        let threshold = self.threshold(alpha)?;
-        let normalized = self.normalize_row(raw)?;
-        let residual = self.model.residual(&normalized)?;
+        let residual = self.model.residual(raw)?;
         identify_greedy(
             &residual,
             self.model.pca().components(),
@@ -354,32 +185,6 @@ impl MultiwayModel {
             threshold,
             max_flows,
         )
-    }
-}
-
-/// The score half of a fitted [`MultiwayModel`]: a borrow of the model
-/// plus its precomputed Q-statistic threshold, for scoring raw unfolded
-/// rows as they finalize.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiwayScorer<'a> {
-    model: &'a MultiwayModel,
-    threshold: f64,
-}
-
-impl MultiwayScorer<'_> {
-    /// The precomputed threshold `δ²_α`.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The model being scored against.
-    pub fn model(&self) -> &MultiwayModel {
-        self.model
-    }
-
-    /// Scores one raw unfolded row, tagging any detection with `bin`.
-    pub fn score(&self, bin: usize, raw: &[f64]) -> Result<Option<Detection>, SubspaceError> {
-        self.model.score_row(bin, raw, self.threshold)
     }
 }
 
@@ -450,9 +255,12 @@ mod tests {
         let p = 6;
         let mut energies = [0.0f64; 4];
         for bin in 0..tensor.n_bins() {
-            let row = model.normalize_row(&tensor.unfolded_row(bin)).unwrap();
-            for k in 0..4 {
-                energies[k] += row[k * p..(k + 1) * p].iter().map(|v| v * v).sum::<f64>();
+            let row = tensor.unfolded_row(bin);
+            for (k, d) in model.divisors().into_iter().enumerate() {
+                energies[k] += row[k * p..(k + 1) * p]
+                    .iter()
+                    .map(|v| (v / d) * (v / d))
+                    .sum::<f64>();
             }
         }
         for e in energies {
@@ -464,7 +272,7 @@ mod tests {
     fn clean_tensor_mostly_clean() {
         let tensor = build_tensor(300, 8, 0.2, 2, None);
         let model = MultiwayModel::fit(&tensor, DimSelection::Fixed(5)).unwrap();
-        let det = model.detect(&tensor, 0.9999).unwrap();
+        let det = model.inner().detect(&tensor.unfold(), 0.9999).unwrap();
         assert!(det.len() < 8, "too many false alarms: {}", det.len());
     }
 
@@ -477,14 +285,15 @@ mod tests {
         // criteria chase the tail).
         let tensor = build_tensor(300, 8, 0.2, 3, Some((150, 4)));
         let model = MultiwayModel::fit(&tensor, DimSelection::Fixed(1)).unwrap();
-        let det = model.detect(&tensor, 0.999).unwrap();
+        let det = model.inner().detect(&tensor.unfold(), 0.999).unwrap();
         assert!(
             det.iter().any(|d| d.bin == 150),
             "anomalous bin not flagged: {det:?}"
         );
         // Identification must blame flow 4.
         let row = tensor.unfolded_row(150);
-        let blamed = model.identify(&row, 0.999, 3).unwrap();
+        let threshold = model.inner().threshold(0.999).unwrap();
+        let blamed = model.identify(&row, threshold, 3).unwrap();
         assert!(!blamed.is_empty());
         assert_eq!(blamed[0].flow, 4, "wrong flow blamed: {blamed:?}");
     }
@@ -504,10 +313,12 @@ mod tests {
     #[test]
     fn spe_matches_detect_threshold_semantics() {
         let tensor = build_tensor(200, 5, 0.3, 5, None);
-        let model = MultiwayModel::fit(&tensor, DimSelection::Fixed(4)).unwrap();
+        let model = MultiwayModel::fit(&tensor, DimSelection::Fixed(4))
+            .unwrap()
+            .model;
         let alpha = 0.995;
         let threshold = model.threshold(alpha).unwrap();
-        let series = model.spe_series(&tensor).unwrap();
+        let series = model.spe_series(&tensor.unfold()).unwrap();
         let manual: Vec<usize> = series
             .iter()
             .enumerate()
@@ -515,26 +326,12 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         let det: Vec<usize> = model
-            .detect(&tensor, alpha)
+            .detect(&tensor.unfold(), alpha)
             .unwrap()
             .iter()
             .map(|d| d.bin)
             .collect();
         assert_eq!(manual, det);
-    }
-
-    #[test]
-    fn scorer_replay_equals_detect() {
-        let tensor = build_tensor(250, 6, 0.25, 8, Some((100, 2)));
-        let model = MultiwayModel::fit(&tensor, DimSelection::Fixed(1)).unwrap();
-        let alpha = 0.999;
-        let batch = model.detect(&tensor, alpha).unwrap();
-        let scorer = model.scorer(alpha).unwrap();
-        let streamed: Vec<Detection> = (0..tensor.n_bins())
-            .filter_map(|bin| scorer.score(bin, &tensor.unfolded_row(bin)).unwrap())
-            .collect();
-        assert_eq!(batch, streamed);
-        assert!(streamed.iter().any(|d| d.bin == 100));
     }
 
     #[test]
@@ -548,11 +345,12 @@ mod tests {
                 .unwrap();
         assert_eq!(rows.n_flows(), 5);
         assert_eq!(rows.divisors(), batch.divisors());
+        let (rows, batch) = (rows.inner(), batch.inner());
         assert_eq!(
             rows.threshold(0.999).unwrap(),
             batch.threshold(0.999).unwrap()
         );
-        assert_eq!(rows.inner().calibration(), batch.inner().calibration());
+        assert_eq!(rows.calibration(), batch.calibration());
         for bin in [0usize, 77, 199] {
             let row = tensor.unfolded_row(bin);
             assert_eq!(rows.spe(&row).unwrap(), batch.spe(&row).unwrap());
@@ -579,7 +377,7 @@ mod tests {
     fn row_length_validated() {
         let tensor = build_tensor(50, 4, 0.2, 6, None);
         let model = MultiwayModel::fit(&tensor, DimSelection::Fixed(3)).unwrap();
-        assert!(model.spe(&[0.0; 7]).is_err());
+        assert!(model.inner().spe(&[0.0; 7]).is_err());
         assert!(model.anomaly_vector(&tensor.unfolded_row(0), 9).is_err());
     }
 
@@ -605,7 +403,7 @@ mod tests {
         let (tensor, _) = b.finish();
         let model = MultiwayModel::fit(&tensor, DimSelection::Fixed(1)).unwrap();
         assert_eq!(model.divisors()[3], 1.0);
-        let det = model.detect(&tensor, 0.999).unwrap();
+        let det = model.inner().detect(&tensor.unfold(), 0.999).unwrap();
         assert!(det.len() < 5);
     }
 }

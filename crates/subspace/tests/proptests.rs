@@ -1,6 +1,6 @@
 //! Property-based tests for the subspace method.
 
-use entromine_linalg::{Mat, Pca};
+use entromine_linalg::Mat;
 use entromine_subspace::{
     q_statistic_threshold, DimSelection, FitStrategy, MultiwayModel, SubspaceModel, ThresholdPolicy,
 };
@@ -34,28 +34,24 @@ fn with_spikes(x: &Mat, spikes: &[(usize, usize, f64)]) -> Vec<Vec<f64>> {
     rows
 }
 
-/// Every served statistic of a `SubspaceModel` or `MultiwayModel` (same
-/// method names, no shared trait) for `rows`, as `(entry point, values,
-/// is T²)`.
-macro_rules! served {
-    ($model:expr, $rows:expr) => {{
-        let (model, rows) = (&$model, $rows.iter().map(Vec::as_slice));
-        let (mut batch, mut pairs) = (Vec::new(), Vec::new());
-        model.spe_batch(rows.clone(), &mut batch).unwrap();
-        model.spe_t2_batch(rows.clone(), &mut pairs).unwrap();
-        let one: Vec<(f64, f64)> = rows.clone().map(|r| model.spe_t2(r).unwrap()).collect();
-        let spe = rows.clone().map(|r| model.spe(r).unwrap()).collect();
-        let t2 = rows.map(|r| model.t2(r).unwrap()).collect();
-        [
-            ("spe", spe, false),
-            ("spe_batch", batch, false),
-            ("spe_t2.0", one.iter().map(|p| p.0).collect(), false),
-            ("spe_t2_batch.0", pairs.iter().map(|p| p.0).collect(), false),
-            ("t2", t2, true),
-            ("spe_t2.1", one.iter().map(|p| p.1).collect(), true),
-            ("spe_t2_batch.1", pairs.iter().map(|p| p.1).collect(), true),
-        ]
-    }};
+/// Every statistic `model` serves for `rows`, given in the caller's units,
+/// as `(entry point, values, is T²)`.
+fn served(model: &SubspaceModel, rows: &[Vec<f64>]) -> Vec<(&'static str, Vec<f64>, bool)> {
+    let rows = || rows.iter().map(Vec::as_slice);
+    let (mut batch, mut pairs) = (Vec::new(), Vec::new());
+    model.spe_batch(rows(), &mut batch).unwrap();
+    model.spe_t2_batch(rows(), &mut pairs).unwrap();
+    let spe = rows().map(|r| model.spe(r).unwrap()).collect();
+    vec![
+        ("spe", spe, false),
+        ("spe_batch", batch, false),
+        ("spe_t2_batch.0", pairs.iter().map(|p| p.0).collect(), false),
+        ("spe_t2_batch.1", pairs.iter().map(|p| p.1).collect(), true),
+    ]
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Within the pin `score_equivalence` uses: 1e-10 relative plus 1e-13 of
@@ -64,18 +60,21 @@ fn close(got: f64, want: f64, scale: f64) -> bool {
     (got - want).abs() <= 1e-10 * want.abs() + 1e-13 * scale
 }
 
-/// Pins `served` over the (normalized) probe `rows` to the reference
-/// chain of `pca` at dimension `m` — `spe_reference` for SPE, `project`
-/// for T² — and the sorted `calibration` to the sorted reference SPEs of
-/// the leading training rows (sorting is monotone, so the largest floor
-/// carries over). Returns every probe's reference SPE.
+/// Pins what `model` serves for the probe rows `raw` (caller's units) to
+/// the reference chain of its PCA over the same rows in the fitted units,
+/// `rows`: `spe_reference` for SPE, `project` for T², and `Pca::residual`
+/// bit for bit for [`SubspaceModel::residual`]. Pins the sorted
+/// calibration to the sorted reference SPEs of the leading training rows
+/// (sorting is monotone, so the largest floor carries over). Returns every
+/// probe's reference SPE.
 fn check_served(
     what: &str,
-    (pca, m): (&Pca, usize),
+    model: &SubspaceModel,
+    raw: &[Vec<f64>],
     rows: &[Vec<f64>],
-    served: &[(&str, Vec<f64>, bool)],
-    calibration: &[f64],
 ) -> Result<Vec<f64>, String> {
+    let (pca, m) = (model.pca(), model.normal_dim());
+    let (served, calibration) = (served(model, raw), model.calibration());
     // Axes at or below the T² floor contribute nothing (1/∞ = 0).
     let floor = 1e-12 * pca.total_variance().max(1e-300);
     let lambdas: Vec<f64> = pca.eigenvalues()[..m]
@@ -90,7 +89,12 @@ fn check_served(
         let c2 = pca.spe_reference(row, 0).unwrap();
         let scores = pca.project(row, m).unwrap();
         let t2: f64 = scores.iter().zip(&lambdas).map(|(s, l)| s * s / l).sum();
-        for (entry, values, is_t2) in served {
+        let (got, want) = (
+            model.residual(&raw[i]).unwrap(),
+            pca.residual(row, m).unwrap(),
+        );
+        prop_assert!(bits(&got) == bits(&want), "{what} residual row {i}");
+        for (entry, values, is_t2) in &served {
             let (got, want) = (values[i], if *is_t2 { t2 } else { spe });
             let scale = c2 / if *is_t2 { smallest } else { 1.0 };
             prop_assert!(
@@ -112,24 +116,48 @@ fn check_served(
     Ok(spes)
 }
 
-/// Every served alarm flag equals `reference SPE > t` outside a 1e-9
-/// relative band around the threshold `t`, and the probes alarm on some
-/// rows but not all.
+/// Under both threshold policies at 0.99, the alarm flags of `model` over
+/// the probe rows `raw` — `spe > threshold_with`, and `detect` for the
+/// Jackson–Mudholkar policy it applies — equal `reference SPE > t`
+/// outside a 1e-9 relative band around the threshold `t`, and the probes
+/// alarm on some rows but not all.
 fn check_alarms(
     what: &str,
-    t: f64,
+    model: &SubspaceModel,
+    raw: &[Vec<f64>],
     spes: &[f64],
-    flags: &[(&str, Vec<bool>)],
 ) -> Result<(), String> {
-    let alarms = spes.iter().filter(|&&s| s > t).count();
-    prop_assert!(
-        alarms > 0 && alarms < spes.len(),
-        "{what}: {alarms} probes alarm"
-    );
-    for (i, &spe) in spes.iter().enumerate() {
-        if (spe - t).abs() > 1e-9 * t {
-            for (entry, flag) in flags {
-                prop_assert_eq!(flag[i], spe > t, "{what} {entry} row {i}: {spe} vs {t}");
+    let raw_mat = Mat::from_fn(raw.len(), raw[0].len(), |i, j| raw[i][j]);
+    for policy in [
+        ThresholdPolicy::JacksonMudholkar,
+        ThresholdPolicy::Empirical,
+    ] {
+        let t = model.threshold_with(0.99, policy).unwrap();
+        let served = raw.iter().map(|r| model.spe(r).unwrap() > t).collect();
+        let mut flags = vec![("spe", served)];
+        if policy == ThresholdPolicy::JacksonMudholkar {
+            let mut hit = vec![false; raw.len()];
+            model
+                .detect(&raw_mat, 0.99)
+                .unwrap()
+                .iter()
+                .for_each(|d| hit[d.bin] = true);
+            flags.push(("detect", hit));
+        }
+        let alarms = spes.iter().filter(|&&s| s > t).count();
+        prop_assert!(
+            alarms > 0 && alarms < spes.len(),
+            "{what} {policy:?}: {alarms} probes alarm"
+        );
+        for (i, &spe) in spes.iter().enumerate() {
+            if (spe - t).abs() > 1e-9 * t {
+                for (entry, flag) in &flags {
+                    let want = spe > t;
+                    prop_assert!(
+                        flag[i] == want,
+                        "{what} {policy:?} {entry} row {i}: {spe} vs {t}"
+                    );
+                }
             }
         }
     }
@@ -145,36 +173,26 @@ proptest! {
         entropy in traffic_like(60, 16),
         spikes in proptest::collection::vec((0usize..60, 0usize..16, -1.0f64..1.0), 6),
     ) {
-        let (m, dim) = (2, DimSelection::Fixed(2));
+        let dim = DimSelection::Fixed(2);
         let model = SubspaceModel::fit(&x, dim).unwrap();
         let probes = with_spikes(&x, &spikes);
-        let served = served!(model, &probes);
-        let spes = check_served("single", (model.pca(), m), &probes, &served, model.calibration())?;
+        let spes = check_served("single", &model, &probes, &probes)?;
         prop_assert_eq!(model.calibration().len(), x.rows());
-        let probe_mat = Mat::from_fn(probes.len(), x.cols(), |i, j| probes[i][j]);
-        for policy in [ThresholdPolicy::JacksonMudholkar, ThresholdPolicy::Empirical] {
-            let scorer = model.scorer_with(0.99, policy).unwrap();
-            let scored = probes.iter().enumerate().map(|(i, r)| scorer.score(i, r).unwrap());
-            let mut flags = vec![("score", scored.map(|d| d.is_some()).collect())];
-            if policy == ThresholdPolicy::JacksonMudholkar {
-                let mut hit = vec![false; probes.len()];
-                model.detect(&probe_mat, 0.99).unwrap().iter().for_each(|d| hit[d.bin] = true);
-                flags.push(("detect", hit));
-            }
-            check_alarms("single", scorer.threshold(), &spes, &flags)?;
-        }
+        check_alarms("single", &model, &probes, &spes)?;
 
-        // The multiway reference reads raw rows through `normalize_row`.
-        let model = MultiwayModel::fit_unfolded(entropy.clone(), dim, FitStrategy::Auto).unwrap();
+        // The entropy detector takes raw rows; its reference chain reads
+        // them divided by the unit-energy divisors.
+        let multi = MultiwayModel::fit_unfolded(entropy.clone(), dim, FitStrategy::Auto).unwrap();
+        let (model, p) = (multi.inner(), multi.n_flows());
         let raw = with_spikes(&entropy, &spikes);
-        let rows: Vec<Vec<f64>> = raw.iter().map(|r| model.normalize_row(r).unwrap()).collect();
-        let (served, inner) = (served!(model, &raw), model.inner());
-        let spes = check_served("multi", (inner.pca(), m), &rows, &served, inner.calibration())?;
-        prop_assert_eq!(inner.calibration().len(), entropy.rows());
-        let scorer = model.scorer(0.99).unwrap();
-        let scored = raw.iter().enumerate().map(|(i, r)| scorer.score(i, r).unwrap());
-        let flags = [("score", scored.map(|d| d.is_some()).collect())];
-        check_alarms("multi", scorer.threshold(), &spes, &flags)?;
+        let divisors = multi.divisors();
+        let rows: Vec<Vec<f64>> = raw
+            .iter()
+            .map(|r| r.iter().enumerate().map(|(i, v)| v / divisors[i / p]).collect())
+            .collect();
+        let spes = check_served("multi", model, &raw, &rows)?;
+        prop_assert_eq!(model.calibration().len(), entropy.rows());
+        check_alarms("multi", model, &raw, &spes)?;
     }
 
     #[test]
@@ -237,8 +255,10 @@ proptest! {
     #[test]
     fn t2_nonnegative_and_detects_score_outliers(x in traffic_like(60, 8)) {
         let model = SubspaceModel::fit(&x, DimSelection::Fixed(2)).unwrap();
-        for row in x.row_iter() {
-            prop_assert!(model.t2(row).unwrap() >= 0.0);
+        let mut pairs = Vec::new();
+        model.spe_t2_batch(x.row_iter(), &mut pairs).unwrap();
+        for &(_, t2) in &pairs {
+            prop_assert!(t2 >= 0.0);
         }
         // An observation far along the FIRST principal axis has huge T2
         // but modest SPE.
@@ -248,7 +268,8 @@ proptest! {
         for i in 0..8 {
             extreme[i] += 50.0 * spread * comp[(i, 0)];
         }
-        let t2 = model.t2(&extreme).unwrap();
+        model.spe_t2_batch([extreme.as_slice()], &mut pairs).unwrap();
+        let t2 = pairs[0].1;
         prop_assert!(t2 > model.t2_threshold(0.999), "t2 {} too small", t2);
     }
 }

@@ -80,7 +80,12 @@ fn main() {
             let what = dataset.whatif_rows(bin, &[(flow, &pkts)]);
             let vol = fitted.bytes_model().spe(&what.bytes).expect("spe") > t_bytes
                 || fitted.packets_model().spe(&what.packets).expect("spe") > t_packets;
-            let ent = fitted.entropy_model().spe(&what.entropy).expect("spe") > t_entropy;
+            let ent = fitted
+                .entropy_model()
+                .inner()
+                .spe(&what.entropy)
+                .expect("spe")
+                > t_entropy;
             if vol {
                 vol_hits += 1;
             }

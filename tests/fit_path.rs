@@ -16,7 +16,7 @@
 //! materializes only the axes its request names, and nothing a detector
 //! reads — thresholds, SPE, T², blamed flows — can tell.
 
-use entromine::linalg::{AxisRequest, Mat, Pca};
+use entromine::linalg::{Mat, Pca};
 use entromine::net::Topology;
 use entromine::subspace::{DimSelection, MultiwayModel, SubspaceModel, ThresholdPolicy};
 use entromine::synth::{AnomalyEvent, AnomalyLabel, Dataset, DatasetConfig};
@@ -113,7 +113,7 @@ fn assert_bit_identical(a: &FittedDiagnoser, b: &FittedDiagnoser, probes: &[Rows
             [
                 f.bytes_model().spe(bytes).unwrap().to_bits(),
                 f.packets_model().spe(packets).unwrap().to_bits(),
-                f.entropy_model().spe(entropy).unwrap().to_bits(),
+                f.entropy_model().inner().spe(entropy).unwrap().to_bits(),
             ]
         };
         assert_eq!(spes(a), spes(b), "{what}: SPE of probe {i}");
@@ -288,7 +288,7 @@ fn a_fit_materializes_the_requested_axes_and_the_detector_cannot_tell() {
         let x = low_rank_window(648, p);
         let n = 4 * p;
         let what = format!("648 x {n}");
-        let lean = Pca::fit_with(&x, FitStrategy::Auto, AxisRequest::Components(m)).unwrap();
+        let lean = Pca::fit_with(&x, FitStrategy::Auto, DimSelection::Fixed(m)).unwrap();
         let oracle = match engine {
             FitStrategy::Gram => Pca::fit_gram(&x),
             _ => Pca::fit(&x),
@@ -358,7 +358,8 @@ fn a_fit_materializes_the_requested_axes_and_the_detector_cannot_tell() {
             injected[feature * p + 77] -= 0.7 * bump;
         }
         let blamed = |model: &MultiwayModel| -> Vec<usize> {
-            let found = model.identify(&injected, alpha, 4).unwrap();
+            let threshold = model.inner().threshold(alpha).unwrap();
+            let found = model.identify(&injected, threshold, 4).unwrap();
             found.iter().map(|c| c.flow).collect()
         };
         assert_eq!(blamed(&auto), blamed(&cross), "{what}");

@@ -22,7 +22,7 @@ use entromine::entropy::{
     FeatureHistogram, VolumeMatrix, FEATURES,
 };
 use entromine::linalg::{
-    stats, sym_eigen, AxisRequest, Mat, MomentAccumulator, Pca, ResidualPowerSums, Spectrum,
+    stats, sym_eigen, Mat, MomentAccumulator, Pca, ResidualPowerSums, Spectrum,
 };
 use entromine::net::{
     AddressPlan, FlowCache, FlowKey, Ipv4, OdIndexer, OdPair, PacketHeader, Prefix, PrefixTable,
@@ -73,6 +73,10 @@ fn spectral_engine_knobs_are_on_the_default_config() {
         entromine::subspace::ThresholdPolicy::JacksonMudholkar
     );
     assert_eq!(FitStrategy::default(), FitStrategy::Auto);
+    // One dimension choice, defined in linalg and re-exported by subspace.
+    let dim: DimSelection = entromine::linalg::DimSelection::Fixed(10);
+    assert_eq!(dim, DimSelection::default());
+    assert_eq!(config.dim, dim);
     assert_eq!(
         ThresholdPolicy::default(),
         ThresholdPolicy::JacksonMudholkar
