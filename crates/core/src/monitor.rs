@@ -535,19 +535,18 @@ impl Monitor {
         &self.window
     }
 
-    /// Opens a sharded ingest plane feeding this monitor, on the tier the
-    /// diagnoser's [`AccumulatorPolicy`](entromine_entropy::AccumulatorPolicy)
-    /// selects. The config's flow count is overridden with the monitor's
-    /// own, so the plane's [`FinalizedBin`] rows always fit
-    /// [`observe_bin`](Self::observe_bin); everything else (bin length,
-    /// lateness, horizon) is taken from `config` as given.
+    /// Opens a sharded ingest plane feeding this monitor. The config's
+    /// flow count is overridden with the monitor's own, so the plane's
+    /// [`FinalizedBin`] rows always fit [`observe_bin`](Self::observe_bin);
+    /// everything else (bin length, lateness, horizon) is taken from
+    /// `config` as given.
     pub fn ingest_plane(
         &self,
         mut config: entromine_entropy::StreamConfig,
         shards: usize,
-    ) -> Result<entromine_entropy::TierShardedBuilder, entromine_entropy::StreamError> {
+    ) -> Result<entromine_entropy::ShardedGridBuilder, entromine_entropy::StreamError> {
         config.n_flows = self.window.n_flows();
-        self.config.diagnoser.accumulator.sharded(config, shards)
+        entromine_entropy::ShardedGridBuilder::new(config, shards)
     }
 
     /// Bins observed (scored or absorbed during warmup).

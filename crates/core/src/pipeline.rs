@@ -13,7 +13,6 @@
 
 use crate::stream::StreamingDiagnoser;
 use crate::DiagnosisError;
-use entromine_entropy::AccumulatorPolicy;
 use entromine_linalg::Mat;
 use entromine_subspace::{
     DimSelection, FitStrategy, FlowContribution, MultiwayModel, SubspaceModel, ThresholdPolicy,
@@ -49,14 +48,6 @@ pub struct DiagnoserConfig {
     /// prefer it at small traffic scales, where heteroskedastic entropy
     /// noise makes the Gaussian threshold under-cover).
     pub threshold_policy: ThresholdPolicy,
-    /// Which distribution-store tier ingest planes opened for this
-    /// deployment run ([`Monitor::ingest_plane`](crate::Monitor::ingest_plane)):
-    /// exact histograms (the default — the paper's measurement, unbounded
-    /// distinct-key memory) or bounded-memory sketches with a documented
-    /// entropy error bound. Detection and diagnosis always consume
-    /// whatever entropy rows the plane emits; the policy only changes how
-    /// those rows are accumulated.
-    pub accumulator: AccumulatorPolicy,
 }
 
 impl Default for DiagnoserConfig {
@@ -68,7 +59,6 @@ impl Default for DiagnoserConfig {
             refit_rounds: 1,
             max_excluded_fraction: 0.25,
             threshold_policy: ThresholdPolicy::JacksonMudholkar,
-            accumulator: AccumulatorPolicy::Exact,
         }
     }
 }

@@ -2,69 +2,41 @@
 //!
 //! The paper constructs, for every OD flow and 5-minute bin, six numbers:
 //! byte count, packet count, and the sample entropy of the four traffic
-//! features. [`BinAccumulator`] holds the working distribution stores for
-//! one cell of that grid and collapses them into a [`BinSummary`]; the
-//! stores can then be dropped, which is what keeps three weeks of
-//! network-wide data in memory (the summaries are 48 bytes, the stores
-//! are not).
-//!
-//! The accumulator is generic over the per-feature store
-//! ([`DistributionAccumulator`]): the default, [`FeatureHistogram`], is
-//! the exact tier, and [`SketchHistogram`](crate::SketchHistogram) is the
-//! bounded-memory tier — one type parameter selects the whole cell's
-//! memory/accuracy trade.
+//! features. [`BinAccumulator`] holds the four exact
+//! [`FeatureHistogram`]s for one cell of that grid and collapses them
+//! into a [`BinSummary`]; the histograms can then be dropped, which is
+//! what keeps three weeks of network-wide data in memory (the summaries
+//! are 48 bytes, the histograms are not).
 
-use crate::dist::DistributionAccumulator;
 use crate::hist::FeatureHistogram;
+use crate::metrics::sample_entropy;
 use entromine_net::flow::FlowRecord;
 use entromine_net::packet::{Feature, PacketHeader, FEATURES};
 
 /// Working state for one (OD flow, bin) cell: the four per-feature
-/// distribution stores plus volume counters.
+/// histograms plus volume counters.
 #[derive(Debug, Clone, Default)]
-pub struct BinAccumulator<D: DistributionAccumulator = FeatureHistogram> {
-    hists: [D; 4],
+pub struct BinAccumulator {
+    hists: [FeatureHistogram; 4],
     packets: u64,
     bytes: u64,
 }
 
 impl BinAccumulator {
-    /// An empty exact-tier accumulator.
-    ///
-    /// Implemented on the concrete default type (the default type
-    /// parameter does not apply in expression position), so
-    /// `BinAccumulator::new()` keeps inferring the exact tier at every
-    /// pre-trait call site. Other tiers construct through
-    /// [`from_params`](Self::from_params) /
-    /// [`with_size_hints_in`](Self::with_size_hints_in) with the tier
-    /// named in the target type.
+    /// An empty accumulator.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty exact-tier accumulator whose stores are pre-sized to
-    /// absorb the given number of distinct values per feature without
-    /// growing. The sharded plane feeds this from the previous bin's
+    /// An empty accumulator whose histograms are pre-sized to absorb the
+    /// given number of distinct values per feature without growing. The
+    /// sharded plane feeds this from the previous bin's
     /// observed cardinalities ([`size_hints`](Self::size_hints)): traffic
     /// composition is stable bin over bin, so the hint eliminates nearly
     /// all mid-bin rehashing. A zero hint allocates nothing.
     pub fn with_size_hints(hints: [usize; 4]) -> Self {
-        Self::with_size_hints_in(hints, &())
-    }
-}
-
-impl<D: DistributionAccumulator> BinAccumulator<D> {
-    /// An empty accumulator whose stores are built from `params` with no
-    /// capacity pre-sizing.
-    pub fn from_params(params: &D::Params) -> Self {
-        Self::with_size_hints_in([0; 4], params)
-    }
-
-    /// [`with_size_hints`](Self::with_size_hints) with explicit store
-    /// parameters — the constructor the sharded plane uses.
-    pub fn with_size_hints_in(hints: [usize; 4], params: &D::Params) -> Self {
         BinAccumulator {
-            hists: std::array::from_fn(|i| D::with_params(params, hints[i])),
+            hists: std::array::from_fn(|i| FeatureHistogram::with_capacity(hints[i])),
             packets: 0,
             bytes: 0,
         }
@@ -75,10 +47,10 @@ impl<D: DistributionAccumulator> BinAccumulator<D> {
     /// [`with_size_hints`](Self::with_size_hints).
     pub fn size_hints(&self) -> [usize; 4] {
         [
-            self.hists[0].size_hint(),
-            self.hists[1].size_hint(),
-            self.hists[2].size_hint(),
-            self.hists[3].size_hint(),
+            self.hists[0].distinct(),
+            self.hists[1].distinct(),
+            self.hists[2].distinct(),
+            self.hists[3].distinct(),
         ]
     }
 
@@ -86,7 +58,7 @@ impl<D: DistributionAccumulator> BinAccumulator<D> {
     #[inline]
     pub fn add_packet(&mut self, pkt: &PacketHeader) {
         for f in FEATURES {
-            self.hists[f.index()].offer(f.extract(pkt));
+            self.hists[f.index()].add(f.extract(pkt));
         }
         self.packets += 1;
         self.bytes += pkt.bytes as u64;
@@ -104,10 +76,10 @@ impl<D: DistributionAccumulator> BinAccumulator<D> {
     /// individually (the paper computes entropy from packet counts).
     pub fn add_flow(&mut self, rec: &FlowRecord) {
         let n = rec.packets;
-        self.hists[Feature::SrcIp.index()].offer_n(rec.key.src_ip.0, n);
-        self.hists[Feature::SrcPort.index()].offer_n(rec.key.src_port as u32, n);
-        self.hists[Feature::DstIp.index()].offer_n(rec.key.dst_ip.0, n);
-        self.hists[Feature::DstPort.index()].offer_n(rec.key.dst_port as u32, n);
+        self.hists[Feature::SrcIp.index()].add_n(rec.key.src_ip.0, n);
+        self.hists[Feature::SrcPort.index()].add_n(rec.key.src_port as u32, n);
+        self.hists[Feature::DstIp.index()].add_n(rec.key.dst_ip.0, n);
+        self.hists[Feature::DstPort.index()].add_n(rec.key.dst_port as u32, n);
         self.packets += n;
         self.bytes += rec.bytes;
     }
@@ -115,24 +87,24 @@ impl<D: DistributionAccumulator> BinAccumulator<D> {
     /// Absorbs one combined run of traffic sharing a single feature
     /// tuple — the batch ingest engine's per-run hot path. `values` holds
     /// the four extracted feature values in [`FEATURES`] order; `packets`
-    /// weights every store update, exactly as if the run's packets had
+    /// weights every histogram update, exactly as if the run's packets had
     /// been offered individually (counts are exact integer sums and every
     /// derived metric is a function of the count multiset alone).
     #[inline]
     pub fn absorb_run(&mut self, values: [u32; 4], packets: u64, bytes: u64) {
-        self.hists[0].offer_n(values[0], packets);
-        self.hists[1].offer_n(values[1], packets);
-        self.hists[2].offer_n(values[2], packets);
-        self.hists[3].offer_n(values[3], packets);
+        self.hists[0].add_n(values[0], packets);
+        self.hists[1].add_n(values[1], packets);
+        self.hists[2].add_n(values[2], packets);
+        self.hists[3].add_n(values[3], packets);
         self.packets += packets;
         self.bytes += bytes;
     }
 
     /// Merges another accumulator into this one (used when anomaly traffic
     /// is superimposed on baseline traffic in a bin).
-    pub fn merge(&mut self, other: &BinAccumulator<D>) {
+    pub fn merge(&mut self, other: &BinAccumulator) {
         for (mine, theirs) in self.hists.iter_mut().zip(&other.hists) {
-            mine.merge_from(theirs);
+            mine.merge(theirs);
         }
         self.packets += other.packets;
         self.bytes += other.bytes;
@@ -148,22 +120,21 @@ impl<D: DistributionAccumulator> BinAccumulator<D> {
         self.bytes
     }
 
-    /// Borrow the distribution store of one feature.
-    pub fn histogram(&self, feature: Feature) -> &D {
+    /// Borrow the histogram of one feature.
+    pub fn histogram(&self, feature: Feature) -> &FeatureHistogram {
         &self.hists[feature.index()]
     }
 
-    /// Bytes of heap the four stores currently own — what the per-tier
-    /// memory ceilings are measured from.
+    /// Bytes of heap the four histograms currently own.
     pub fn heap_bytes(&self) -> usize {
-        self.hists.iter().map(D::heap_bytes).sum()
+        self.hists.iter().map(FeatureHistogram::heap_bytes).sum()
     }
 
-    /// Collapses the stores into the six per-bin numbers.
+    /// Collapses the histograms into the six per-bin numbers.
     pub fn summarize(&self) -> BinSummary {
         let mut entropy = [0.0; 4];
         for f in FEATURES {
-            entropy[f.index()] = self.hists[f.index()].entropy();
+            entropy[f.index()] = sample_entropy(&self.hists[f.index()]);
         }
         BinSummary {
             packets: self.packets,
@@ -196,7 +167,6 @@ impl BinSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::{SketchHistogram, SketchParams};
     use entromine_net::flow::aggregate_bin;
     use entromine_net::Ipv4;
 
@@ -321,33 +291,5 @@ mod tests {
         let dports = acc.histogram(Feature::DstPort);
         assert_eq!(dports.distinct(), 2);
         assert_eq!(dports.count(80), 1);
-    }
-
-    #[test]
-    fn sketched_cell_mirrors_exact_cell_under_budget() {
-        // A sketched accumulator that never exceeds its budget is the
-        // exact accumulator, entropy bit for bit.
-        let params = SketchParams { budget: 64 };
-        let mut sketched: BinAccumulator<SketchHistogram> =
-            BinAccumulator::with_size_hints_in([4; 4], &params);
-        let mut exact = BinAccumulator::new();
-        for i in 0..30u32 {
-            let p = pkt(i % 5, (i % 3) as u16, 9, 80);
-            sketched.add_packet(&p);
-            exact.add_packet(&p);
-        }
-        assert_eq!(sketched.summarize(), exact.summarize());
-        assert_eq!(sketched.histogram(Feature::SrcIp).level(), 0);
-    }
-
-    #[test]
-    fn sketched_cell_heap_stays_under_ceiling() {
-        let params = SketchParams { budget: 32 };
-        let mut acc: BinAccumulator<SketchHistogram> = BinAccumulator::from_params(&params);
-        for i in 0..20_000u32 {
-            acc.add_packet(&pkt(i, (i % 40_000) as u16, i / 3, (i % 100) as u16));
-        }
-        assert!(acc.heap_bytes() <= 4 * SketchHistogram::heap_ceiling(32));
-        assert_eq!(acc.packets(), 20_000);
     }
 }

@@ -35,22 +35,17 @@
 //! shuffled, multi-bin batches at every shard count.
 
 use crate::accum::BinAccumulator;
-use crate::dist::DistributionAccumulator;
-use crate::hist::FeatureHistogram;
 use crate::stream::StreamError;
 
 /// The accumulation surface the combining engine drives: anything that
 /// can lend out the accumulator of a `(bin, slot)` cell. The engine
 /// borrows each cell once per contiguous cell group and feeds it merged
-/// runs directly — no intermediate buffering. The grid is generic over
-/// the distribution store, so one engine serves both the exact and the
-/// sketched tier; the default keeps pre-trait implementors compiling
-/// unchanged.
-pub trait CellGrid<D: DistributionAccumulator = FeatureHistogram> {
+/// runs directly — no intermediate buffering.
+pub trait CellGrid {
     /// Borrows (opening if necessary) the accumulator for `slot` at
     /// `bin`. `slot` is whatever index space the caller's ranks use
     /// (shard-local flow indices on the sharded plane).
-    fn cell(&mut self, bin: usize, slot: usize) -> &mut BinAccumulator<D>;
+    fn cell(&mut self, bin: usize, slot: usize) -> &mut BinAccumulator;
 }
 
 /// The admission rules of a grid builder, hoisted out so the serial and
@@ -199,12 +194,12 @@ pub(crate) fn validate_batch<E: IngestEvent>(
 /// Sorts `(rank, index)` keys, combines each cell's events into weighted
 /// runs, and feeds them to the grid cell by cell, where
 /// `rank = (bin − next_emit) · stride + slot`.
-pub(crate) fn accumulate_grouped<E: IngestEvent, D: DistributionAccumulator>(
+pub(crate) fn accumulate_grouped<E: IngestEvent>(
     batch: &[(usize, E)],
     keys: &mut [(u64, u32)],
     stride: usize,
     next_emit: usize,
-    grid: &mut impl CellGrid<D>,
+    grid: &mut impl CellGrid,
 ) {
     keys.sort_unstable();
     let mut k = 0;
@@ -363,11 +358,11 @@ mod tests {
     /// A trivially inspectable grid for engine tests.
     #[derive(Default)]
     struct MapGrid {
-        cells: std::collections::BTreeMap<(usize, usize), crate::accum::BinAccumulator>,
+        cells: std::collections::BTreeMap<(usize, usize), BinAccumulator>,
     }
 
     impl CellGrid for MapGrid {
-        fn cell(&mut self, bin: usize, slot: usize) -> &mut crate::accum::BinAccumulator {
+        fn cell(&mut self, bin: usize, slot: usize) -> &mut BinAccumulator {
             self.cells.entry((bin, slot)).or_default()
         }
     }

@@ -77,16 +77,6 @@ impl Hasher for FxHasher {
 /// Deterministic hash state for histogram maps.
 pub type DetState = BuildHasherDefault<FxHasher>;
 
-/// Exactly what [`FxHasher`] computes for one `u32` write (the rotate of
-/// the zero initial state is a no-op, leaving the single multiply). The
-/// sketched tier (`crate::sketch`) samples on bits 32.. of this product;
-/// the flat table deliberately indexes with a different one
-/// ([`home_slot`]).
-#[inline(always)]
-pub(crate) fn fx_hash(key: u32) -> u64 {
-    (key as u64).wrapping_mul(FxHasher::SEED)
-}
-
 /// Where a stored key's probe walk starts, before masking to the table
 /// size — see "Slot index" on [`FeatureHistogram`] for why these bits
 /// and this multiplier.
@@ -157,7 +147,7 @@ const GROWTH: usize = 4;
 /// linear map meets each arithmetic-progression family (one stride at
 /// one table size) by luck: the keys spread perfectly or pile up a few
 /// deep. In a scratch census of 3114 (family, size) cells — strides,
-/// aligned and masked blocks, sketch survivors, 25 to 28 000 keys — no
+/// aligned and masked blocks, 25 to 28 000 keys — no
 /// multiplier was clean: `2^64/φ` left 5 % of the cells above 2 slots
 /// per probe (worst 10.6) and three dozen published mixer and LCG
 /// constants 3–22 % (three of them with a cell in the hundreds). This
@@ -165,12 +155,6 @@ const GROWTH: usize = 4;
 /// (worst 7.0) and keeps every family that `probe_lengths_stay_short`
 /// pins at or below 1.31. Nothing else is special about it; the test is
 /// what holds the property.
-///
-/// The index must not read the bits the sketched tier samples on. A
-/// level-`L` [`SketchHistogram`](crate::SketchHistogram) retains exactly
-/// the keys whose `fx_hash` bits 32..32+L are zero, so an index built
-/// from that product (`h ^ (h >> 32)`, say) sends every survivor of a
-/// deep sketch to the same few slots — 250 slots per probe at level 10.
 ///
 /// Equality ([`PartialEq`]) is multiset equality of the entries —
 /// capacity and insertion history are not observable.
@@ -406,8 +390,8 @@ impl FeatureHistogram {
 
     /// Bytes of heap currently owned by the table (the two parallel slot
     /// columns; the struct header itself is not counted). This is the
-    /// number the memory-tier benches and ceilings account against: a
-    /// `u32` key column plus a `u64` count column is 12 bytes per slot.
+    /// number behind the benchmark's accumulator heap peak: a `u32` key
+    /// column plus a `u64` count column is 12 bytes per slot.
     pub fn heap_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u32>()
             + self.counts.capacity() * std::mem::size_of::<u64>()
@@ -623,7 +607,6 @@ mod tests {
     /// while passing every other test in the workspace.
     #[test]
     fn probe_lengths_stay_short() {
-        use crate::sketch::SketchHistogram;
         use entromine_net::{Ipv4, PacketHeader};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -676,18 +659,6 @@ mod tests {
                 (0..2000).map(|i| i << k).collect(),
             ));
         }
-        // What a sketch's survivor table holds once it samples: the keys
-        // whose Fx bits 32..32+level are zero.
-        for level in [6, 10] {
-            families.push((
-                format!("level-{level} sketch survivors of /21-masked keys"),
-                (0..1 << 21)
-                    .map(|block| block << 11)
-                    .filter(|&v| SketchHistogram::admitted_at(level, v))
-                    .take(2000)
-                    .collect(),
-            ));
-        }
         for (name, keys) in &families {
             // As the ingest plane sizes a table (from the distinct count)
             // and as an unhinted table grows.
@@ -720,6 +691,15 @@ mod tests {
         }
         // Load factor stays at or below one half.
         assert!(h.keys.len() >= 2 * h.distinct());
+    }
+
+    #[test]
+    fn heap_accounting_matches_columns() {
+        let h: FeatureHistogram = (0..100u32).collect();
+        // 12 bytes per slot, power-of-two slot count, load ≤ 1/2.
+        assert_eq!(h.heap_bytes() % 12, 0);
+        assert!(h.heap_bytes() >= 12 * 2 * 100);
+        assert_eq!(FeatureHistogram::new().heap_bytes(), 0);
     }
 
     #[test]

@@ -38,13 +38,6 @@
 //!   `(bin, flow, flow-key)` runs, and absorbed through weighted `add_n`
 //!   with scoped-thread fan-out, emitting `FinalizedBin` rows
 //!   bit-identical to the serial builder's at any shard count.
-//! * [`DistributionAccumulator`] — the trait the whole accumulation plane
-//!   is generic over, with two tiers: the exact [`FeatureHistogram`]
-//!   (default everywhere; bit-identical to the pre-trait plane) and the
-//!   bounded-memory [`SketchHistogram`] (hash-space level sampling with a
-//!   documented entropy error bound, see [`sketch`]). Deployments pick a
-//!   tier at run time via [`AccumulatorPolicy`], which opens a
-//!   [`TierShardedBuilder`] facade.
 //! * [`kernel`] — the runtime-dispatched SIMD variant of the entropy
 //!   finalization's compensated `Σ n·log2 n` reduction
 //!   (tolerance-pinned), sharing backend selection — and the
@@ -58,26 +51,20 @@
 
 mod accum;
 mod combine;
-mod dist;
 mod hist;
 pub mod kernel;
 mod metrics;
-mod policy;
 pub mod shard;
-pub mod sketch;
 pub mod stream;
 mod tensor;
 
 pub use accum::{BinAccumulator, BinSummary};
-pub use dist::DistributionAccumulator;
 pub use hist::{FeatureHistogram, MapHistogram};
 pub use metrics::{
     distinct_count, entropy_from_sorted_counts, gini_coefficient, normalized_entropy,
     sample_entropy, simpson_index,
 };
-pub use policy::{AccumulatorPolicy, TierShardedBuilder};
 pub use shard::ShardedGridBuilder;
-pub use sketch::{SketchHistogram, SketchParams, DEFAULT_BUDGET};
 pub use stream::{FinalizedBin, StreamConfig, StreamError, StreamingGridBuilder};
 pub use tensor::{EntropyTensor, TensorBuilder, VolumeMatrix};
 

@@ -77,31 +77,20 @@ pub(crate) fn neumaier(sum: &mut f64, comp: &mut f64, term: f64) {
     *sum = t;
 }
 
-/// The shared correction sum `T = Σ multiplicity · (c · log2 c)` over
-/// count groups `(c, multiplicity)` in **ascending count order**, with
-/// Neumaier compensation. This is the only floating-point reduction in
-/// any entropy path: the exact tier closes it with `log2(S) − T/S`, and
-/// the sketched tier (`crate::sketch`) scales it by the inverse sampling
-/// rate before the same closing step, so the two tiers share one FP
-/// sequence wherever their inputs coincide. Singletons contribute
-/// exactly zero (1 · log2 1) on every path: a scan's sea of once-seen
-/// ports costs nothing and loses nothing.
+/// The canonical entropy reduction: the correction sum
+/// `T = Σ multiplicity · (c · log2 c)` over count groups
+/// `(c, multiplicity)` in **ascending count order**, with Neumaier
+/// compensation, closed with `log2(S) − T/S`. Every entropy path in the
+/// crate funnels through this one sequence of floating-point operations,
+/// which is what makes the value a pure function of the count multiset.
+/// Singletons contribute exactly zero (1 · log2 1): a scan's sea of
+/// once-seen ports costs nothing and loses nothing.
 ///
 /// The reduction itself is [`crate::kernel::term_sum`]: a multi-lane
 /// compensated kernel on AVX2 hosts, the sequential scalar reference
-/// elsewhere (and under `ENTROMINE_FORCE_SCALAR`). Both tiers call this
-/// one dispatched function, so within a process the "shared FP sequence"
-/// property above is preserved whichever backend is latched.
-pub(crate) fn weighted_term_sum(groups: impl Iterator<Item = (u64, u64)>) -> f64 {
-    crate::kernel::term_sum(groups)
-}
-
-/// The canonical entropy reduction: [`weighted_term_sum`] over ascending
-/// count groups, closed with `log2(S) − T/S`. Every entropy path in the
-/// crate funnels through this one sequence of floating-point operations,
-/// which is what makes the value a pure function of the count multiset.
+/// elsewhere (and under `ENTROMINE_FORCE_SCALAR`).
 fn entropy_from_count_groups(total: u64, groups: impl Iterator<Item = (u64, u64)>) -> f64 {
-    let t = weighted_term_sum(groups);
+    let t = crate::kernel::term_sum(groups);
     let s = total as f64;
     (s.log2() - t / s).max(0.0)
 }

@@ -60,8 +60,6 @@
 
 use crate::accum::{BinAccumulator, BinSummary};
 use crate::combine;
-use crate::dist::DistributionAccumulator;
-use crate::hist::FeatureHistogram;
 use crate::stream::{FinalizedBin, StreamConfig, StreamError};
 use entromine_linalg::par;
 use entromine_net::flow::FlowRecord;
@@ -88,21 +86,19 @@ const SUMMARIZE_WORK: usize = 600;
 /// One shard of the ingest plane: the open-bin accumulators of the flows
 /// it owns, stored at shard-local indices.
 #[derive(Debug, Clone)]
-struct Shard<D: DistributionAccumulator = FeatureHistogram> {
+struct Shard {
     /// Global flow ids owned by this shard, ascending. `flows[local] =
     /// global`.
     flows: Vec<usize>,
     /// Open bins, keyed by bin index; each row holds one accumulator per
     /// owned flow, in `flows` order.
-    open: BTreeMap<usize, Vec<BinAccumulator<D>>>,
+    open: BTreeMap<usize, Vec<BinAccumulator>>,
     /// Per owned flow, the per-feature distinct counts of its last
     /// finalized bin with traffic — sizing hints for fresh accumulators.
     size_hints: Vec<[u32; 4]>,
-    /// Store parameters for every cell this shard opens.
-    params: D::Params,
 }
 
-impl<D: DistributionAccumulator> combine::CellGrid<D> for Shard<D> {
+impl combine::CellGrid for Shard {
     /// Borrows (opening if necessary) the local accumulator for `local`
     /// flow index at `bin`. Fresh rows are pre-sized from the previous
     /// bin's distinct counts with no headroom beyond the power-of-two
@@ -111,19 +107,18 @@ impl<D: DistributionAccumulator> combine::CellGrid<D> for Shard<D> {
     /// steady-state `abilene-packets` bin, 6 % at `abilene-netflow`'s
     /// half scale. A 25 % headroom trial did not pay (−5 % on the
     /// isolated insert loop, and finalization walks the extra slots).
-    fn cell(&mut self, bin: usize, local: usize) -> &mut BinAccumulator<D> {
+    fn cell(&mut self, bin: usize, local: usize) -> &mut BinAccumulator {
         let hints = &self.size_hints;
-        let params = &self.params;
         &mut self.open.entry(bin).or_insert_with(|| {
             hints
                 .iter()
-                .map(|h| BinAccumulator::with_size_hints_in(h.map(|d| d as usize), params))
+                .map(|h| BinAccumulator::with_size_hints(h.map(|d| d as usize)))
                 .collect()
         })[local]
     }
 }
 
-impl<D: DistributionAccumulator> Shard<D> {
+impl Shard {
     /// Removes and summarizes this shard's slice of `bin`, if any traffic
     /// opened it, feeding the observed cardinalities back as hints
     /// (flows that saw no traffic this bin keep their previous hints).
@@ -162,16 +157,13 @@ impl<D: DistributionAccumulator> Shard<D> {
 /// assert_eq!(sealed[0].summaries[1].packets, 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ShardedGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
+pub struct ShardedGridBuilder {
     config: StreamConfig,
-    /// Store parameters handed to every shard (and through them to every
-    /// cell) — `()` for the exact tier, the key budget for the sketched.
-    params: D::Params,
     /// Flow → shard id.
     shard_ix: Vec<u32>,
     /// Flow → index within its shard's accumulator rows.
     local_ix: Vec<u32>,
-    shards: Vec<Shard<D>>,
+    shards: Vec<Shard>,
     watermark: u64,
     next_emit: usize,
     /// Late events dropped (counted by the coordinator's validation pass).
@@ -189,29 +181,11 @@ impl ShardedGridBuilder {
     /// A sharded plane with `shards` shards and no open bins, starting at
     /// bin 0 with watermark 0.
     ///
-    /// Like [`StreamingGridBuilder::new`](crate::StreamingGridBuilder::new),
-    /// this is implemented on the concrete exact-tier type so pre-trait
-    /// call sites keep compiling; other tiers go through
-    /// [`with_params`](Self::with_params) or the
-    /// [`AccumulatorPolicy`](crate::AccumulatorPolicy) facade.
-    ///
     /// # Errors
     ///
     /// The same [`StreamError::BadConfig`] conditions as the serial
     /// builder, plus a zero shard count.
     pub fn new(config: StreamConfig, shards: usize) -> Result<Self, StreamError> {
-        Self::with_params(config, shards, ())
-    }
-}
-
-impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
-    /// [`new`](ShardedGridBuilder::new) with explicit store parameters —
-    /// the tier-generic constructor.
-    pub fn with_params(
-        config: StreamConfig,
-        shards: usize,
-        params: D::Params,
-    ) -> Result<Self, StreamError> {
         config.validate()?;
         if shards == 0 {
             return Err(StreamError::BadConfig(
@@ -241,10 +215,8 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
                     size_hints: vec![[0u32; 4]; flows.len()],
                     flows,
                     open: BTreeMap::new(),
-                    params: params.clone(),
                 })
                 .collect(),
-            params,
             watermark: 0,
             next_emit: 0,
             late_events: 0,
@@ -257,11 +229,6 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
     /// The configuration.
     pub fn config(&self) -> &StreamConfig {
         &self.config
-    }
-
-    /// The store parameters every cell is built from.
-    pub fn params(&self) -> &D::Params {
-        &self.params
     }
 
     /// Number of shards the flow space is partitioned into.
@@ -370,7 +337,7 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         // The batch validated end to end: only now does any state change.
         self.late_events += late;
 
-        let run = |shard: &mut Shard<D>, keys: &mut Vec<(u64, u32)>| {
+        let run = |shard: &mut Shard, keys: &mut Vec<(u64, u32)>| {
             let width = shard.flows.len();
             combine::accumulate_grouped(batch, keys, width, next_emit, shard);
         };
@@ -386,7 +353,7 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         // shards than the thread cap allows.
         let groups = par::even_ranges(self.shards.len(), workers.min(par::MAX_THREADS));
         std::thread::scope(|scope| {
-            let mut shards_rest: &mut [Shard<D>] = &mut self.shards;
+            let mut shards_rest: &mut [Shard] = &mut self.shards;
             let mut keys_rest: &mut [Vec<(u64, u32)>] = per_shard;
             for group in &groups {
                 let (mine, tail) = shards_rest.split_at_mut(group.len());
@@ -404,10 +371,9 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         Ok(())
     }
 
-    /// Bytes of heap currently owned by the distribution stores of every
-    /// open cell across all shards — the sharded plane's working-set
-    /// number for the memory-tier benches. Mirrors
-    /// [`StreamingGridBuilder::accumulator_heap_bytes`](crate::StreamingGridBuilder::accumulator_heap_bytes).
+    /// Bytes of heap currently owned by the histograms of every open
+    /// cell across all shards — the plane's working-set number, which
+    /// grows with the distinct keys the open bins hold.
     pub fn accumulator_heap_bytes(&self) -> usize {
         self.shards
             .iter()
@@ -453,7 +419,7 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         let bins: Vec<usize> = (self.next_emit..upto).collect();
 
         // Per shard, the summarized slice of every sealed bin it opened.
-        let summarize = |shard: &mut Shard<D>| -> Vec<(usize, Vec<BinSummary>)> {
+        let summarize = |shard: &mut Shard| -> Vec<(usize, Vec<BinSummary>)> {
             bins.iter()
                 .filter_map(|&bin| shard.take_summaries(bin).map(|s| (bin, s)))
                 .collect()
@@ -476,7 +442,7 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
             let mut slices: Vec<Vec<(usize, Vec<BinSummary>)>> =
                 vec![Vec::new(); self.shards.len()];
             std::thread::scope(|scope| {
-                let mut shards_rest: &mut [Shard<D>] = &mut self.shards;
+                let mut shards_rest: &mut [Shard] = &mut self.shards;
                 let mut out_rest: &mut [Vec<(usize, Vec<BinSummary>)>] = &mut slices;
                 for group in &groups {
                     let (mine, tail) = shards_rest.split_at_mut(group.len());

@@ -57,8 +57,6 @@
 
 use crate::accum::{BinAccumulator, BinSummary};
 use crate::combine;
-use crate::dist::DistributionAccumulator;
-use crate::hist::FeatureHistogram;
 use entromine_net::flow::FlowRecord;
 use entromine_net::packet::PacketHeader;
 use std::collections::BTreeMap;
@@ -261,14 +259,11 @@ impl FinalizedBin {
 /// assert_eq!(sealed[0].summaries[0].packets, 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct StreamingGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
+pub struct StreamingGridBuilder {
     config: StreamConfig,
-    /// Store parameters applied to every cell this builder opens —
-    /// `()` for the exact tier, the key budget for the sketched tier.
-    params: D::Params,
     /// Accumulator grids for bins not yet sealed, keyed by bin index.
     /// A `BTreeMap` keeps drain order = time order for free.
-    open: BTreeMap<usize, Vec<BinAccumulator<D>>>,
+    open: BTreeMap<usize, Vec<BinAccumulator>>,
     /// Highest event time the caller has vouched for.
     watermark: u64,
     /// The next bin index to emit; every bin below it is sealed.
@@ -284,27 +279,10 @@ pub struct StreamingGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
 
 impl StreamingGridBuilder {
     /// A builder with no open bins, starting at bin 0 with watermark 0.
-    ///
-    /// Implemented on the concrete exact-tier type (the default type
-    /// parameter does not apply in expression position), so every
-    /// pre-trait call site — `StreamingGridBuilder::new(cfg)` — keeps
-    /// compiling and monomorphizing to exactly the code it always did.
-    /// Other tiers construct via [`with_params`](Self::with_params).
     pub fn new(config: StreamConfig) -> Result<Self, StreamError> {
-        Self::with_params(config, ())
-    }
-}
-
-impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
-    /// A builder with no open bins whose cells are built from `params` —
-    /// the tier-generic constructor behind [`new`].
-    ///
-    /// [`new`]: StreamingGridBuilder::new
-    pub fn with_params(config: StreamConfig, params: D::Params) -> Result<Self, StreamError> {
         config.validate()?;
         Ok(StreamingGridBuilder {
             config,
-            params,
             open: BTreeMap::new(),
             watermark: 0,
             next_emit: 0,
@@ -324,11 +302,6 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
     /// The configuration.
     pub fn config(&self) -> &StreamConfig {
         &self.config
-    }
-
-    /// The store parameters every cell is built from.
-    pub fn params(&self) -> &D::Params {
-        &self.params
     }
 
     /// Current event-time watermark, seconds.
@@ -434,7 +407,7 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         &mut self,
         flow: usize,
         timestamp: u64,
-    ) -> Result<Option<&mut BinAccumulator<D>>, StreamError> {
+    ) -> Result<Option<&mut BinAccumulator>, StreamError> {
         match self.config.admission(self.next_emit).admit(flow, timestamp) {
             Err(e) => Err(self.refuse(e)),
             Ok(None) => {
@@ -447,12 +420,12 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
 
     /// Borrows (opening the bin if necessary) the accumulator of an
     /// admitted `(bin, flow)` cell.
-    fn cell(&mut self, bin: usize, flow: usize) -> &mut BinAccumulator<D> {
-        let (n_flows, params) = (self.config.n_flows, &self.params);
+    fn cell(&mut self, bin: usize, flow: usize) -> &mut BinAccumulator {
+        let n_flows = self.config.n_flows;
         &mut self
             .open
             .entry(bin)
-            .or_insert_with(|| vec![BinAccumulator::from_params(params); n_flows])[flow]
+            .or_insert_with(|| vec![BinAccumulator::new(); n_flows])[flow]
     }
 
     /// Counts a far-future refusal (once per refused offer) and passes
@@ -462,18 +435,6 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
             self.rejected_events += 1;
         }
         e
-    }
-
-    /// Bytes of heap currently owned by the distribution stores of every
-    /// open cell — the working-set number the memory-tier benches record.
-    /// The sketched tier keeps this under
-    /// `4 · open_cells · heap_ceiling(budget)` no matter how many distinct
-    /// keys the feed carries; the exact tier grows with the key space.
-    pub fn accumulator_heap_bytes(&self) -> usize {
-        self.open
-            .values()
-            .flat_map(|row| row.iter().map(BinAccumulator::heap_bytes))
-            .sum()
     }
 
     /// Advances the event-time watermark to `event_time` (monotone: lower

@@ -81,7 +81,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0u32..400, 0u64..1000), 0..60),
         probes in proptest::collection::vec(0u32..450, 0..20),
         k in 0usize..30,
-        family in 0u8..3,
+        family in 0u8..2,
     ) {
         let (flat, map) = apply(&ops, family);
         prop_assert_eq!(flat.total(), map.total());
@@ -113,7 +113,7 @@ proptest! {
         seed in 0u64..1000,
         cap in 0usize..600,
         split in 0usize..80,
-        family in 0u8..3,
+        family in 0u8..2,
     ) {
         let values: Vec<(u32, u64)> =
             values.into_iter().map(|(v, n)| (family_key(family, v), n)).collect();

@@ -10,17 +10,19 @@
 //! sharded builder is the production plane pinned against it here.
 //!
 //! The fixed tests cover late events, gap bins, lateness slack, flow
-//! records, and the end-of-stream flush; the proptest sweeps random
+//! records, and the end-of-stream flush; the proptests sweep random
 //! traffic shapes across shard counts 1/2/7/16.
 //!
 //! The `combining_*` tests pin the map-side combining batch path — the
 //! sharded plane's only batch engine — specifically: batches, including
 //! shuffled ones, flow-record ones, and batches straddling bins, must
 //! finalize bit-identically to per-packet serial offers at every shard
-//! count, late events and gap bins included.
+//! count, late events and gap bins included. The random-stream one also
+//! splices in a poisoned batch that both builders must refuse whole,
+//! with the same error and the same refusal accounting.
 
 use entromine_entropy::shard::ShardedGridBuilder;
-use entromine_entropy::stream::{StreamConfig, StreamingGridBuilder};
+use entromine_entropy::stream::{FinalizedBin, StreamConfig, StreamError, StreamingGridBuilder};
 use entromine_net::flow::aggregate_bin;
 use entromine_net::{Ipv4, PacketHeader};
 use proptest::prelude::*;
@@ -71,15 +73,43 @@ fn traffic(
     out
 }
 
+/// A batch the builders must refuse whole: a copy of watermark step
+/// `step`'s slice with one invalid `event` spliced in, offered just
+/// before that slice. Absorbing any of it would double-count the slice.
+struct Poison {
+    step: usize,
+    at: usize,
+    event: (usize, PacketHeader),
+}
+
+impl Poison {
+    fn batch(&self, slice: &[(usize, PacketHeader)]) -> Vec<(usize, PacketHeader)> {
+        let mut batch = slice.to_vec();
+        batch.insert(self.at % (batch.len() + 1), self.event);
+        batch
+    }
+}
+
+/// What one drive of a builder produced.
+struct Run {
+    bins: Vec<FinalizedBin>,
+    late: u64,
+    rejected: u64,
+    /// The error the poisoned batch was refused with, if one was offered.
+    refusal: Option<StreamError>,
+}
+
 /// Drives the serial builder event by event with watermark advances at
-/// each bin boundary, returning (sealed bins..., late count).
+/// each bin boundary; a poisoned batch goes through the batch offer.
 fn run_serial(
     config: &StreamConfig,
     events: &[(usize, PacketHeader)],
     watermarks: &[u64],
-) -> (Vec<entromine_entropy::FinalizedBin>, u64) {
+    poison: Option<&Poison>,
+) -> Run {
     let mut b = StreamingGridBuilder::new(config.clone()).expect("serial builder");
     let mut out = Vec::new();
+    let mut refusal = None;
     let mut remaining = events;
     for (i, &wm) in watermarks.iter().enumerate() {
         // Offer an even slice of the stream before each watermark step.
@@ -91,28 +121,38 @@ fn run_serial(
         .min(remaining.len());
         let (now, rest) = remaining.split_at(take);
         remaining = rest;
+        if let Some(p) = poison.filter(|p| p.step == i) {
+            refusal = b.offer_packets(&p.batch(now)).err();
+        }
         for (flow, pkt) in now {
             b.offer_packet(*flow, pkt).expect("offer");
         }
         out.extend(b.advance_watermark(wm));
     }
-    let late = b.late_events();
+    let (late, rejected) = (b.late_events(), b.rejected_events());
     out.extend(b.finish());
-    (out, late)
+    Run {
+        bins: out,
+        late,
+        rejected,
+        refusal,
+    }
 }
 
-/// Drives the sharded builder with the same slicing, offering each slice
-/// as one batch — optionally shuffled deterministically first, since
-/// combining must be order-blind.
+/// Drives the sharded builder with the same slicing (and poisoning),
+/// offering each slice as one batch — optionally shuffled
+/// deterministically first, since combining must be order-blind.
 fn run_sharded(
     config: &StreamConfig,
     shards: usize,
     events: &[(usize, PacketHeader)],
     watermarks: &[u64],
     shuffle_seed: Option<u64>,
-) -> (Vec<entromine_entropy::FinalizedBin>, u64) {
+    poison: Option<&Poison>,
+) -> Run {
     let mut b = ShardedGridBuilder::new(config.clone(), shards).expect("sharded builder");
     let mut out = Vec::new();
+    let mut refusal = None;
     let mut remaining = events;
     for (i, &wm) in watermarks.iter().enumerate() {
         let take = if i + 1 == watermarks.len() {
@@ -131,21 +171,25 @@ fn run_sharded(
                 batch.swap(i, j);
             }
         }
+        if let Some(p) = poison.filter(|p| p.step == i) {
+            refusal = b.offer_packets(&p.batch(&batch)).err();
+        }
         b.offer_packets(&batch).expect("offer batch");
         out.extend(b.advance_watermark(wm));
     }
-    let late = b.late_events();
+    let (late, rejected) = (b.late_events(), b.rejected_events());
     out.extend(b.finish());
-    (out, late)
+    Run {
+        bins: out,
+        late,
+        rejected,
+        refusal,
+    }
 }
 
 /// Bitwise comparison of two finalized sequences (`FinalizedBin` derives
 /// `PartialEq`, and f64 equality here *is* the bit test we want).
-fn assert_bit_identical(
-    serial: &[entromine_entropy::FinalizedBin],
-    sharded: &[entromine_entropy::FinalizedBin],
-    label: &str,
-) {
+fn assert_bit_identical(serial: &[FinalizedBin], sharded: &[FinalizedBin], label: &str) {
     assert_eq!(
         serial.len(),
         sharded.len(),
@@ -163,18 +207,22 @@ fn sharded_matches_serial_with_gaps_and_stragglers() {
     let config = StreamConfig::new(n_flows);
     let events = traffic(42, n_flows, 12, 400, &[3, 4, 9], 25);
     let watermarks: Vec<u64> = (1..=13).map(|b| b * 300).collect();
-    let (serial, serial_late) = run_serial(&config, &events, &watermarks);
+    let serial = run_serial(&config, &events, &watermarks, None);
     assert!(
         serial
+            .bins
             .iter()
             .any(|fb| fb.summaries.iter().all(|s| s.packets == 0)),
         "fixture must exercise gap bins"
     );
-    assert!(serial_late > 0, "fixture must exercise late events");
+    assert!(serial.late > 0, "fixture must exercise late events");
     for shards in SHARD_COUNTS {
-        let (sharded, late) = run_sharded(&config, shards, &events, &watermarks, None);
-        assert_bit_identical(&serial, &sharded, &format!("{shards} shards"));
-        assert_eq!(late, serial_late, "{shards} shards: late-event accounting");
+        let sharded = run_sharded(&config, shards, &events, &watermarks, None, None);
+        assert_bit_identical(&serial.bins, &sharded.bins, &format!("{shards} shards"));
+        assert_eq!(
+            sharded.late, serial.late,
+            "{shards} shards: late-event accounting"
+        );
     }
 }
 
@@ -184,11 +232,15 @@ fn sharded_matches_serial_under_lateness_slack() {
     let config = StreamConfig::new(n_flows).with_lateness(120);
     let events = traffic(7, n_flows, 8, 200, &[], 10);
     let watermarks: Vec<u64> = (1..=9).map(|b| b * 300 + 60).collect();
-    let (serial, serial_late) = run_serial(&config, &events, &watermarks);
+    let serial = run_serial(&config, &events, &watermarks, None);
     for shards in SHARD_COUNTS {
-        let (sharded, late) = run_sharded(&config, shards, &events, &watermarks, None);
-        assert_bit_identical(&serial, &sharded, &format!("{shards} shards (slack)"));
-        assert_eq!(late, serial_late);
+        let sharded = run_sharded(&config, shards, &events, &watermarks, None, None);
+        assert_bit_identical(
+            &serial.bins,
+            &sharded.bins,
+            &format!("{shards} shards (slack)"),
+        );
+        assert_eq!(sharded.late, serial.late);
     }
 }
 
@@ -254,13 +306,13 @@ fn combining_batch_matches_per_packet_offers() {
     let config = StreamConfig::new(n_flows);
     let events = traffic(1234, n_flows, 10, 350, &[2, 7], 30);
     let watermarks: Vec<u64> = (1..=11).map(|b| b * 300).collect();
-    let (serial, serial_late) = run_serial(&config, &events, &watermarks);
+    let serial = run_serial(&config, &events, &watermarks, None);
     for shards in SHARD_COUNTS {
         for (label, shuffle) in [("offer order", None), ("shuffled", Some(99u64))] {
-            let (batched, late) = run_sharded(&config, shards, &events, &watermarks, shuffle);
+            let batched = run_sharded(&config, shards, &events, &watermarks, shuffle, None);
             let label = format!("{shards}-shard combining ({label})");
-            assert_bit_identical(&serial, &batched, &label);
-            assert_eq!(late, serial_late, "{label}: late accounting");
+            assert_bit_identical(&serial.bins, &batched.bins, &label);
+            assert_eq!(batched.late, serial.late, "{label}: late accounting");
         }
     }
 }
@@ -277,14 +329,14 @@ fn combining_matches_per_packet_across_shards_with_late_and_gap_bins() {
     let events = traffic(77, n_flows, 9, 300, &[4], 20);
     // Coarse watermarks: every batch covers ~3 bins.
     let watermarks: Vec<u64> = (1..=3).map(|b| b * 1000).collect();
-    let (serial, serial_late) = run_serial(&config, &events, &watermarks);
-    assert!(serial_late > 0, "fixture must exercise late events");
+    let serial = run_serial(&config, &events, &watermarks, None);
+    assert!(serial.late > 0, "fixture must exercise late events");
     for shards in SHARD_COUNTS {
         for shuffle in [None, Some(7u64)] {
-            let (sharded, late) = run_sharded(&config, shards, &events, &watermarks, shuffle);
+            let sharded = run_sharded(&config, shards, &events, &watermarks, shuffle, None);
             let label = format!("combining {shards} shards (shuffle {shuffle:?})");
-            assert_bit_identical(&serial, &sharded, &label);
-            assert_eq!(late, serial_late, "{label}");
+            assert_bit_identical(&serial.bins, &sharded.bins, &label);
+            assert_eq!(sharded.late, serial.late, "{label}");
         }
     }
 }
@@ -348,18 +400,61 @@ proptest! {
         gap in 0usize..8,
         stragglers in 0usize..12,
         shuffle_seed in 0u64..1000,
+        poison_kind in 0u8..3,
+        poison_step in 0usize..16,
+        poison_at in 0usize..1000,
     ) {
         let config = StreamConfig::new(n_flows);
         let gaps = [gap % n_bins];
         let events = traffic(seed, n_flows, n_bins, per_bin, &gaps, stragglers);
         let watermarks: Vec<u64> = (1..=(n_bins as u64 + 1)).map(|b| b * 300).collect();
-        let (serial, serial_late) = run_serial(&config, &events, &watermarks);
+        // Kind 1 names a flow the grid does not have; kind 2 carries a
+        // timestamp past the horizon of any bin the run can reach.
+        let beyond = (config.horizon_bins + n_bins + 2) as u64 * 300;
+        let poison = match poison_kind {
+            0 => None,
+            kind => Some(Poison {
+                step: poison_step % watermarks.len(),
+                at: poison_at,
+                event: if kind == 1 {
+                    (n_flows, PacketHeader::tcp(Ipv4(1), 1024, Ipv4(2), 80, 40, 0))
+                } else {
+                    (0, PacketHeader::tcp(Ipv4(1), 1024, Ipv4(2), 80, 40, beyond))
+                },
+            }),
+        };
+        // The clean serial run is the oracle: a refused batch leaves no
+        // trace in any sealed bin, on either builder.
+        let serial = run_serial(&config, &events, &watermarks, None);
+        let poisoned = run_serial(&config, &events, &watermarks, poison.as_ref());
+        assert_bit_identical(&serial.bins, &poisoned.bins, &format!("refused batch (seed {seed})"));
+        prop_assert_eq!(poisoned.late, serial.late);
+        match poison_kind {
+            0 => prop_assert!(poisoned.refusal.is_none()),
+            1 => prop_assert!(matches!(
+                poisoned.refusal,
+                Some(StreamError::FlowOutOfRange { .. })
+            )),
+            _ => prop_assert!(matches!(
+                poisoned.refusal,
+                Some(StreamError::BeyondHorizon { .. })
+            )),
+        }
+        prop_assert_eq!(poisoned.rejected, u64::from(poison_kind == 2));
         for shards in SHARD_COUNTS {
-            let (batched, late) =
-                run_sharded(&config, shards, &events, &watermarks, Some(shuffle_seed));
+            let batched = run_sharded(
+                &config,
+                shards,
+                &events,
+                &watermarks,
+                Some(shuffle_seed),
+                poison.as_ref(),
+            );
             let label = format!("{shards}-shard combining (seed {seed})");
-            assert_bit_identical(&serial, &batched, &label);
-            prop_assert_eq!(late, serial_late);
+            assert_bit_identical(&serial.bins, &batched.bins, &label);
+            prop_assert_eq!(batched.late, serial.late);
+            prop_assert_eq!(&batched.refusal, &poisoned.refusal);
+            prop_assert_eq!(batched.rejected, poisoned.rejected);
         }
     }
 
@@ -384,11 +479,11 @@ proptest! {
             }
         }
         let watermarks: Vec<u64> = (1..=(n_bins as u64 + 1)).map(|b| b * 300).collect();
-        let (serial, serial_late) = run_serial(&config, &events, &watermarks);
+        let serial = run_serial(&config, &events, &watermarks, None);
         for shards in SHARD_COUNTS {
-            let (sharded, late) = run_sharded(&config, shards, &events, &watermarks, None);
-            assert_bit_identical(&serial, &sharded, &format!("{shards} shards (seed {seed})"));
-            prop_assert_eq!(late, serial_late);
+            let sharded = run_sharded(&config, shards, &events, &watermarks, None, None);
+            assert_bit_identical(&serial.bins, &sharded.bins, &format!("{shards} shards (seed {seed})"));
+            prop_assert_eq!(sharded.late, serial.late);
         }
     }
 }

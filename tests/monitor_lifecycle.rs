@@ -12,14 +12,13 @@
 //!    fitting it reproduces the online model **bit for bit** — the
 //!    detections the live monitor emitted after its refit are exactly the
 //!    detections the offline model produces on the same bins.
-//! 3. **Plane-independence.** Feeding the monitor from the sharded
-//!    ingest plane (packets → `ShardedGridBuilder` → `FinalizedBin`)
-//!    yields bit-identical steps to feeding it the dataset's stored rows
+//! 3. **Plane-independence.** Feeding the monitor from the ingest plane
+//!    it opens itself (`Monitor::ingest_plane`: packets → sharded plane
+//!    → `FinalizedBin`, flow count taken from the monitor) yields
+//!    bit-identical steps to feeding it the dataset's stored rows
 //!    directly.
 
-use entromine::entropy::shard::ShardedGridBuilder;
-use entromine::entropy::sketch::SketchHistogram;
-use entromine::entropy::{AccumulatorPolicy, StreamConfig};
+use entromine::entropy::StreamConfig;
 use entromine::net::Topology;
 use entromine::synth::{AnomalyEvent, AnomalyLabel, Dataset, DatasetConfig};
 use entromine::{
@@ -224,9 +223,12 @@ fn sharded_ingest_feed_matches_direct_rows_feed() {
 
     let (_, direct_steps) = run_monitor_direct(&d, config);
 
-    // The same dataset streamed as packets through the sharded plane.
-    let mut grid = ShardedGridBuilder::new(StreamConfig::new(p), 4).expect("grid");
+    // The same dataset streamed as packets through the plane the monitor
+    // opens. The deliberately wrong flow count pins the override: the
+    // plane takes the monitor's own, or the offers below would be refused.
     let mut m = Monitor::new(p, config).expect("monitor");
+    let mut grid = m.ingest_plane(StreamConfig::new(1), 4).expect("grid");
+    let mut peak = 0usize;
     let mut sharded_steps = Vec::new();
     for bin in 0..d.n_bins() {
         let mut batch = Vec::new();
@@ -236,10 +238,12 @@ fn sharded_ingest_feed_matches_direct_rows_feed() {
             }
         }
         grid.offer_packets(&batch).expect("offer");
+        peak = peak.max(grid.accumulator_heap_bytes());
         for sealed in grid.advance_watermark((bin + 1) as u64 * BIN_SECS) {
             sharded_steps.push(m.observe_bin(&sealed).expect("observe"));
         }
     }
+    assert!(peak > 0, "heap gauge must have registered the open cells");
     assert_eq!(grid.late_events(), 0);
     assert_eq!(direct_steps.len(), sharded_steps.len());
     for (a, b) in direct_steps.iter().zip(&sharded_steps) {
@@ -263,115 +267,4 @@ fn sharded_ingest_feed_matches_direct_rows_feed() {
             a.bin
         );
     }
-}
-
-#[test]
-fn sketched_ingest_plane_runs_the_lifecycle_under_a_memory_ceiling() {
-    let d = dataset(23, 120);
-    let mut config = monitor_config();
-    config.warmup_bins = 30;
-    config.window_bins = 60;
-    config.refit_interval = Some(30);
-    let p = d.n_flows();
-
-    let (_, direct_steps) = run_monitor_direct(&d, config);
-
-    // Generous budget: every cell store stays under budget, the sketch
-    // never raises its sampling level, and the plane the monitor opens
-    // from its own DiagnoserConfig is bit-identical to the exact tier.
-    let budget = entromine::entropy::DEFAULT_BUDGET;
-    config.diagnoser.accumulator = AccumulatorPolicy::Sketched { budget };
-    let mut m = Monitor::new(p, config).expect("monitor");
-    let mut plane = m
-        .ingest_plane(StreamConfig::new(1), 4)
-        .expect("sketched plane");
-    assert_eq!(plane.policy(), AccumulatorPolicy::Sketched { budget });
-
-    // Per-store ceiling, summed over every open (bin, flow, feature)
-    // store the plane can hold at once. Each flow lives on exactly one
-    // shard, so an open bin holds at most `p · 4` stores; a plane that
-    // duplicated cells across shards would overrun this.
-    let ceiling = SketchHistogram::heap_ceiling(budget);
-    let mut peak = 0usize;
-    let mut sketched_steps = Vec::new();
-    for bin in 0..d.n_bins() {
-        let mut batch = Vec::new();
-        for flow in 0..p {
-            for pkt in d.net.cell_packets(bin, flow, &d.truth) {
-                batch.push((flow, pkt));
-            }
-        }
-        plane.offer_packets(&batch).expect("offer");
-        peak = peak.max(plane.accumulator_heap_bytes());
-        assert!(
-            plane.accumulator_heap_bytes() <= plane.open_bins() * p * 4 * ceiling,
-            "bin {bin}: sketched plane exceeded its accumulator ceiling"
-        );
-        for sealed in plane.advance_watermark((bin + 1) as u64 * BIN_SECS) {
-            sketched_steps.push(m.observe_bin(&sealed).expect("observe"));
-        }
-    }
-    assert!(peak > 0, "heap gauge must have registered the open stores");
-    assert_eq!(plane.late_events(), 0);
-
-    // Lifecycle contracts hold on the sketched feed: one step per bin and
-    // at this budget every verdict matches the direct-rows feed exactly.
-    assert_eq!(sketched_steps.len(), direct_steps.len());
-    assert_eq!(m.bins_observed(), d.n_bins() as u64);
-    assert_eq!(m.state(), MonitorState::Fitted);
-    for (a, b) in direct_steps.iter().zip(&sketched_steps) {
-        assert_eq!(a.bin, b.bin);
-        match (&a.verdict, &b.verdict) {
-            (Verdict::Warmup { remaining: ra }, Verdict::Warmup { remaining: rb }) => {
-                assert_eq!(ra, rb)
-            }
-            (Verdict::Clean, Verdict::Clean) => {}
-            (Verdict::Anomalous(da), Verdict::Anomalous(db)) => {
-                assert_eq!(da.methods, db.methods, "methods at bin {}", a.bin);
-                assert_eq!(da.entropy_spe, db.entropy_spe, "SPE at bin {}", a.bin);
-                assert_eq!(da.point, db.point, "point at bin {}", a.bin);
-            }
-            (va, vb) => panic!("bin {}: {va:?} vs {vb:?}", a.bin),
-        }
-    }
-
-    // Tight budget: the sketch genuinely subsamples, yet the lifecycle
-    // still completes with one verdict per bin, refits on schedule, and
-    // the injected port scan is still caught.
-    config.diagnoser.accumulator = AccumulatorPolicy::Sketched { budget: 64 };
-    let mut m = Monitor::new(p, config).expect("monitor");
-    let mut plane = m
-        .ingest_plane(StreamConfig::new(1), 4)
-        .expect("tight plane");
-    let tight_ceiling = SketchHistogram::heap_ceiling(64);
-    let mut steps = Vec::new();
-    for bin in 0..d.n_bins() {
-        let mut batch = Vec::new();
-        for flow in 0..p {
-            for pkt in d.net.cell_packets(bin, flow, &d.truth) {
-                batch.push((flow, pkt));
-            }
-        }
-        plane.offer_packets(&batch).expect("offer");
-        assert!(
-            plane.accumulator_heap_bytes() <= plane.open_bins() * p * 4 * tight_ceiling,
-            "bin {bin}: tight plane exceeded its accumulator ceiling"
-        );
-        for sealed in plane.advance_watermark((bin + 1) as u64 * BIN_SECS) {
-            steps.push(m.observe_bin(&sealed).expect("observe"));
-        }
-    }
-    assert_eq!(steps.len(), d.n_bins());
-    for (bin, step) in steps.iter().enumerate() {
-        assert_eq!(step.bin, bin);
-        match &step.verdict {
-            Verdict::Warmup { .. } => assert!(bin < 30, "bin {bin} unscored after warmup"),
-            _ => assert!(bin >= 30, "bin {bin} scored during warmup"),
-        }
-    }
-    assert_eq!(m.refits(), 4, "warmup fit plus three scheduled refits");
-    assert!(
-        steps[70].diagnosis().is_some() || steps[71].diagnosis().is_some(),
-        "port scan missed on the tight-budget sketched plane"
-    );
 }
