@@ -20,6 +20,14 @@ use entromine_subspace::{
 use entromine_synth::Dataset;
 use std::time::Instant;
 
+/// Recursion cap for multi-attribute identification.
+pub(crate) const MAX_IDENT_FLOWS: usize = 5;
+
+/// Refit safety valve: if a clean-training round flags more than this
+/// fraction of bins, the exclusion is considered implausible and refitting
+/// stops with the current models.
+const MAX_EXCLUDED_FRACTION: f64 = 0.25;
+
 /// Configuration of the diagnosis pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct DiagnoserConfig {
@@ -28,8 +36,6 @@ pub struct DiagnoserConfig {
     /// Confidence level for the Q-statistic threshold (paper: 0.999, with
     /// 0.995 in the sensitivity experiments).
     pub alpha: f64,
-    /// Recursion cap for multi-attribute identification.
-    pub max_ident_flows: usize,
     /// Clean-training rounds: after each round, bins flagged by any
     /// detector are excluded and the models refit. This prevents a strong
     /// anomaly from being absorbed *into* the normal subspace — a known
@@ -37,10 +43,6 @@ pub struct DiagnoserConfig {
     /// sidesteps it with three-week archives whose top components are
     /// dominated by genuine traffic structure). 0 disables refitting.
     pub refit_rounds: usize,
-    /// Refit safety valve: if a round flags more than this fraction of
-    /// bins, the exclusion is considered implausible and refitting stops
-    /// with the current models.
-    pub max_excluded_fraction: f64,
     /// How `alpha` becomes an SPE threshold:
     /// [`ThresholdPolicy::JacksonMudholkar`] (the paper's analytic
     /// threshold, exact for Gaussian residuals) or
@@ -55,9 +57,7 @@ impl Default for DiagnoserConfig {
         DiagnoserConfig {
             dim: DimSelection::Fixed(10),
             alpha: 0.999,
-            max_ident_flows: 5,
             refit_rounds: 1,
-            max_excluded_fraction: 0.25,
             threshold_policy: ThresholdPolicy::JacksonMudholkar,
         }
     }
@@ -251,11 +251,6 @@ pub struct RefitTrace {
 }
 
 impl RefitTrace {
-    /// Total wall-clock across all rounds, milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.rounds.iter().map(|r| r.ms).sum()
-    }
-
     fn record(&mut self, training_bins: usize, flagged_bins: usize, start: Instant) {
         self.rounds.push(RoundTrace {
             training_bins,
@@ -341,7 +336,7 @@ pub(crate) fn fit_rounds(
         if flagged == 0 {
             break;
         }
-        if flagged as f64 > config.max_excluded_fraction * n_bins as f64 {
+        if flagged as f64 > MAX_EXCLUDED_FRACTION * n_bins as f64 {
             // Implausibly many exclusions: trust the current fit.
             break;
         }

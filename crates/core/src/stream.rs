@@ -26,7 +26,7 @@
 //! [`score_bin`]: StreamingDiagnoser::score_bin
 //! [`score_rows`]: StreamingDiagnoser::score_rows
 
-use crate::pipeline::{DetectionMethods, Diagnosis, FittedDiagnoser};
+use crate::pipeline::{DetectionMethods, Diagnosis, FittedDiagnoser, MAX_IDENT_FLOWS};
 use crate::{unit_norm, DiagnosisError};
 use entromine_entropy::FinalizedBin;
 
@@ -95,7 +95,7 @@ pub(crate) fn score_rows_against(
     let flows = if methods.entropy {
         fitted
             .entropy_model()
-            .identify(entropy_raw, t_entropy, fitted.config().max_ident_flows)?
+            .identify(entropy_raw, t_entropy, MAX_IDENT_FLOWS)?
     } else {
         Vec::new()
     };
@@ -205,7 +205,6 @@ impl<'a> StreamingDiagnoser<'a> {
         packets_row: &[f64],
         entropy_raw: &[f64],
     ) -> Result<Option<Diagnosis>, DiagnosisError> {
-        self.bins_scored += 1;
         let diagnosis = score_rows_against(
             self.fitted,
             (self.t_bytes, self.t_packets, self.t_entropy),
@@ -214,6 +213,8 @@ impl<'a> StreamingDiagnoser<'a> {
             packets_row,
             entropy_raw,
         )?;
+        // A refused bin is not a scored one.
+        self.bins_scored += 1;
         if diagnosis.is_some() {
             self.detections += 1;
         }
@@ -335,6 +336,8 @@ mod tests {
                 Err(DiagnosisError::NonFiniteInput(_))
             ));
         }
+        assert_eq!(streaming.bins_scored(), 0);
+        assert_eq!(streaming.detections(), 0);
     }
 
     #[test]

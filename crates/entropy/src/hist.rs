@@ -346,7 +346,7 @@ impl FeatureHistogram {
     }
 
     /// All counts, ascending — the canonical multiset view the dispersion
-    /// metrics consume (entropy, Gini, and rank order are functions of
+    /// metrics consume (entropy and rank order are functions of
     /// the count multiset alone).
     pub fn counts_sorted(&self) -> Vec<u64> {
         let mut counts = vec![0; self.distinct() + 1];

@@ -60,10 +60,7 @@ mod tensor;
 
 pub use accum::{BinAccumulator, BinSummary};
 pub use hist::{FeatureHistogram, MapHistogram};
-pub use metrics::{
-    distinct_count, entropy_from_sorted_counts, gini_coefficient, normalized_entropy,
-    sample_entropy, simpson_index,
-};
+pub use metrics::{distinct_count, entropy_from_sorted_counts, sample_entropy, simpson_index};
 pub use shard::ShardedGridBuilder;
 pub use stream::{FinalizedBin, StreamConfig, StreamError, StreamingGridBuilder};
 pub use tensor::{EntropyTensor, TensorBuilder, VolumeMatrix};

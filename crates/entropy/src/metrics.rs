@@ -8,10 +8,9 @@
 //!
 //! which is 0 when all observations share one value (maximal concentration)
 //! and `log2(N)` when all `N` values are equally common (maximal
-//! dispersal). The alternatives here (normalized entropy, Simpson index,
-//! Gini coefficient, distinct count) support the ablation benches: the
-//! paper notes other dispersion metrics exist but that "entropy works well
-//! in practice".
+//! dispersal). The alternatives here (Simpson index, distinct count)
+//! support the ablation benches: the paper notes other dispersion metrics
+//! exist but that "entropy works well in practice".
 //!
 //! # Order independence
 //!
@@ -179,19 +178,6 @@ pub fn sample_entropy(hist: &FeatureHistogram) -> f64 {
     entropy_from_count_groups(total, small_groups.chain(sorted_groups(&spill)))
 }
 
-/// Entropy normalized by its maximum `log2(N)`, mapping any histogram into
-/// `[0, 1]`. Histograms with fewer than two distinct values map to 0.
-///
-/// Useful when comparing distributions with very different support sizes,
-/// e.g. ports (≤ 65536 values) against addresses.
-pub fn normalized_entropy(hist: &FeatureHistogram) -> f64 {
-    let n = hist.distinct();
-    if n < 2 {
-        return 0.0;
-    }
-    sample_entropy(hist) / (n as f64).log2()
-}
-
 /// Simpson's diversity index `1 - Σ p_i^2`.
 ///
 /// 0 for a single-valued histogram, approaching 1 for highly dispersed
@@ -205,28 +191,6 @@ pub fn simpson_index(hist: &FeatureHistogram) -> f64 {
     let sum_sq: u128 = hist.slot_counts().map(|n| n as u128 * n as u128).sum();
     let s = s as f64;
     (1.0 - sum_sq as f64 / (s * s)).clamp(0.0, 1.0)
-}
-
-/// Gini coefficient of the count distribution.
-///
-/// 0 when all values are equally frequent (perfect equality / maximal
-/// dispersal), approaching 1 when one value dominates. Computed over the
-/// canonical ascending count order with compensated summation.
-pub fn gini_coefficient(hist: &FeatureHistogram) -> f64 {
-    let n = hist.distinct();
-    if n == 0 || hist.total() == 0 {
-        return 0.0;
-    }
-    let counts = hist.counts_sorted();
-    let total: u64 = hist.total();
-    // G = (2 Σ_i i·x_(i) ) / (n Σ x) - (n+1)/n    with 1-based ranks i.
-    let mut weighted = 0.0;
-    let mut comp = 0.0;
-    for (i, &x) in counts.iter().enumerate() {
-        neumaier(&mut weighted, &mut comp, (i as f64 + 1.0) * x as f64);
-    }
-    let n_f = n as f64;
-    (2.0 * (weighted + comp)) / (n_f * total as f64) - (n_f + 1.0) / n_f
 }
 
 /// Number of distinct values — the crudest dispersion measure.
@@ -315,37 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn normalized_entropy_range() {
-        assert_eq!(normalized_entropy(&FeatureHistogram::new()), 0.0);
-        assert_eq!(normalized_entropy(&hist_of(&[5, 5])), 0.0); // single value
-        let uniform = hist_of(&[1, 2, 3, 4]);
-        assert!((normalized_entropy(&uniform) - 1.0).abs() < 1e-12);
-        let skewed = hist_of(&[1, 1, 1, 2]);
-        let ne = normalized_entropy(&skewed);
-        assert!(ne > 0.0 && ne < 1.0);
-    }
-
-    #[test]
     fn simpson_index_cases() {
         assert_eq!(simpson_index(&FeatureHistogram::new()), 0.0);
         assert_eq!(simpson_index(&hist_of(&[3, 3, 3])), 0.0);
         // Uniform over 4: 1 - 4*(1/16) = 0.75.
         assert!((simpson_index(&hist_of(&[1, 2, 3, 4])) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gini_cases() {
-        assert_eq!(gini_coefficient(&FeatureHistogram::new()), 0.0);
-        // Equal counts: Gini = 0.
-        let uniform = hist_of(&[1, 1, 2, 2, 3, 3]);
-        assert!(gini_coefficient(&uniform).abs() < 1e-12);
-        // Strong skew: positive Gini.
-        let mut skewed = FeatureHistogram::new();
-        skewed.add_n(1, 97);
-        skewed.add(2);
-        skewed.add(3);
-        skewed.add(4);
-        assert!(gini_coefficient(&skewed) > 0.5);
     }
 
     #[test]

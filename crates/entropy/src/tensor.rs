@@ -110,13 +110,6 @@ impl EntropyTensor {
         row
     }
 
-    /// Maps an unfolded column index back to `(feature, flow)`.
-    pub fn column_origin(&self, col: usize) -> (Feature, usize) {
-        let p = self.n_flows();
-        debug_assert!(col < 4 * p);
-        (FEATURES[col / p], col % p)
-    }
-
     /// The four unfolded column indices belonging to one OD flow, in
     /// [`FEATURES`] order — the columns selected by the paper's binary
     /// matrix `θ_k` during multi-attribute identification.
@@ -244,25 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn column_origin_inverts_unfolding() {
-        let b = TensorBuilder::new(1, 3);
-        let (tensor, _) = b.finish();
-        assert_eq!(tensor.column_origin(0), (Feature::SrcIp, 0));
-        assert_eq!(tensor.column_origin(2), (Feature::SrcIp, 2));
-        assert_eq!(tensor.column_origin(3), (Feature::SrcPort, 0));
-        assert_eq!(tensor.column_origin(11), (Feature::DstPort, 2));
-    }
-
-    #[test]
     fn flow_columns_select_theta_k() {
         let b = TensorBuilder::new(1, 5);
         let (tensor, _) = b.finish();
         assert_eq!(tensor.flow_columns(2), [2, 7, 12, 17]);
-        // The selected columns indeed map back to the same flow.
-        for col in tensor.flow_columns(2) {
-            let (_, flow) = tensor.column_origin(col);
-            assert_eq!(flow, 2);
-        }
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Mat {
         let mut t = Mat::zeros(self.cols, self.rows);
@@ -189,27 +184,6 @@ impl Mat {
             });
         }
         Ok(self.row_iter().map(|row| dot(row, v)).collect())
-    }
-
-    /// Vector–matrix product `v^T * self`, returned as a plain vector.
-    pub fn vecmat(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if self.rows != v.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vecmat",
-                lhs: (1, v.len()),
-                rhs: self.shape(),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
-            for (j, &aij) in self.row(i).iter().enumerate() {
-                out[j] += vi * aij;
-            }
-        }
-        Ok(out)
     }
 
     /// Per-column means.
@@ -474,38 +448,6 @@ impl Mat {
         }
         out
     }
-
-    /// Stacks `self` on top of `other` (column counts must match).
-    pub fn vstack(&self, other: &Mat) -> Result<Mat, LinalgError> {
-        if self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Mat::from_vec(self.rows + other.rows, self.cols, data))
-    }
-
-    /// Places `self` and `other` side by side (row counts must match).
-    pub fn hstack(&self, other: &Mat) -> Result<Mat, LinalgError> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let cols = self.cols + other.cols;
-        let mut out = Mat::zeros(self.rows, cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
-    }
 }
 
 impl Index<(usize, usize)> for Mat {
@@ -722,12 +664,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_vecmat() {
+    fn matvec_product() {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert_eq!(a.vecmat(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
         assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.vecmat(&[1.0, 2.0, 3.0]).is_err());
     }
 
     #[test]
@@ -867,20 +807,6 @@ mod tests {
         let s = m.select_rows(&[2, 0]);
         assert_eq!(s, Mat::from_rows(&[&[5.0, 6.0], &[1.0, 2.0]]));
         assert_eq!(m.select_rows(&[]).shape(), (0, 2));
-    }
-
-    #[test]
-    fn stacking() {
-        let a = Mat::from_rows(&[&[1.0, 2.0]]);
-        let b = Mat::from_rows(&[&[3.0, 4.0]]);
-        let v = a.vstack(&b).unwrap();
-        assert_eq!(v.shape(), (2, 2));
-        assert_eq!(v[(1, 0)], 3.0);
-        let h = a.hstack(&b).unwrap();
-        assert_eq!(h.shape(), (1, 4));
-        assert_eq!(h[(0, 3)], 4.0);
-        assert!(a.vstack(&Mat::zeros(1, 3)).is_err());
-        assert!(a.hstack(&Mat::zeros(2, 2)).is_err());
     }
 
     #[test]

@@ -156,19 +156,6 @@ impl Spectrum {
         }
         Ok(ResidualPowerSums::from_slice(&self.values[m..]))
     }
-
-    /// Relative spectral gap `(λ_m − λ_{m+1}) / λ₁` at the normal/residual
-    /// cut, when both sides of the cut exist and the spectrum is not
-    /// degenerate. A vanishing gap warns that the cut slices a cluster —
-    /// the subspace is well-defined but its individual trailing axes are
-    /// not.
-    pub fn spectral_gap(&self, m: usize) -> Option<f64> {
-        if m == 0 || m >= self.values.len() {
-            return None;
-        }
-        let lead = self.values[0];
-        (lead > 0.0).then(|| ((self.values[m - 1] - self.values[m]) / lead).max(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -226,14 +213,5 @@ mod tests {
         assert_eq!((thin.n_axes(), thin.values().len()), (1, 3));
         assert!(thin.residual_power_sums(2).is_ok());
         assert!(thin.residual_power_sums(3).is_err());
-    }
-
-    #[test]
-    fn spectral_gap_reports_the_cut() {
-        let full = Spectrum::complete(vec![10.0, 6.0, 1.0, 0.9], Mat::identity(4)).unwrap();
-        let gap = full.spectral_gap(2).unwrap();
-        assert!((gap - 0.5).abs() < 1e-12, "gap {gap}");
-        assert!(full.spectral_gap(0).is_none());
-        assert!(full.spectral_gap(4).is_none());
     }
 }

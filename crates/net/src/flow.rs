@@ -1,11 +1,11 @@
-//! NetFlow-style flow aggregation.
+//! Flow records.
 //!
 //! The paper's data source is *sampled flow data* exported by routers
-//! (Cisco NetFlow / Juniper traffic sampling). [`FlowCache`] reproduces the
-//! relevant router behaviour: packets sharing a five-tuple accumulate into a
-//! [`FlowRecord`]; records are exported when the flow goes idle (inactive
-//! timeout), when it has been open too long (active timeout), or when the
-//! cache is flushed.
+//! (Cisco NetFlow / Juniper traffic sampling): packets sharing a five-tuple
+//! are summarized as one [`FlowRecord`]. Records are built per 5-minute
+//! bin, so the bin boundary delimits every flow and no router timeout is
+//! modelled; [`aggregate_bin`] is the per-bin aggregator the entropy
+//! layer's tests use as their reference.
 
 use crate::ip::Ipv4;
 use crate::packet::{PacketHeader, Protocol};
@@ -71,119 +71,6 @@ impl FlowRecord {
         self.first = self.first.min(pkt.timestamp);
         self.last = self.last.max(pkt.timestamp);
     }
-
-    /// Duration of the flow in seconds (zero for single-packet flows).
-    pub fn duration(&self) -> u64 {
-        self.last - self.first
-    }
-}
-
-/// Timeouts governing when the cache exports a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowCacheConfig {
-    /// Export a flow that has seen no packet for this many seconds.
-    pub inactive_timeout: u64,
-    /// Export (and restart) a flow that has been open this long, as routers
-    /// do to bound record latency.
-    pub active_timeout: u64,
-}
-
-impl Default for FlowCacheConfig {
-    /// Cisco NetFlow's traditional defaults: 15 s inactive, 30 min active.
-    fn default() -> Self {
-        FlowCacheConfig {
-            inactive_timeout: 15,
-            active_timeout: 1800,
-        }
-    }
-}
-
-/// A router flow cache: aggregates packets into flow records and exports
-/// them on timeout.
-///
-/// Packets must be offered in non-decreasing timestamp order (as they are
-/// observed on a link). Call [`FlowCache::offer`] per packet and collect
-/// any records it expires; call [`FlowCache::flush`] at end of stream.
-#[derive(Debug)]
-pub struct FlowCache {
-    config: FlowCacheConfig,
-    active: HashMap<FlowKey, FlowRecord>,
-    last_sweep: u64,
-    /// How often (seconds of stream time) to sweep for inactive flows.
-    sweep_interval: u64,
-    exported: Vec<FlowRecord>,
-}
-
-impl FlowCache {
-    /// Creates an empty cache with the given timeouts.
-    pub fn new(config: FlowCacheConfig) -> Self {
-        FlowCache {
-            config,
-            active: HashMap::new(),
-            last_sweep: 0,
-            sweep_interval: config.inactive_timeout.max(1),
-            exported: Vec::new(),
-        }
-    }
-
-    /// Number of flows currently open in the cache.
-    pub fn open_flows(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Offers one packet to the cache; expired records accumulate
-    /// internally and are returned by [`take_exported`](Self::take_exported).
-    pub fn offer(&mut self, pkt: &PacketHeader) {
-        let now = pkt.timestamp;
-        // Periodic sweep of inactive flows, emulating the router's timer.
-        if now >= self.last_sweep + self.sweep_interval {
-            self.sweep(now);
-            self.last_sweep = now;
-        }
-        let key = FlowKey::of(pkt);
-        match self.active.get_mut(&key) {
-            Some(rec) => {
-                // Active timeout: export the long-lived flow and restart it.
-                if now.saturating_sub(rec.first) >= self.config.active_timeout {
-                    self.exported.push(*rec);
-                    *rec = FlowRecord::from_packet(pkt);
-                } else {
-                    rec.absorb(pkt);
-                }
-            }
-            None => {
-                self.active.insert(key, FlowRecord::from_packet(pkt));
-            }
-        }
-    }
-
-    /// Exports every flow idle since before `now - inactive_timeout`.
-    fn sweep(&mut self, now: u64) {
-        let deadline = now.saturating_sub(self.config.inactive_timeout);
-        let expired: Vec<FlowKey> = self
-            .active
-            .iter()
-            .filter(|(_, rec)| rec.last < deadline)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in expired {
-            if let Some(rec) = self.active.remove(&key) {
-                self.exported.push(rec);
-            }
-        }
-    }
-
-    /// Takes all records exported so far.
-    pub fn take_exported(&mut self) -> Vec<FlowRecord> {
-        std::mem::take(&mut self.exported)
-    }
-
-    /// Exports everything still open and returns all pending records.
-    pub fn flush(&mut self) -> Vec<FlowRecord> {
-        let mut out = std::mem::take(&mut self.exported);
-        out.extend(self.active.drain().map(|(_, rec)| rec));
-        out
-    }
 }
 
 /// One-shot helper: aggregate a packet slice into flow records with no
@@ -225,71 +112,26 @@ mod tests {
 
     #[test]
     fn same_five_tuple_aggregates() {
-        let mut cache = FlowCache::new(FlowCacheConfig::default());
-        cache.offer(&pkt(1, 10, 2, 80, 0));
-        cache.offer(&pkt(1, 10, 2, 80, 5));
-        cache.offer(&pkt(1, 10, 2, 80, 9));
-        assert_eq!(cache.open_flows(), 1);
-        let recs = cache.flush();
+        let recs = aggregate_bin(&[
+            pkt(1, 10, 2, 80, 5),
+            pkt(1, 10, 2, 80, 0),
+            pkt(1, 10, 2, 80, 9),
+        ]);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].packets, 3);
         assert_eq!(recs[0].bytes, 300);
         assert_eq!(recs[0].first, 0);
         assert_eq!(recs[0].last, 9);
-        assert_eq!(recs[0].duration(), 9);
     }
 
     #[test]
     fn different_tuples_do_not_merge() {
-        let mut cache = FlowCache::new(FlowCacheConfig::default());
-        cache.offer(&pkt(1, 10, 2, 80, 0));
-        cache.offer(&pkt(1, 11, 2, 80, 0)); // different src port
-        cache.offer(&pkt(3, 10, 2, 80, 0)); // different src ip
-        assert_eq!(cache.open_flows(), 3);
-    }
-
-    #[test]
-    fn inactive_timeout_exports() {
-        let mut cache = FlowCache::new(FlowCacheConfig {
-            inactive_timeout: 10,
-            active_timeout: 1000,
-        });
-        cache.offer(&pkt(1, 10, 2, 80, 0));
-        // A packet from another flow far in the future triggers the sweep.
-        cache.offer(&pkt(5, 10, 6, 80, 100));
-        let exported = cache.take_exported();
-        assert_eq!(exported.len(), 1);
-        assert_eq!(exported[0].key.src_ip, Ipv4(1));
-        assert_eq!(cache.open_flows(), 1);
-    }
-
-    #[test]
-    fn active_timeout_restarts_flow() {
-        let mut cache = FlowCache::new(FlowCacheConfig {
-            inactive_timeout: 1000,
-            active_timeout: 60,
-        });
-        cache.offer(&pkt(1, 10, 2, 80, 0));
-        cache.offer(&pkt(1, 10, 2, 80, 30));
-        cache.offer(&pkt(1, 10, 2, 80, 61)); // crosses the active timeout
-        let exported = cache.take_exported();
-        assert_eq!(exported.len(), 1);
-        assert_eq!(exported[0].packets, 2);
-        let rest = cache.flush();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].packets, 1);
-        assert_eq!(rest[0].first, 61);
-    }
-
-    #[test]
-    fn flush_drains_everything() {
-        let mut cache = FlowCache::new(FlowCacheConfig::default());
-        cache.offer(&pkt(1, 10, 2, 80, 0));
-        cache.offer(&pkt(3, 10, 4, 80, 0));
-        let recs = cache.flush();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(cache.open_flows(), 0);
-        assert!(cache.flush().is_empty());
+        let recs = aggregate_bin(&[
+            pkt(1, 10, 2, 80, 0),
+            pkt(1, 11, 2, 80, 0), // different src port
+            pkt(3, 10, 2, 80, 0), // different src ip
+        ]);
+        assert_eq!(recs.len(), 3);
     }
 
     #[test]

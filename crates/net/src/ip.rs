@@ -2,15 +2,14 @@
 //!
 //! A thin `u32` wrapper keeps address arithmetic explicit and cheap; the
 //! synthetic generator allocates customer address space to PoPs as
-//! [`Prefix`] blocks and the router substrate matches against them with
-//! longest-prefix match.
+//! [`Prefix`] blocks, and the address plan resolves an address to its PoP
+//! by block containment.
 //!
 //! The Abilene archives used by the paper anonymize addresses by masking
 //! out their last 11 bits; [`Ipv4::anonymize`] reproduces that exactly so
 //! the anonymization ablation (§5 of the paper) can be run.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// Number of low-order bits Abilene's anonymization masks out.
 pub const ABILENE_ANON_BITS: u32 = 11;
@@ -68,48 +67,6 @@ impl fmt::Debug for Ipv4 {
     }
 }
 
-impl From<u32> for Ipv4 {
-    fn from(v: u32) -> Self {
-        Ipv4(v)
-    }
-}
-
-impl From<Ipv4> for u32 {
-    fn from(ip: Ipv4) -> u32 {
-        ip.0
-    }
-}
-
-/// Error returned when parsing an address or prefix from text fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AddrParseError(String);
-
-impl fmt::Display for AddrParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid address or prefix: {}", self.0)
-    }
-}
-
-impl std::error::Error for AddrParseError {}
-
-impl FromStr for Ipv4 {
-    type Err = AddrParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('.').collect();
-        if parts.len() != 4 {
-            return Err(AddrParseError(s.to_string()));
-        }
-        let mut octets = [0u8; 4];
-        for (slot, part) in octets.iter_mut().zip(&parts) {
-            *slot = part
-                .parse::<u8>()
-                .map_err(|_| AddrParseError(s.to_string()))?;
-        }
-        Ok(Ipv4::new(octets[0], octets[1], octets[2], octets[3]))
-    }
-}
-
 /// An IPv4 prefix in CIDR form: a network address plus a mask length.
 ///
 /// The network address is always kept in canonical form (host bits zero).
@@ -142,11 +99,6 @@ impl Prefix {
     #[allow(clippy::len_without_is_empty)] // a mask length, not a container
     pub const fn len(self) -> u8 {
         self.len
-    }
-
-    /// `true` only for the zero-length (default-route) prefix.
-    pub const fn is_default_route(self) -> bool {
-        self.len == 0
     }
 
     /// `true` if `ip` falls inside this prefix.
@@ -208,41 +160,15 @@ impl fmt::Debug for Prefix {
     }
 }
 
-impl FromStr for Prefix {
-    type Err = AddrParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (addr_s, len_s) = s
-            .split_once('/')
-            .ok_or_else(|| AddrParseError(s.to_string()))?;
-        let addr: Ipv4 = addr_s.parse()?;
-        let len: u8 = len_s.parse().map_err(|_| AddrParseError(s.to_string()))?;
-        if len > 32 {
-            return Err(AddrParseError(s.to_string()));
-        }
-        Ok(Prefix::new(addr, len))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn address_roundtrip_display_parse() {
+    fn address_display_and_octets() {
         let ip = Ipv4::new(10, 1, 2, 3);
         assert_eq!(ip.to_string(), "10.1.2.3");
-        assert_eq!("10.1.2.3".parse::<Ipv4>().unwrap(), ip);
         assert_eq!(ip.octets(), [10, 1, 2, 3]);
-    }
-
-    #[test]
-    fn address_parse_rejects_garbage() {
-        assert!("10.1.2".parse::<Ipv4>().is_err());
-        assert!("10.1.2.3.4".parse::<Ipv4>().is_err());
-        assert!("10.1.2.256".parse::<Ipv4>().is_err());
-        assert!("a.b.c.d".parse::<Ipv4>().is_err());
-        assert!("".parse::<Ipv4>().is_err());
     }
 
     #[test]
@@ -278,20 +204,19 @@ mod tests {
 
     #[test]
     fn prefix_contains() {
-        let p: Prefix = "10.1.0.0/16".parse().unwrap();
+        let p = Prefix::new(Ipv4::new(10, 1, 0, 0), 16);
         assert!(p.contains(Ipv4::new(10, 1, 200, 7)));
         assert!(!p.contains(Ipv4::new(10, 2, 0, 0)));
-        let default: Prefix = "0.0.0.0/0".parse().unwrap();
+        let default = Prefix::new(Ipv4(0), 0);
         assert!(default.contains(Ipv4::new(1, 2, 3, 4)));
-        assert!(default.is_default_route());
-        let host: Prefix = "10.1.2.3/32".parse().unwrap();
+        let host = Prefix::new(Ipv4::new(10, 1, 2, 3), 32);
         assert!(host.contains(Ipv4::new(10, 1, 2, 3)));
         assert!(!host.contains(Ipv4::new(10, 1, 2, 4)));
     }
 
     #[test]
     fn prefix_size_first_last() {
-        let p: Prefix = "10.1.2.0/24".parse().unwrap();
+        let p = Prefix::new(Ipv4::new(10, 1, 2, 0), 24);
         assert_eq!(p.size(), 256);
         assert_eq!(p.first(), Ipv4::new(10, 1, 2, 0));
         assert_eq!(p.last(), Ipv4::new(10, 1, 2, 255));
@@ -301,7 +226,7 @@ mod tests {
 
     #[test]
     fn prefix_subnetting() {
-        let p: Prefix = "10.0.0.0/8".parse().unwrap();
+        let p = Prefix::new(Ipv4::new(10, 0, 0, 0), 8);
         let s0 = p.subnet(4, 0);
         let s1 = p.subnet(4, 1);
         assert_eq!(s0.to_string(), "10.0.0.0/12");
@@ -312,15 +237,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "subnet index out of range")]
     fn prefix_subnet_index_checked() {
-        let p: Prefix = "10.0.0.0/8".parse().unwrap();
+        let p = Prefix::new(Ipv4::new(10, 0, 0, 0), 8);
         let _ = p.subnet(2, 4);
-    }
-
-    #[test]
-    fn prefix_parse_rejects_garbage() {
-        assert!("10.0.0.0".parse::<Prefix>().is_err());
-        assert!("10.0.0.0/33".parse::<Prefix>().is_err());
-        assert!("10.0.0/8".parse::<Prefix>().is_err());
     }
 
     #[test]

@@ -2,24 +2,23 @@
 //!
 //! The paper's pipeline consumes *sampled flow data collected from all
 //! access links of two backbone networks* (Abilene and Geant). This crate
-//! rebuilds that measurement plane from scratch:
+//! holds the pieces of that measurement plane the synthetic generator and
+//! the entropy layer read:
 //!
-//! * [`Ipv4`] / [`Prefix`] — address arithmetic, parsing, formatting, and
-//!   the 11-bit anonymization mask Abilene applied to its archives.
+//! * [`Ipv4`] / [`Prefix`] — address arithmetic, formatting, and the
+//!   11-bit anonymization mask Abilene applied to its archives.
 //! * [`PacketHeader`] — the four header fields the paper calls *traffic
 //!   features* (addresses, ports) plus protocol, size and timestamp.
-//! * [`FlowKey`] / [`FlowRecord`] / [`FlowCache`] — NetFlow-style flow
-//!   aggregation with active/inactive timeouts.
-//! * [`Topology`] — PoP-level models of the Abilene (11 PoPs) and Geant
-//!   (22 PoPs) backbones, including backbone links and shortest paths.
-//! * [`PrefixTable`] / [`AddressPlan`] — longest-prefix-match routing used
-//!   to resolve the egress PoP of every flow (the paper does this with BGP
-//!   and ISIS tables, per Feldmann et al.).
+//! * [`FlowKey`] / [`FlowRecord`] — five-tuple flow records, and the
+//!   per-bin aggregator [`flow::aggregate_bin`].
+//! * [`Topology`] — the PoP tables of the Abilene (11 PoPs) and Geant
+//!   (22 PoPs) backbones.
+//! * [`AddressPlan`] — per-PoP customer address blocks; an address
+//!   resolves to the PoP whose block contains it.
 //! * [`OdPair`] / [`OdIndexer`] — origin–destination flow indexing
 //!   (`p^2` OD flows for a `p`-PoP network; 121 for Abilene, 484 for Geant).
-//! * [`sample`] — periodic 1-in-N packet sampling (as router-embedded
-//!   NetFlow does) and random thinning (used by the paper's §6.3 injection
-//!   methodology).
+//! * [`sample::thin_periodic`] — 1-in-N trace thinning, used by the paper's
+//!   §6.3 injection methodology.
 //!
 //! Everything here is deterministic and allocation-conscious; the synthetic
 //! traffic generator in `entromine-synth` drives millions of packets through
@@ -36,9 +35,9 @@ pub mod routing;
 pub mod sample;
 pub mod topology;
 
-pub use flow::{FlowCache, FlowCacheConfig, FlowKey, FlowRecord};
+pub use flow::{FlowKey, FlowRecord};
 pub use ip::{Ipv4, Prefix, ABILENE_ANON_BITS};
 pub use od::{OdIndexer, OdPair};
 pub use packet::{PacketHeader, Protocol};
-pub use routing::{AddressPlan, PrefixTable};
+pub use routing::AddressPlan;
 pub use topology::{PopId, Topology};

@@ -5,7 +5,6 @@
 //! OD flows including self-pairs — 121 for Abilene, 484 for Geant, exactly
 //! the `p` dimension of the paper's three-way matrix `H(t, p, k)`.
 
-use crate::routing::AddressPlan;
 use crate::topology::PopId;
 
 /// An origin–destination PoP pair.
@@ -79,30 +78,11 @@ impl OdIndexer {
     pub fn iter(&self) -> impl Iterator<Item = OdPair> + '_ {
         (0..self.n_flows()).map(move |i| self.pair(i))
     }
-
-    /// Resolves a packet's OD pair from its addresses via the address plan:
-    /// the origin is the PoP announcing the source prefix, the destination
-    /// the PoP announcing the destination prefix.
-    ///
-    /// Returns `None` when either address is off-net (e.g. spoofed sources
-    /// from outside the customer space); real collection would attribute
-    /// the flow to the observation PoP, which callers can do explicitly.
-    pub fn resolve(
-        &self,
-        plan: &AddressPlan,
-        src: crate::ip::Ipv4,
-        dst: crate::ip::Ipv4,
-    ) -> Option<OdPair> {
-        let origin = plan.resolve(src)?;
-        let dest = plan.resolve(dst)?;
-        Some(OdPair::new(origin, dest))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
 
     #[test]
     fn index_roundtrip() {
@@ -125,19 +105,6 @@ mod tests {
         assert_eq!(unique.len(), 16);
         assert_eq!(pairs[0], OdPair::new(0, 0));
         assert_eq!(pairs[15], OdPair::new(3, 3));
-    }
-
-    #[test]
-    fn resolve_via_plan() {
-        let topo = Topology::abilene();
-        let plan = AddressPlan::standard(&topo);
-        let ix = OdIndexer::new(topo.n_pops());
-        let src = plan.host(2, 5);
-        let dst = plan.host(7, 9);
-        let od = ix.resolve(&plan, src, dst).unwrap();
-        assert_eq!(od, OdPair::new(2, 7));
-        // Off-net source resolves to None.
-        assert!(ix.resolve(&plan, plan.external_host(1), dst).is_none());
     }
 
     #[test]

@@ -1,108 +1,26 @@
-//! Longest-prefix-match routing and PoP address plans.
+//! PoP address plans.
 //!
 //! The paper aggregates IP flows into OD flows by resolving, for every flow
 //! sampled at an ingress PoP, the *egress* PoP it will leave the backbone
 //! from; the authors do this with BGP and ISIS tables (Feldmann et al.).
-//! Here the same role is played by a [`PrefixTable`] — a binary-trie
-//! longest-prefix-match structure mapping customer prefixes to the PoP that
-//! announces them — plus an [`AddressPlan`] that deterministically carves
-//! address space into per-PoP customer blocks.
+//! Here an [`AddressPlan`] deterministically carves address space into
+//! equal per-PoP customer blocks, so an address resolves to its PoP by
+//! block arithmetic.
 
 use crate::ip::{Ipv4, Prefix};
 use crate::topology::{PopId, Topology};
 
-/// A longest-prefix-match table from IPv4 prefixes to PoP identifiers.
-///
-/// Implemented as a binary trie over address bits; inserting a duplicate
-/// prefix replaces the previous entry (as a routing update would).
-#[derive(Debug, Clone, Default)]
-pub struct PrefixTable {
-    nodes: Vec<TrieNode>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct TrieNode {
-    children: [Option<u32>; 2],
-    /// PoP announced at exactly this prefix, if any.
-    value: Option<PopId>,
-}
-
-impl PrefixTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        PrefixTable {
-            nodes: vec![TrieNode::default()],
-        }
-    }
-
-    /// Number of prefixes installed.
-    pub fn len(&self) -> usize {
-        self.nodes.iter().filter(|n| n.value.is_some()).count()
-    }
-
-    /// `true` if no prefix is installed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Installs (or replaces) a prefix announcement.
-    pub fn insert(&mut self, prefix: Prefix, pop: PopId) {
-        let mut node = 0usize;
-        for depth in 0..prefix.len() {
-            let bit = ((prefix.addr().0 >> (31 - depth as u32)) & 1) as usize;
-            let next = match self.nodes[node].children[bit] {
-                Some(idx) => idx as usize,
-                None => {
-                    let idx = self.nodes.len();
-                    self.nodes.push(TrieNode::default());
-                    self.nodes[node].children[bit] = Some(idx as u32);
-                    idx
-                }
-            };
-            node = next;
-        }
-        self.nodes[node].value = Some(pop);
-    }
-
-    /// Longest-prefix-match lookup.
-    pub fn lookup(&self, ip: Ipv4) -> Option<PopId> {
-        let mut node = 0usize;
-        let mut best = self.nodes[0].value;
-        for depth in 0..32u32 {
-            let bit = ((ip.0 >> (31 - depth)) & 1) as usize;
-            match self.nodes[node].children[bit] {
-                Some(next) => {
-                    node = next as usize;
-                    if let Some(v) = self.nodes[node].value {
-                        best = Some(v);
-                    }
-                }
-                None => break,
-            }
-        }
-        best
-    }
-}
-
 /// A deterministic allocation of customer address space to PoPs.
 ///
-/// Each PoP receives an equal-size block carved out of `base`; inside each
-/// block, a handful of more-specific customer subnets are also announced so
-/// that longest-prefix matching is genuinely exercised (as it is against
-/// real BGP tables).
+/// Each PoP receives an equal-size block carved out of `base`.
 #[derive(Debug, Clone)]
 pub struct AddressPlan {
     base: Prefix,
     bits: u8,
     n_pops: usize,
-    table: PrefixTable,
 }
 
 impl AddressPlan {
-    /// Number of more-specific customer subnets announced inside each PoP
-    /// block (in addition to the covering block itself).
-    const CUSTOMER_SUBNETS: u64 = 4;
-
     /// Builds a plan for `topology` out of `base`.
     ///
     /// # Panics
@@ -119,21 +37,10 @@ impl AddressPlan {
             base.len() + bits <= 24,
             "base prefix too small for {n} PoP blocks with room for hosts"
         );
-        let mut table = PrefixTable::new();
-        for pop in 0..n {
-            let block = base.subnet(bits, pop as u64);
-            table.insert(block, pop);
-            // Announce a few more-specific customer subnets of the block,
-            // mapping to the same PoP: LPM must still resolve correctly.
-            for c in 0..Self::CUSTOMER_SUBNETS {
-                table.insert(block.subnet(3, c), pop);
-            }
-        }
         AddressPlan {
             base,
             bits,
             n_pops: n,
-            table,
         }
     }
 
@@ -154,7 +61,7 @@ impl AddressPlan {
     /// Hosts come in groups of 8 sharing one /21 (the 11-bit
     /// anonymization granularity), with groups strided across the block.
     /// This mirrors real customer space — many hosts per anonymization
-    /// bucket, buckets spread over the PoP's announcements — so that
+    /// bucket, buckets spread over the PoP's block — so that
     /// masking genuinely coarsens distributions (the §5 anonymization
     /// ablation depends on it) without collapsing them to one value.
     pub fn host(&self, pop: PopId, i: u64) -> Ipv4 {
@@ -165,80 +72,26 @@ impl AddressPlan {
         block.host(offset % span)
     }
 
-    /// Resolves the PoP that announces `ip`'s longest matching prefix.
+    /// Resolves the PoP whose block contains `ip`; `None` for addresses
+    /// outside every block.
     pub fn resolve(&self, ip: Ipv4) -> Option<PopId> {
-        self.table.lookup(ip)
-    }
-
-    /// The underlying routing table.
-    pub fn table(&self) -> &PrefixTable {
-        &self.table
+        if !self.base.contains(ip) {
+            return None;
+        }
+        let block_width = 32 - u32::from(self.base.len() + self.bits);
+        let pop = ((ip.0 - self.base.addr().0) >> block_width) as PopId;
+        (pop < self.n_pops).then_some(pop)
     }
 
     /// Number of PoPs covered by the plan.
     pub fn n_pops(&self) -> usize {
         self.n_pops
     }
-
-    /// An address guaranteed to be outside every PoP block (useful for
-    /// modeling off-net/spoofed sources).
-    pub fn external_host(&self, i: u64) -> Ipv4 {
-        // 172.16.0.0/12 is disjoint from the 10/8 standard base.
-        let ext = Prefix::new(Ipv4::new(172, 16, 0, 0), 12);
-        debug_assert!(!self.base.contains(ext.addr()));
-        ext.host(i * 9973)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_table_returns_none() {
-        let t = PrefixTable::new();
-        assert!(t.is_empty());
-        assert_eq!(t.lookup(Ipv4::new(1, 2, 3, 4)), None);
-    }
-
-    #[test]
-    fn exact_and_longest_match() {
-        let mut t = PrefixTable::new();
-        t.insert("10.0.0.0/8".parse().unwrap(), 0);
-        t.insert("10.1.0.0/16".parse().unwrap(), 1);
-        t.insert("10.1.2.0/24".parse().unwrap(), 2);
-        assert_eq!(t.lookup(Ipv4::new(10, 200, 0, 1)), Some(0));
-        assert_eq!(t.lookup(Ipv4::new(10, 1, 200, 1)), Some(1));
-        assert_eq!(t.lookup(Ipv4::new(10, 1, 2, 3)), Some(2));
-        assert_eq!(t.lookup(Ipv4::new(11, 0, 0, 1)), None);
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn default_route_matches_everything() {
-        let mut t = PrefixTable::new();
-        t.insert("0.0.0.0/0".parse().unwrap(), 7);
-        assert_eq!(t.lookup(Ipv4::new(255, 255, 255, 255)), Some(7));
-        assert_eq!(t.lookup(Ipv4::new(0, 0, 0, 0)), Some(7));
-    }
-
-    #[test]
-    fn insert_replaces() {
-        let mut t = PrefixTable::new();
-        t.insert("10.0.0.0/8".parse().unwrap(), 0);
-        t.insert("10.0.0.0/8".parse().unwrap(), 3);
-        assert_eq!(t.lookup(Ipv4::new(10, 1, 1, 1)), Some(3));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn host_route_wins() {
-        let mut t = PrefixTable::new();
-        t.insert("10.0.0.0/8".parse().unwrap(), 0);
-        t.insert("10.0.0.1/32".parse().unwrap(), 9);
-        assert_eq!(t.lookup(Ipv4::new(10, 0, 0, 1)), Some(9));
-        assert_eq!(t.lookup(Ipv4::new(10, 0, 0, 2)), Some(0));
-    }
 
     #[test]
     fn plan_blocks_are_disjoint_and_resolve() {
@@ -294,9 +147,11 @@ mod tests {
     fn external_hosts_are_off_net() {
         let topo = Topology::abilene();
         let plan = AddressPlan::standard(&topo);
-        for i in 0..100 {
-            assert_eq!(plan.resolve(plan.external_host(i)), None);
-        }
+        // Outside the 10/8 base, and inside it past the last PoP block.
+        assert_eq!(plan.resolve(Ipv4::new(172, 16, 0, 1)), None);
+        assert_eq!(plan.resolve(Ipv4::new(9, 255, 255, 255)), None);
+        assert_eq!(plan.resolve(Ipv4::new(11, 0, 0, 0)), None);
+        assert_eq!(plan.resolve(Ipv4::new(10, 255, 255, 255)), None);
     }
 
     #[test]

@@ -1,70 +1,12 @@
-//! Packet sampling and trace thinning.
+//! Trace thinning.
 //!
-//! Two distinct mechanisms from the paper:
-//!
-//! * **Periodic sampling** — routers export 1 out of every N packets
-//!   (Abilene: N = 100, Geant: N = 1000). [`PeriodicSampler`] reproduces
-//!   the deterministic count-based scheme of router-embedded NetFlow.
-//! * **Thinning** — the injection methodology of §6.3 dilutes a labelled
-//!   attack trace "by selecting 1 out of every N packets" to sweep the
-//!   anomaly intensity. [`thin_periodic`] and [`thin_random`] provide the
-//!   deterministic and randomized variants.
+//! The injection methodology of §6.3 dilutes a labelled attack trace "by
+//! selecting 1 out of every N packets" to sweep the anomaly intensity;
+//! [`thin_periodic`] does that. Router sampling itself (Abilene: 1 in 100,
+//! Geant: 1 in 1000) is not applied packet by packet: the synthetic
+//! generator draws its rates as already-sampled packet counts.
 
 use crate::packet::PacketHeader;
-use rand::Rng;
-
-/// Deterministic count-based 1-in-N packet sampler.
-///
-/// The first packet of every group of `n` is selected (phase configurable),
-/// matching periodic NetFlow sampling. `n = 1` selects everything.
-#[derive(Debug, Clone)]
-pub struct PeriodicSampler {
-    n: u64,
-    counter: u64,
-}
-
-impl PeriodicSampler {
-    /// A sampler selecting 1 out of every `n` packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: u64) -> Self {
-        assert!(n > 0, "sampling rate must be at least 1");
-        PeriodicSampler { n, counter: 0 }
-    }
-
-    /// A sampler with an initial phase offset (the first selected packet is
-    /// the `phase`-th one).
-    pub fn with_phase(n: u64, phase: u64) -> Self {
-        assert!(n > 0, "sampling rate must be at least 1");
-        PeriodicSampler {
-            n,
-            counter: phase % n,
-        }
-    }
-
-    /// The sampling modulus N.
-    pub fn rate(&self) -> u64 {
-        self.n
-    }
-
-    /// Decides whether the next packet in the stream is selected.
-    #[inline]
-    pub fn select(&mut self) -> bool {
-        let hit = self.counter == 0;
-        self.counter += 1;
-        if self.counter == self.n {
-            self.counter = 0;
-        }
-        hit
-    }
-
-    /// Filters a packet slice, keeping the selected ones.
-    pub fn sample(&mut self, packets: &[PacketHeader]) -> Vec<PacketHeader> {
-        packets.iter().copied().filter(|_| self.select()).collect()
-    }
-}
 
 /// Thins a trace deterministically: keeps packets `0, n, 2n, ...`.
 ///
@@ -83,32 +25,10 @@ pub fn thin_periodic(packets: &[PacketHeader], factor: u64) -> Vec<PacketHeader>
         .collect()
 }
 
-/// Thins a trace randomly: keeps each packet independently with
-/// probability `1/factor`.
-///
-/// A factor of 0 or 1 keeps the whole trace.
-pub fn thin_random<R: Rng>(
-    packets: &[PacketHeader],
-    factor: u64,
-    rng: &mut R,
-) -> Vec<PacketHeader> {
-    if factor <= 1 {
-        return packets.to_vec();
-    }
-    let p = 1.0 / factor as f64;
-    packets
-        .iter()
-        .copied()
-        .filter(|_| rng.random_bool(p))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ip::Ipv4;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn mk(n: usize) -> Vec<PacketHeader> {
         (0..n)
@@ -118,49 +38,11 @@ mod tests {
 
     #[test]
     fn periodic_exact_fraction() {
-        let packets = mk(1000);
-        let mut s = PeriodicSampler::new(100);
-        let kept = s.sample(&packets);
+        let kept = thin_periodic(&mk(1000), 100);
         assert_eq!(kept.len(), 10);
         // Every 100th packet starting from the first.
         assert_eq!(kept[0].src_ip, Ipv4(0));
         assert_eq!(kept[1].src_ip, Ipv4(100));
-    }
-
-    #[test]
-    fn periodic_state_carries_across_calls() {
-        let packets = mk(150);
-        let mut s = PeriodicSampler::new(100);
-        let first = s.sample(&packets[..50]);
-        let second = s.sample(&packets[50..]);
-        assert_eq!(first.len(), 1);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].src_ip, Ipv4(100));
-    }
-
-    #[test]
-    fn periodic_rate_one_keeps_all() {
-        let packets = mk(17);
-        let mut s = PeriodicSampler::new(1);
-        assert_eq!(s.sample(&packets).len(), 17);
-    }
-
-    #[test]
-    fn phase_offsets_selection() {
-        let packets = mk(10);
-        // phase 3 of rate 5: counter starts at 3, so selection happens when
-        // the counter wraps to 0, i.e. at index 2 and 7.
-        let mut s = PeriodicSampler::with_phase(5, 3);
-        let kept = s.sample(&packets);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].src_ip, Ipv4(2));
-        assert_eq!(kept[1].src_ip, Ipv4(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_rate_rejected() {
-        let _ = PeriodicSampler::new(0);
     }
 
     #[test]
@@ -171,17 +53,6 @@ mod tests {
         assert_eq!(thin_periodic(&packets, 10).len(), 10);
         assert_eq!(thin_periodic(&packets, 100).len(), 1);
         assert_eq!(thin_periodic(&packets, 1000).len(), 1);
-    }
-
-    #[test]
-    fn thin_random_statistics() {
-        let packets = mk(100_000);
-        let mut rng = StdRng::seed_from_u64(1);
-        let kept = thin_random(&packets, 10, &mut rng);
-        // Expect ~10_000; allow generous slack (±5 sigma ~ ±475).
-        assert!((9_500..10_500).contains(&kept.len()), "kept {}", kept.len());
-        // Factor 1 keeps all.
-        assert_eq!(thin_random(&packets, 1, &mut rng).len(), 100_000);
     }
 
     #[test]

@@ -3,15 +3,9 @@
 //! The paper evaluates on two networks: **Abilene**, the Internet2 backbone
 //! (11 PoPs across the continental US), and **Geant**, the European research
 //! network (22 PoPs, "twice as large as Abilene"). The OD-flow analysis
-//! itself only needs the PoP count, but the topology (links, shortest
-//! paths) grounds the synthetic generator — e.g. outage anomalies shift
-//! traffic between OD pairs that share links.
-//!
-//! The Abilene adjacency below is the real 2003-era 14-link backbone. The
-//! Geant adjacency is an approximation of the 2004 topology (the OD-level
-//! experiments depend only on the PoP count; see DESIGN.md).
-
-use std::collections::VecDeque;
+//! needs only the PoP count: it fixes the `p^2` OD flows (121 and 484) and
+//! the per-PoP address blocks. The PoP tables keep the router codes so
+//! reports can name an OD flow by its endpoints.
 
 /// Index of a Point of Presence within a [`Topology`].
 pub type PopId = usize;
@@ -25,40 +19,17 @@ pub struct Pop {
     pub city: &'static str,
 }
 
-/// A PoP-level backbone topology: nodes plus bidirectional links.
+/// A PoP-level backbone topology: its named PoPs.
 #[derive(Debug, Clone)]
 pub struct Topology {
     name: &'static str,
     pops: Vec<Pop>,
-    links: Vec<(PopId, PopId)>,
-    adjacency: Vec<Vec<PopId>>,
 }
 
 impl Topology {
-    /// Builds a topology from a PoP list and a bidirectional link list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a link endpoint is out of range or a link is a self-loop.
-    pub fn new(name: &'static str, pops: Vec<Pop>, links: Vec<(PopId, PopId)>) -> Self {
-        let n = pops.len();
-        let mut adjacency = vec![Vec::new(); n];
-        for &(a, b) in &links {
-            assert!(a < n && b < n, "link endpoint out of range");
-            assert_ne!(a, b, "self-loop links are not allowed");
-            adjacency[a].push(b);
-            adjacency[b].push(a);
-        }
-        for adj in &mut adjacency {
-            adj.sort_unstable();
-            adj.dedup();
-        }
-        Topology {
-            name,
-            pops,
-            links,
-            adjacency,
-        }
+    /// Builds a topology from a PoP list.
+    pub fn new(name: &'static str, pops: Vec<Pop>) -> Self {
+        Topology { name, pops }
     }
 
     /// Human-readable network name (`"abilene"`, `"geant"`, ...).
@@ -71,92 +42,12 @@ impl Topology {
         self.pops.len()
     }
 
-    /// Number of OD flows: `p^2`, counting self-pairs, matching the paper's
-    /// 121 (Abilene) and 484 (Geant).
-    pub fn n_od_flows(&self) -> usize {
-        self.pops.len() * self.pops.len()
-    }
-
     /// The PoP records.
     pub fn pops(&self) -> &[Pop] {
         &self.pops
     }
 
-    /// The bidirectional backbone links.
-    pub fn links(&self) -> &[(PopId, PopId)] {
-        &self.links
-    }
-
-    /// PoPs directly connected to `pop`.
-    pub fn neighbors(&self, pop: PopId) -> &[PopId] {
-        &self.adjacency[pop]
-    }
-
-    /// Looks up a PoP by its router code.
-    pub fn pop_by_code(&self, code: &str) -> Option<PopId> {
-        self.pops.iter().position(|p| p.code == code)
-    }
-
-    /// Shortest path (fewest hops) between two PoPs, inclusive of both
-    /// endpoints. Returns `None` if the graph is disconnected between them.
-    ///
-    /// Ties are broken deterministically by neighbor order.
-    pub fn shortest_path(&self, from: PopId, to: PopId) -> Option<Vec<PopId>> {
-        if from == to {
-            return Some(vec![from]);
-        }
-        let n = self.pops.len();
-        let mut prev: Vec<Option<PopId>> = vec![None; n];
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::new();
-        seen[from] = true;
-        queue.push_back(from);
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adjacency[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    prev[v] = Some(u);
-                    if v == to {
-                        // Reconstruct.
-                        let mut path = vec![to];
-                        let mut cur = to;
-                        while let Some(p) = prev[cur] {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
-    }
-
-    /// `true` if every PoP can reach every other PoP.
-    pub fn is_connected(&self) -> bool {
-        if self.pops.is_empty() {
-            return true;
-        }
-        let mut seen = vec![false; self.pops.len()];
-        let mut queue = VecDeque::new();
-        seen[0] = true;
-        queue.push_back(0);
-        let mut count = 1;
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adjacency[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count == self.pops.len()
-    }
-
-    /// The 2003-era Abilene backbone: 11 PoPs, 14 links.
+    /// The 2003-era Abilene backbone: 11 PoPs.
     pub fn abilene() -> Self {
         let pops = vec![
             Pop {
@@ -204,32 +95,13 @@ impl Topology {
                 city: "Washington DC",
             },
         ];
-        // Codes:    ATLA=0 CHIN=1 DNVR=2 HSTN=3 IPLS=4 KSCY=5
-        //           LOSA=6 NYCM=7 SNVA=8 STTL=9 WASH=10
-        let links = vec![
-            (0, 3),  // ATLA-HSTN
-            (0, 4),  // ATLA-IPLS
-            (0, 10), // ATLA-WASH
-            (1, 4),  // CHIN-IPLS
-            (1, 7),  // CHIN-NYCM
-            (2, 5),  // DNVR-KSCY
-            (2, 8),  // DNVR-SNVA
-            (2, 9),  // DNVR-STTL
-            (3, 5),  // HSTN-KSCY
-            (3, 6),  // HSTN-LOSA
-            (4, 5),  // IPLS-KSCY
-            (6, 8),  // LOSA-SNVA
-            (7, 10), // NYCM-WASH
-            (8, 9),  // SNVA-STTL
-        ];
-        Topology::new("abilene", pops, links)
+        Topology::new("abilene", pops)
     }
 
     /// A 22-PoP model of the 2004-era Geant network.
     ///
     /// PoP set matches the national research networks Geant connected at the
-    /// time; the link set is an approximation of the public topology maps
-    /// (the paper's experiments depend only on the PoP count `p = 22`,
+    /// time (the paper's experiments depend only on the PoP count `p = 22`,
     /// giving `484` OD flows).
     pub fn geant() -> Self {
         let pops = vec![
@@ -322,51 +194,10 @@ impl Topology {
                 city: "Bucharest",
             },
         ];
-        // Index key: AT=0 BE=1 CH=2 CZ=3 DE=4 ES=5 FR=6 GR=7 HR=8 HU=9 IE=10
-        //            IL=11 IT=12 LU=13 NL=14 PL=15 PT=16 SE=17 SI=18 SK=19
-        //            UK=20 RO=21
-        let links = vec![
-            (0, 3),   // AT-CZ
-            (0, 4),   // AT-DE
-            (0, 9),   // AT-HU
-            (0, 18),  // AT-SI
-            (0, 19),  // AT-SK
-            (1, 6),   // BE-FR
-            (1, 14),  // BE-NL
-            (2, 4),   // CH-DE
-            (2, 6),   // CH-FR
-            (2, 12),  // CH-IT
-            (3, 4),   // CZ-DE
-            (3, 15),  // CZ-PL
-            (3, 19),  // CZ-SK
-            (4, 6),   // DE-FR
-            (4, 14),  // DE-NL
-            (4, 17),  // DE-SE
-            (4, 11),  // DE-IL
-            (5, 6),   // ES-FR
-            (5, 16),  // ES-PT
-            (5, 12),  // ES-IT
-            (6, 20),  // FR-UK
-            (6, 13),  // FR-LU
-            (7, 12),  // GR-IT
-            (7, 11),  // GR-IL
-            (8, 18),  // HR-SI
-            (8, 9),   // HR-HU
-            (9, 19),  // HU-SK
-            (9, 21),  // HU-RO
-            (10, 20), // IE-UK
-            (12, 18), // IT-SI
-            (14, 20), // NL-UK
-            (14, 17), // NL-SE
-            (15, 17), // PL-SE
-            (16, 20), // PT-UK
-            (21, 7),  // RO-GR
-        ];
-        Topology::new("geant", pops, links)
+        Topology::new("geant", pops)
     }
 
-    /// A tiny synthetic line topology for tests: `n` PoPs named `P0..Pn-1`
-    /// connected in a path.
+    /// A tiny synthetic topology for tests: `n` PoPs named `P0..Pn-1`.
     pub fn line(n: usize) -> Self {
         const CODES: [&str; 8] = ["P0", "P1", "P2", "P3", "P4", "P5", "P6", "P7"];
         assert!(
@@ -379,8 +210,7 @@ impl Topology {
                 city: "testville",
             })
             .collect();
-        let links = (1..n).map(|i| (i - 1, i)).collect();
-        Topology::new("line", pops, links)
+        Topology::new("line", pops)
     }
 }
 
@@ -392,106 +222,35 @@ mod tests {
     fn abilene_matches_paper_dimensions() {
         let t = Topology::abilene();
         assert_eq!(t.n_pops(), 11);
-        assert_eq!(t.n_od_flows(), 121);
-        assert_eq!(t.links().len(), 14);
-        assert!(t.is_connected());
     }
 
     #[test]
     fn geant_matches_paper_dimensions() {
         let t = Topology::geant();
         assert_eq!(t.n_pops(), 22);
-        assert_eq!(t.n_od_flows(), 484);
-        assert!(t.is_connected());
     }
 
     #[test]
     fn geant_is_twice_abilene() {
-        // The paper: "twice as large as Abilene, with 22 PoPs ... four times
-        // the number of OD flows".
+        // The paper: "twice as large as Abilene, with 22 PoPs".
         let a = Topology::abilene();
         let g = Topology::geant();
         assert_eq!(g.n_pops(), 2 * a.n_pops());
-        assert_eq!(g.n_od_flows(), 4 * a.n_od_flows());
     }
 
     #[test]
     fn pop_lookup_by_code() {
+        // Reports name an OD flow by its endpoints' router codes.
         let t = Topology::abilene();
-        let ipls = t.pop_by_code("IPLS").unwrap();
+        let ipls = t.pops().iter().position(|p| p.code == "IPLS").unwrap();
         assert_eq!(t.pops()[ipls].city, "Indianapolis");
-        assert!(t.pop_by_code("NOPE").is_none());
-    }
-
-    #[test]
-    fn shortest_path_endpoints_and_connectivity() {
-        let t = Topology::abilene();
-        let sttl = t.pop_by_code("STTL").unwrap();
-        let atla = t.pop_by_code("ATLA").unwrap();
-        let path = t.shortest_path(sttl, atla).unwrap();
-        assert_eq!(*path.first().unwrap(), sttl);
-        assert_eq!(*path.last().unwrap(), atla);
-        // Each consecutive pair must be a real link.
-        for w in path.windows(2) {
-            assert!(t.neighbors(w[0]).contains(&w[1]));
-        }
-    }
-
-    #[test]
-    fn shortest_path_to_self_is_trivial() {
-        let t = Topology::abilene();
-        assert_eq!(t.shortest_path(3, 3), Some(vec![3]));
-    }
-
-    #[test]
-    fn disconnected_graph_detected() {
-        let pops = vec![
-            Pop {
-                code: "A",
-                city: "a",
-            },
-            Pop {
-                code: "B",
-                city: "b",
-            },
-            Pop {
-                code: "C",
-                city: "c",
-            },
-        ];
-        let t = Topology::new("disc", pops, vec![(0, 1)]);
-        assert!(!t.is_connected());
-        assert!(t.shortest_path(0, 2).is_none());
+        assert!(t.pops().iter().all(|p| p.code != "NOPE"));
     }
 
     #[test]
     fn line_topology() {
         let t = Topology::line(4);
         assert_eq!(t.n_pops(), 4);
-        let path = t.shortest_path(0, 3).unwrap();
-        assert_eq!(path, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-loop")]
-    fn self_loops_rejected() {
-        let pops = vec![Pop {
-            code: "A",
-            city: "a",
-        }];
-        let _ = Topology::new("bad", pops, vec![(0, 0)]);
-    }
-
-    #[test]
-    fn abilene_shortest_paths_all_reachable() {
-        let t = Topology::abilene();
-        for a in 0..t.n_pops() {
-            for b in 0..t.n_pops() {
-                let p = t.shortest_path(a, b).unwrap();
-                assert!(!p.is_empty());
-                // Abilene's diameter is small.
-                assert!(p.len() <= 6, "path {a}->{b} too long: {p:?}");
-            }
-        }
+        assert_eq!(t.pops()[3].code, "P3");
     }
 }

@@ -145,11 +145,6 @@ impl SubspaceModel {
         self.m
     }
 
-    /// Number of variables (columns) the model was fitted on.
-    pub fn n_vars(&self) -> usize {
-        self.pca.dim()
-    }
-
     /// The underlying PCA (means, axes, spectrum).
     pub fn pca(&self) -> &Pca {
         &self.pca
@@ -329,7 +324,7 @@ mod tests {
         let model = SubspaceModel::fit(&x, DimSelection::Fixed(4)).unwrap();
         assert!(model.explained_variance() > 0.99);
         assert_eq!(model.normal_dim(), 4);
-        assert_eq!(model.n_vars(), 20);
+        assert_eq!(model.pca().dim(), 20);
     }
 
     #[test]

@@ -107,12 +107,6 @@ impl DatasetConfig {
     pub fn mean_sampled_packets_per_bin(&self) -> f64 {
         Self::PAPER_MEAN_PPS * Self::BIN_SECS as f64 * self.traffic_scale / self.sample_rate as f64
     }
-
-    /// Converts an unsampled intensity in packets/second into expected
-    /// sampled packets per bin under this configuration.
-    pub fn pps_to_sampled_per_bin(&self, pps: f64) -> f64 {
-        pps * Self::BIN_SECS as f64 * self.traffic_scale / self.sample_rate as f64
-    }
 }
 
 /// The static parts of a synthetic network: topology, address plan,

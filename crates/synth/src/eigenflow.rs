@@ -177,11 +177,6 @@ impl RateModel {
     pub fn day_weight(&self, bin: usize) -> f64 {
         0.5 + 0.5 * self.basis.value(0, bin)
     }
-
-    /// Network-wide average base rate (should be ~`mean_packets_per_bin`).
-    pub fn average_base_rate(&self) -> f64 {
-        self.base.iter().sum::<f64>() / self.base.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +216,7 @@ mod tests {
         let topo = Topology::abilene();
         let m = RateModel::new(&topo, 7, 600.0, 0.05);
         assert_eq!(m.n_flows(), 121);
-        let avg = m.average_base_rate();
+        let avg = m.base.iter().sum::<f64>() / m.base.len() as f64;
         // The small-flow floor nudges the rescaled average slightly.
         assert!(
             (avg - 600.0).abs() / 600.0 < 0.05,

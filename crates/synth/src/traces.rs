@@ -20,15 +20,15 @@
 //! 2. **11-bit masking** to match Abilene's anonymization;
 //! 3. **random remapping** of addresses onto the target network's
 //!    customer space ([`remap_to_network`]);
-//! 4. **thinning** by 1-in-N ([`entromine_net::sample::thin_periodic`]);
-//! 5. **splitting by source** into `k` groups of roughly equal traffic for
-//!    the multi-OD-flow experiments ([`split_sources`]).
+//! 4. **thinning** by 1-in-N ([`entromine_net::sample::thin_periodic`]).
 //!
 //! The high-rate traces would materialize ~10^8 packets for a 5-minute
 //! bin; [`sampled_attack_packets`] therefore provides the *fused* path
 //! used by the large injection sweeps — drawing directly the packets that
 //! survive thinning and 1/N flow sampling, which is statistically
 //! equivalent for these i.i.d.-header floods and exact in expectation.
+//! The multi-OD-flow experiments split an attack by drawing each of the
+//! `k` origins' equal share through it.
 
 use crate::mix64;
 use entromine_net::{AddressPlan, Ipv4, OdPair, PacketHeader};
@@ -246,35 +246,6 @@ pub fn remap_to_network(
         .collect()
 }
 
-/// Splits attack packets into `k` groups by source address, balancing
-/// traffic across groups, as the multi-OD experiments require: "uniquely
-/// mapping the set of source IPs in the attack trace onto k different
-/// origin PoPs ... so that each of the k groups has roughly the same
-/// amount of traffic".
-pub fn split_sources(packets: &[PacketHeader], k: usize) -> Vec<Vec<PacketHeader>> {
-    assert!(k >= 1, "need at least one group");
-    // Count packets per source.
-    let mut per_src: HashMap<Ipv4, u64> = HashMap::new();
-    for p in packets {
-        *per_src.entry(p.src_ip).or_insert(0) += 1;
-    }
-    // Greedy balancing: heaviest source to the lightest group.
-    let mut sources: Vec<(Ipv4, u64)> = per_src.into_iter().collect();
-    sources.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut group_of: HashMap<Ipv4, usize> = HashMap::new();
-    let mut load = vec![0u64; k];
-    for (src, count) in sources {
-        let lightest = (0..k).min_by_key(|&g| load[g]).expect("k >= 1");
-        load[lightest] += count;
-        group_of.insert(src, lightest);
-    }
-    let mut groups = vec![Vec::new(); k];
-    for p in packets {
-        groups[group_of[&p.src_ip]].push(*p);
-    }
-    groups
-}
-
 /// Mean number of packets that survive 1-in-`thinning` trace thinning
 /// followed by 1-in-`sample_rate` flow sampling, for a bin of
 /// `bin_secs` seconds, with the global `traffic_scale` applied.
@@ -410,43 +381,6 @@ mod tests {
         let attack = t.extract_attack();
         let thinned = thin_periodic(&attack, 10);
         assert_eq!(thinned.len(), attack.len().div_ceil(10));
-    }
-
-    #[test]
-    fn split_sources_balances_traffic() {
-        let t = AttackTrace::generate(TraceKind::DosMulti, 6, 60, 30_000);
-        let attack = t.extract_attack();
-        for k in [2usize, 5, 11] {
-            let groups = split_sources(&attack, k);
-            assert_eq!(groups.len(), k);
-            let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-            let total: usize = sizes.iter().sum();
-            assert_eq!(total, attack.len());
-            let max = *sizes.iter().max().unwrap() as f64;
-            let min = *sizes.iter().min().unwrap() as f64;
-            assert!(max / min.max(1.0) < 1.6, "k={k} unbalanced: {sizes:?}");
-            // Sources must not straddle groups.
-            let mut seen: HashMap<Ipv4, usize> = HashMap::new();
-            for (g, group) in groups.iter().enumerate() {
-                for p in group {
-                    if let Some(&prev) = seen.get(&p.src_ip) {
-                        assert_eq!(prev, g, "source in two groups");
-                    }
-                    seen.insert(p.src_ip, g);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_single_source_cannot_balance() {
-        // The single-source DOS has one source: k groups leave k-1 empty,
-        // which is the expected physical behaviour (you cannot distribute
-        // one attacker).
-        let t = AttackTrace::generate(TraceKind::DosSingle, 7, 10, 5_000);
-        let groups = split_sources(&t.extract_attack(), 3);
-        let nonempty = groups.iter().filter(|g| !g.is_empty()).count();
-        assert_eq!(nonempty, 1);
     }
 
     #[test]

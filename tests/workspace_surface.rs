@@ -18,15 +18,15 @@ use entromine::{
 // Layer re-exports: each substrate is reachable through the umbrella.
 use entromine::cluster::{agglomerative, variation_curve, AxisSign, KMeans, Linkage, Seeding};
 use entromine::entropy::{
-    normalized_entropy, sample_entropy, BinAccumulator, BinSummary, EntropyTensor, Feature,
-    FeatureHistogram, VolumeMatrix, FEATURES,
+    sample_entropy, BinAccumulator, BinSummary, EntropyTensor, Feature, FeatureHistogram,
+    VolumeMatrix, FEATURES,
 };
 use entromine::linalg::{
     stats, sym_eigen, Mat, MomentAccumulator, Pca, ResidualPowerSums, Spectrum,
 };
 use entromine::net::{
-    AddressPlan, FlowCache, FlowKey, Ipv4, OdIndexer, OdPair, PacketHeader, Prefix, PrefixTable,
-    Protocol, Topology, ABILENE_ANON_BITS,
+    AddressPlan, FlowKey, FlowRecord, Ipv4, OdIndexer, OdPair, PacketHeader, Prefix, Protocol,
+    Topology, ABILENE_ANON_BITS,
 };
 use entromine::subspace::{
     empirical_quantile, q_statistic_threshold, q_threshold_from_power_sums, Detection,
