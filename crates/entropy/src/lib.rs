@@ -34,10 +34,12 @@
 //!   the equivalence suites are pinned against.
 //! * [`shard`] — the production ingest plane and the only batch engine:
 //!   flows hash-partitioned across per-shard grids behind a watermark
-//!   coordinator. Every batch is validated atomically, rank-sorted into
-//!   `(bin, flow, flow-key)` runs, and absorbed through weighted `add_n`
-//!   with scoped-thread fan-out, emitting `FinalizedBin` rows
-//!   bit-identical to the serial builder's at any shard count.
+//!   coordinator. Every batch is validated atomically, grouped by cell in
+//!   linear time (a counting sort, skipped when the keys are already
+//!   non-decreasing) into `(bin, flow, flow-key)` runs, and absorbed
+//!   through weighted `add_n` with scoped-thread fan-out, emitting
+//!   `FinalizedBin` rows bit-identical to the serial builder's at any
+//!   shard count.
 //! * [`kernel`] — the runtime-dispatched SIMD variant of the entropy
 //!   finalization's compensated `Σ n·log2 n` reduction
 //!   (tolerance-pinned), sharing backend selection — and the

@@ -17,14 +17,19 @@
 //! * **Batch fan-out with map-side combining.** Events are offered in
 //!   batches ([`offer_packets`](ShardedGridBuilder::offer_packets) /
 //!   [`offer_flows`](ShardedGridBuilder::offer_flows)); the coordinator
-//!   validates the whole batch up front and assigns each event a cell
-//!   rank, then every shard sort-and-groups its slice into
+//!   validates the whole batch up front, hands each event to its shard as
+//!   a packed `rank << 32 | index` cell key and counts the shard's events
+//!   per flow. Every shard then groups its slice by cell in linear time —
+//!   as offered when its keys are already non-decreasing, else by one
+//!   stable counting sort on the shard-local flow — merges it into
 //!   `(bin, flow, flow-key)` combined runs (the `combine` module) and
 //!   feeds its accumulators through the weighted `add_n` path — four
 //!   table probes per distinct flow per bin instead of four per packet.
 //!   Shards fan out over scoped threads, reusing the worker-sizing
 //!   discipline of [`entromine_linalg::par`] (spawn only when the batch
-//!   is worth it, ≤16 OS threads regardless of shard count).
+//!   is worth it, ≤16 OS threads regardless of shard count). The packed
+//!   rank is why [`StreamConfig`] caps `horizon_bins · n_flows` at
+//!   `2^32`.
 //! * **Watermark coordination.** The event-time watermark, lateness
 //!   slack, sanity horizon, and gap-bin conventions live in the
 //!   coordinator and behave exactly like the serial builder's. When a bin
@@ -64,7 +69,7 @@ use crate::stream::{FinalizedBin, StreamConfig, StreamError};
 use entromine_linalg::par;
 use entromine_net::flow::FlowRecord;
 use entromine_net::packet::PacketHeader;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Fixed multiplicative (Fibonacci) hash assigning a flow to a shard.
 ///
@@ -172,9 +177,10 @@ pub struct ShardedGridBuilder {
     /// serial builder's counter (a refused batch counts once).
     rejected_events: u64,
     finalized_bins: u64,
-    /// Per-shard `(rank, index)` sort-key buffers, kept across batches so
-    /// a steady feed stops paying one allocation per shard per batch.
-    scratch: Vec<Vec<(u64, u32)>>,
+    /// Per-shard packed `rank << 32 | index` cell keys and the counting
+    /// sort's scatter buffer, kept across batches so a steady feed stops
+    /// paying allocations per shard per batch.
+    scratch: Vec<combine::CellKeys>,
 }
 
 impl ShardedGridBuilder {
@@ -204,7 +210,7 @@ impl ShardedGridBuilder {
             local_ix[flow] = owned[s].len() as u32;
             owned[s].push(flow);
         }
-        let scratch = vec![Vec::new(); owned.len()];
+        let scratch = vec![combine::CellKeys::default(); owned.len()];
         Ok(ShardedGridBuilder {
             config,
             shard_ix,
@@ -246,14 +252,11 @@ impl ShardedGridBuilder {
     pub fn open_bins(&self) -> usize {
         // A bin may be open on several shards; count distinct bins the
         // way the serial builder would.
-        let mut bins: Vec<usize> = self
-            .shards
+        self.shards
             .iter()
-            .flat_map(|s| s.open.keys().copied())
-            .collect();
-        bins.sort_unstable();
-        bins.dedup();
-        bins.len()
+            .flat_map(|s| s.open.keys())
+            .collect::<BTreeSet<_>>()
+            .len()
     }
 
     /// Events dropped because they arrived after their bin sealed.
@@ -297,8 +300,8 @@ impl ShardedGridBuilder {
     }
 
     /// Shared batch path: validate and partition in one coordinator
-    /// pre-pass, then sort-and-group each shard's slice into combined
-    /// flow runs and fan the per-shard accumulation out (see the
+    /// pre-pass, then group each shard's slice by cell in linear time and
+    /// fan the per-shard accumulation of combined flow runs out (see the
     /// [`combine`] module for the engine).
     fn offer_batch<E: combine::IngestEvent + Sync>(
         &mut self,
@@ -306,25 +309,23 @@ impl ShardedGridBuilder {
     ) -> Result<(), StreamError> {
         // Coordinator pre-pass, O(1) per event: validate (so the
         // expensive accumulation below never aborts half-done), drop and
-        // count late events, and assign each survivor its cell rank in
-        // its owning shard — each worker then touches only its own events
-        // instead of rescanning the whole batch.
+        // count late events, and hand each survivor's packed cell key to
+        // its owning shard, counted per shard-local flow — each worker
+        // then touches only its own events instead of rescanning the
+        // whole batch.
         let adm = self.config.admission(self.next_emit);
         let next_emit = self.next_emit;
-        let widths: Vec<usize> = self.shards.iter().map(|s| s.flows.len()).collect();
-        // The per-shard sort-key buffers persist on the builder: clearing
+        // The per-shard key buffers persist on the builder: resetting
         // keeps their capacity, so after the first few batches of a steady
         // feed this path allocates nothing.
-        for keys in &mut self.scratch {
-            keys.clear();
+        for (keys, shard) in self.scratch.iter_mut().zip(&self.shards) {
+            keys.reset(shard.flows.len());
         }
         let per_shard = &mut self.scratch;
         let shard_ix = &self.shard_ix;
         let local_ix = &self.local_ix;
         let late = match combine::validate_batch(batch, &adm, |idx, flow, bin| {
-            let s = shard_ix[flow] as usize;
-            let rank = ((bin - next_emit) * widths[s] + local_ix[flow] as usize) as u64;
-            per_shard[s].push((rank, idx));
+            per_shard[shard_ix[flow] as usize].push(bin - next_emit, local_ix[flow] as usize, idx);
         }) {
             Ok(late) => late,
             Err(e) => {
@@ -337,9 +338,9 @@ impl ShardedGridBuilder {
         // The batch validated end to end: only now does any state change.
         self.late_events += late;
 
-        let run = |shard: &mut Shard, keys: &mut Vec<(u64, u32)>| {
+        let run = |shard: &mut Shard, keys: &mut combine::CellKeys| {
             let width = shard.flows.len();
-            combine::accumulate_grouped(batch, keys, width, next_emit, shard);
+            combine::accumulate_grouped(batch, keys.grouped(), width, next_emit, shard);
         };
 
         let workers = par::workers_for(batch.len().saturating_mul(PACKET_WORK));
@@ -354,7 +355,7 @@ impl ShardedGridBuilder {
         let groups = par::even_ranges(self.shards.len(), workers.min(par::MAX_THREADS));
         std::thread::scope(|scope| {
             let mut shards_rest: &mut [Shard] = &mut self.shards;
-            let mut keys_rest: &mut [Vec<(u64, u32)>] = per_shard;
+            let mut keys_rest: &mut [combine::CellKeys] = per_shard;
             for group in &groups {
                 let (mine, tail) = shards_rest.split_at_mut(group.len());
                 shards_rest = tail;
@@ -506,6 +507,10 @@ mod tests {
         cfg.bin_secs = 0;
         assert!(ShardedGridBuilder::new(cfg, 2).is_err());
         assert!(ShardedGridBuilder::new(StreamConfig::new(3).with_horizon(0), 2).is_err());
+        // A horizon whose cell ranks overflow the packed 32-bit rank.
+        cfg = StreamConfig::new(3).with_horizon(usize::MAX);
+        cfg.bin_secs = 1;
+        assert!(ShardedGridBuilder::new(cfg, 2).is_err());
     }
 
     #[test]
@@ -517,9 +522,12 @@ mod tests {
     #[test]
     fn every_flow_owned_exactly_once() {
         let b = ShardedGridBuilder::new(StreamConfig::new(121), 7).unwrap();
-        let mut owned: Vec<usize> = b.shards.iter().flat_map(|s| s.flows.clone()).collect();
-        owned.sort_unstable();
-        assert_eq!(owned, (0..121).collect::<Vec<_>>());
+        let owned: usize = b.shards.iter().map(|s| s.flows.len()).sum();
+        assert_eq!(owned, 121);
+        for flow in 0..121 {
+            let shard = &b.shards[b.shard_ix[flow] as usize];
+            assert_eq!(shard.flows[b.local_ix[flow] as usize], flow);
+        }
         // The hash spreads flows: no shard is empty, none hoards.
         for s in &b.shards {
             assert!(!s.flows.is_empty());

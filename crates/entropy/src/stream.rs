@@ -80,7 +80,9 @@ pub struct StreamConfig {
     /// corrupted-capture value like `u64::MAX`) would otherwise open a
     /// bin ~6·10¹⁶ and force an unbounded gap-fill — this bound is what
     /// makes the "memory stays bounded by open bins" promise hold against
-    /// hostile input. Default: one week of 5-minute bins.
+    /// hostile input. `horizon_bins · n_flows` may not exceed `2^32`, the
+    /// cell-rank space of the batch path. Default: one week of 5-minute
+    /// bins.
     pub horizon_bins: usize,
 }
 
@@ -122,6 +124,14 @@ impl StreamConfig {
                 "sanity horizon must allow at least 1 bin",
             ));
         }
+        // An admitted event's cell rank, `(bin − next_emit) · width + slot`,
+        // is below `horizon_bins · n_flows` and must fit the 32 bits the
+        // sharded plane packs it into.
+        if self.horizon_bins as u128 * self.n_flows as u128 > 1 << 32 {
+            return Err(StreamError::BadConfig(
+                "sanity horizon times flow count must not exceed 2^32 cells",
+            ));
+        }
         Ok(())
     }
 
@@ -155,8 +165,8 @@ pub enum StreamError {
         /// The first bin the builder considers implausible.
         horizon_end: usize,
     },
-    /// The configuration is unusable (zero flows, zero-length bins, or a
-    /// zero-bin horizon).
+    /// The configuration is unusable (zero flows, zero-length bins, a
+    /// zero-bin horizon, or more than `2^32` horizon cells).
     BadConfig(&'static str),
 }
 
@@ -502,6 +512,13 @@ mod tests {
         cfg.bin_secs = 0;
         assert!(StreamingGridBuilder::new(cfg).is_err());
         assert!(StreamingGridBuilder::new(StreamConfig::new(3).with_horizon(0)).is_err());
+        // A horizon whose cell ranks overflow 32 bits.
+        cfg = StreamConfig::new(3).with_horizon(usize::MAX);
+        cfg.bin_secs = 1;
+        assert!(StreamingGridBuilder::new(cfg).is_err());
+        let at_bound = StreamConfig::new(4).with_horizon(1 << 30);
+        assert!(StreamingGridBuilder::new(at_bound.clone()).is_ok());
+        assert!(StreamingGridBuilder::new(at_bound.with_horizon((1 << 30) + 1)).is_err());
     }
 
     #[test]

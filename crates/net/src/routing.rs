@@ -82,11 +82,6 @@ impl AddressPlan {
         let pop = ((ip.0 - self.base.addr().0) >> block_width) as PopId;
         (pop < self.n_pops).then_some(pop)
     }
-
-    /// Number of PoPs covered by the plan.
-    pub fn n_pops(&self) -> usize {
-        self.n_pops
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +114,7 @@ mod tests {
     fn plan_works_for_geant_size() {
         let topo = Topology::geant();
         let plan = AddressPlan::standard(&topo);
-        assert_eq!(plan.n_pops(), 22);
+        assert_eq!(topo.n_pops(), 22);
         for pop in 0..22 {
             assert_eq!(plan.resolve(plan.host(pop, 42)), Some(pop));
         }

@@ -22,19 +22,13 @@ pub struct Pop {
 /// A PoP-level backbone topology: its named PoPs.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    name: &'static str,
     pops: Vec<Pop>,
 }
 
 impl Topology {
     /// Builds a topology from a PoP list.
-    pub fn new(name: &'static str, pops: Vec<Pop>) -> Self {
-        Topology { name, pops }
-    }
-
-    /// Human-readable network name (`"abilene"`, `"geant"`, ...).
-    pub fn name(&self) -> &'static str {
-        self.name
+    pub fn new(pops: Vec<Pop>) -> Self {
+        Topology { pops }
     }
 
     /// Number of PoPs (`p` in the paper's notation).
@@ -95,7 +89,7 @@ impl Topology {
                 city: "Washington DC",
             },
         ];
-        Topology::new("abilene", pops)
+        Topology::new(pops)
     }
 
     /// A 22-PoP model of the 2004-era Geant network.
@@ -194,7 +188,7 @@ impl Topology {
                 city: "Bucharest",
             },
         ];
-        Topology::new("geant", pops)
+        Topology::new(pops)
     }
 
     /// A tiny synthetic topology for tests: `n` PoPs named `P0..Pn-1`.
@@ -210,7 +204,7 @@ impl Topology {
                 city: "testville",
             })
             .collect();
-        Topology::new("line", pops)
+        Topology::new(pops)
     }
 }
 
