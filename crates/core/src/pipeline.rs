@@ -13,9 +13,10 @@
 
 use crate::stream::StreamingDiagnoser;
 use crate::DiagnosisError;
-use entromine_linalg::Mat;
+use entromine_linalg::{par, Mat};
 use entromine_subspace::{
-    DimSelection, FitStrategy, FlowContribution, MultiwayModel, SubspaceModel, ThresholdPolicy,
+    DimSelection, FitStrategy, FlowContribution, MultiwayModel, SubspaceError, SubspaceModel,
+    ThresholdPolicy,
 };
 use entromine_synth::Dataset;
 use std::time::Instant;
@@ -206,14 +207,53 @@ impl Diagnoser {
     /// misconfigured pipeline fails loudly before any model exists rather
     /// than misbehaving bin by bin.
     pub fn fit(&self, dataset: &Dataset) -> Result<FittedDiagnoser, DiagnosisError> {
-        fit_rounds(
-            &self.config,
+        let entropy_raw = dataset.tensor.unfold();
+        let rows = [
             dataset.volumes.bytes(),
             dataset.volumes.packets(),
-            &dataset.tensor.unfold(),
-        )
-        .map(|(fitted, _)| fitted)
+            &entropy_raw,
+        ];
+        fit_rounds(&self.config, &rows).map(|(fitted, _)| fitted)
     }
+}
+
+/// The training bins a fit reads, lent rather than copied: `n_bins` bins
+/// over `p` OD flows, bin `i` lending its `[bytes, packets, entropy_raw]`
+/// rows (`p`, `p` and `4p` long). The batch [`Diagnoser::fit`] lends a
+/// dataset's three matrices, the rolling
+/// [`TrainingWindow`](crate::TrainingWindow) its retained rows.
+pub(crate) trait TrainingRows {
+    /// Number of training bins.
+    fn n_bins(&self) -> usize;
+    /// Number of OD flows `p`.
+    fn p(&self) -> usize;
+    /// Bin `i`'s `[bytes, packets, entropy_raw]` rows.
+    fn row(&self, i: usize) -> [&[f64]; 3];
+}
+
+impl TrainingRows for [&Mat; 3] {
+    fn n_bins(&self) -> usize {
+        self[0].rows()
+    }
+
+    fn p(&self) -> usize {
+        self[0].cols()
+    }
+
+    fn row(&self, i: usize) -> [&[f64]; 3] {
+        self.map(|x| x.row(i))
+    }
+}
+
+/// Copies detector `k`'s rows (0 bytes, 1 packets, 2 entropy) of the
+/// bins `bins`, in that order, into a fresh matrix.
+fn gather(rows: &impl TrainingRows, k: usize, bins: &[usize]) -> Mat {
+    let cols = if k == 2 { 4 * rows.p() } else { rows.p() };
+    let mut x = Mat::zeros(bins.len(), cols);
+    for (i, &bin) in bins.iter().enumerate() {
+        x.row_mut(i).copy_from_slice(rows.row(bin)[k]);
+    }
+    x
 }
 
 /// Diagnostics for one round of a fit: how many rows it trained on, how
@@ -271,13 +311,21 @@ impl RefitTrace {
 /// that drop the rows the current models find suspicious and refit on the
 /// rest, one [`RoundTrace`] per executed round.
 ///
-/// `bytes` and `packets` are `t × p`, `entropy_raw` is the raw unfolded
-/// `t × 4p` matrix, all over the same `t` bins. Every round fits through
+/// `rows` lends the `t` bins (see [`TrainingRows`]); nothing copies them
+/// whole. Each round gathers only its own training rows, in bin order,
+/// into one fresh matrix per detector and fits through
 /// [`SubspaceModel::fit`] / [`MultiwayModel::fit_unfolded`], so the
 /// engine follows the round's shape under [`FitStrategy::Auto`] — Gram
 /// when the round has fewer rows than columns, the dense covariance
-/// solve otherwise — and every model is calibrated on its own training rows.
-/// The result is a pure function of the three matrices and the config.
+/// solve otherwise — and every model is calibrated on its own training
+/// rows. The three fits of a round are independent: when the two volume
+/// covariances are worth a second worker by [`par::workers_for`], one
+/// scoped worker fits the byte and then the packet model while the
+/// calling thread gathers and fits the entropy model; otherwise they run
+/// in that order on the calling thread. Either way each model is a pure
+/// function of its rows (the kernels are bitwise-invariant to worker
+/// count), so the result is a pure function of the rows and the config,
+/// and an error is reported in detector order.
 ///
 /// # Errors
 ///
@@ -286,18 +334,16 @@ impl RefitTrace {
 /// layer.
 pub(crate) fn fit_rounds(
     config: &DiagnoserConfig,
-    bytes: &Mat,
-    packets: &Mat,
-    entropy_raw: &Mat,
+    rows: &impl TrainingRows,
 ) -> Result<(FittedDiagnoser, RefitTrace), DiagnosisError> {
     config.validate_alpha()?;
-    let n_bins = bytes.rows();
+    let n_bins = rows.n_bins();
     if n_bins < 4 {
         return Err(DiagnosisError::BadDataset(
             "need at least 4 bins to model variation",
         ));
     }
-    let p = bytes.cols();
+    let p = rows.p();
     if p < 2 {
         // The subspace method models correlation across an ensemble of
         // OD flows; one flow has no ensemble (and the volume matrices
@@ -306,31 +352,59 @@ pub(crate) fn fit_rounds(
             "need at least 2 OD flows for ensemble modeling",
         ));
     }
-    let fit_on = |rows: &[usize]| -> Result<FittedDiagnoser, DiagnosisError> {
-        Ok(FittedDiagnoser {
-            config: *config,
-            bytes_model: SubspaceModel::fit(&bytes.select_rows(rows), config.capped_dim(p))?,
-            packets_model: SubspaceModel::fit(&packets.select_rows(rows), config.capped_dim(p))?,
-            entropy_model: MultiwayModel::fit_unfolded(
-                entropy_raw.select_rows(rows),
+    let fit_on = |bins: &[usize]| -> Result<FittedDiagnoser, DiagnosisError> {
+        let dim = config.capped_dim(p);
+        let (bytes, packets) = (gather(rows, 0, bins), gather(rows, 1, bins));
+        let volume_work = bins.len().saturating_mul(p).saturating_mul(p + 1);
+        let fit_volume = move || -> Result<_, SubspaceError> {
+            let bytes_model = SubspaceModel::fit(&bytes, dim)?;
+            // Freed before the packet fit allocates its temporaries.
+            drop(bytes);
+            Ok((bytes_model, SubspaceModel::fit(&packets, dim)?))
+        };
+        let fit_entropy = || {
+            MultiwayModel::fit_unfolded(
+                gather(rows, 2, bins),
                 config.capped_dim(4 * p),
                 FitStrategy::Auto,
-            )?,
+            )
+        };
+        let (volume, entropy) = if par::workers_for(volume_work) >= 2 {
+            // The worker's temporaries land in a second allocator arena, so
+            // it gets the two small volume fits on matrices gathered here;
+            // the large entropy fit stays on this thread and its arena.
+            std::thread::scope(|s| {
+                let volume = s.spawn(fit_volume);
+                let entropy = fit_entropy();
+                let volume = volume
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (volume, entropy)
+            })
+        } else {
+            (fit_volume(), fit_entropy())
+        };
+        let (bytes_model, packets_model) = volume?;
+        Ok(FittedDiagnoser {
+            config: *config,
+            bytes_model,
+            packets_model,
+            entropy_model: entropy?,
         })
     };
 
     let mut trace = RefitTrace::default();
     let round_start = Instant::now();
-    let mut rows: Vec<usize> = (0..n_bins).collect();
-    let mut fitted = fit_on(&rows)?;
-    trace.record(rows.len(), 0, round_start);
+    let mut bins: Vec<usize> = (0..n_bins).collect();
+    let mut fitted = fit_on(&bins)?;
+    trace.record(bins.len(), 0, round_start);
 
     for _ in 0..config.refit_rounds {
         let round_start = Instant::now();
         // Flag suspicious bins with the current models, then refit
         // without them. Every round re-judges *all* bins, so a bin
         // excluded by one round can return in the next.
-        let flags = fitted.suspicion_flags(bytes, packets, entropy_raw)?;
+        let flags = fitted.suspicion_flags(rows)?;
         let clean: Vec<usize> = (0..n_bins).filter(|&bin| !flags[bin]).collect();
         let flagged = n_bins - clean.len();
         if flagged == 0 {
@@ -340,12 +414,12 @@ pub(crate) fn fit_rounds(
             // Implausibly many exclusions: trust the current fit.
             break;
         }
-        if clean.len() == rows.len() || clean.len() < 4 {
+        if clean.len() == bins.len() || clean.len() < 4 {
             break;
         }
-        rows = clean;
-        fitted = fit_on(&rows)?;
-        trace.record(rows.len(), flagged, round_start);
+        bins = clean;
+        fitted = fit_on(&bins)?;
+        trace.record(bins.len(), flagged, round_start);
     }
     Ok((fitted, trace))
 }
@@ -373,23 +447,15 @@ impl FittedDiagnoser {
     /// axis is invisible to it but has an extreme score along that axis,
     /// which T² exposes. Each model scans its rows in one batched
     /// single-pass `(SPE, T²)` sweep ([`SubspaceModel::spe_t2_batch`]).
-    fn suspicion_flags(
-        &self,
-        bytes: &Mat,
-        packets: &Mat,
-        entropy_raw: &Mat,
-    ) -> Result<Vec<bool>, DiagnosisError> {
+    fn suspicion_flags(&self, rows: &impl TrainingRows) -> Result<Vec<bool>, DiagnosisError> {
         let alpha = self.config.alpha;
         let policy = self.config.threshold_policy;
-        let mut flags = vec![false; bytes.rows()];
-        let mut pairs = Vec::with_capacity(bytes.rows());
-        for (model, x) in self
-            .detectors()
-            .into_iter()
-            .zip([bytes, packets, entropy_raw])
-        {
+        let n_bins = rows.n_bins();
+        let mut flags = vec![false; n_bins];
+        let mut pairs = Vec::with_capacity(n_bins);
+        for (k, model) in self.detectors().into_iter().enumerate() {
             let t_spe = model.threshold_with(alpha, policy)?;
-            model.spe_t2_batch(x.row_iter(), &mut pairs)?;
+            model.spe_t2_batch((0..n_bins).map(|i| rows.row(i)[k]), &mut pairs)?;
             let t_t2 = model.t2_threshold(alpha);
             for (flag, &(spe, t2)) in flags.iter_mut().zip(&pairs) {
                 *flag |= spe > t_spe || t2 > t_t2;

@@ -3,11 +3,11 @@
 //! A deployment that refits as traffic drifts needs to hold "the last W
 //! bins" in a form a fit can consume. A [`TrainingWindow`] is exactly
 //! that and nothing more: a bounded queue of each bin's three measurement
-//! rows. A refit copies the retained rows into three matrices and hands
-//! them to the same `fit_rounds` the batch
-//! [`Diagnoser`](crate::Diagnoser) runs — so the window has no fitting
-//! logic of its own, and a window fit is a function of the retained rows
-//! only (not of how they were chunked or how far the window has rolled).
+//! rows. A refit lends those rows, uncopied, to the same `fit_rounds` the
+//! batch [`Diagnoser`](crate::Diagnoser) runs, and each fit round gathers
+//! only the rows it trains on — so the window has no fitting logic of its
+//! own, and a window fit is a function of the retained rows only (not of
+//! how they were chunked or how far the window has rolled).
 //!
 //! Rolling the window forward drops the oldest `chunk_bins` rows at once,
 //! so the window length moves in a sawtooth instead of sliding by one
@@ -18,9 +18,8 @@
 //! offline replay that pushes the same bins through a fresh window gets
 //! bit-identical models — the property the monitor-lifecycle suite pins.
 
-use crate::pipeline::{fit_rounds, DiagnoserConfig, FittedDiagnoser, RefitTrace};
+use crate::pipeline::{fit_rounds, DiagnoserConfig, FittedDiagnoser, RefitTrace, TrainingRows};
 use crate::DiagnosisError;
-use entromine_linalg::Mat;
 use std::collections::VecDeque;
 
 /// One training bin's retained measurement rows.
@@ -178,16 +177,22 @@ impl TrainingWindow {
         &self,
         config: &DiagnoserConfig,
     ) -> Result<(FittedDiagnoser, RefitTrace), DiagnosisError> {
-        let (n, p) = (self.rows.len(), self.n_flows);
-        let mut bytes = Mat::zeros(n, p);
-        let mut packets = Mat::zeros(n, p);
-        let mut entropy_raw = Mat::zeros(n, 4 * p);
-        for (i, row) in self.rows.iter().enumerate() {
-            bytes.row_mut(i).copy_from_slice(&row.bytes);
-            packets.row_mut(i).copy_from_slice(&row.packets);
-            entropy_raw.row_mut(i).copy_from_slice(&row.entropy_raw);
-        }
-        fit_rounds(config, &bytes, &packets, &entropy_raw)
+        fit_rounds(config, self)
+    }
+}
+
+impl TrainingRows for TrainingWindow {
+    fn n_bins(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn p(&self) -> usize {
+        self.n_flows
+    }
+
+    fn row(&self, i: usize) -> [&[f64]; 3] {
+        let row = &self.rows[i];
+        [&row.bytes, &row.packets, &row.entropy_raw]
     }
 }
 

@@ -322,8 +322,8 @@ fn combining_matches_per_packet_across_shards_with_late_and_gap_bins() {
     // The sharded batch path *is* the combining path; pin it against the
     // per-packet serial spec across every shard count on a fixture that
     // exercises late events and gap bins, with batches spanning several
-    // bins (so the sort-and-group really reorders across cells), in offer
-    // order and shuffled.
+    // bins (so each shard's counting sort on its local flow really
+    // reorders events across cells), in offer order and shuffled.
     let n_flows = 23;
     let config = StreamConfig::new(n_flows).with_lateness(60);
     let events = traffic(77, n_flows, 9, 300, &[4], 20);

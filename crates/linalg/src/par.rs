@@ -17,9 +17,13 @@
 //! plane's shard groups) splits plain ranges via [`even_ranges`].
 //!
 //! The sizing policy ([`workers_for`], [`MAX_THREADS`]) is exported so
-//! other layers with the same shape of problem — notably the sharded
-//! streaming ingest plane in `entromine-entropy` — share one fan-out
-//! discipline instead of inventing their own.
+//! other layers share one fan-out discipline instead of inventing their
+//! own. Two do besides the kernels here: the sharded streaming ingest
+//! plane in `entromine-entropy` (one worker per shard group), and a fit
+//! round in `entromine-core`, which fits the byte and packet models on
+//! one scoped worker beside the entropy model when [`workers_for`] grants
+//! the two volume covariances' work at least two workers. Every fan-out
+//! leaves its results bitwise-identical at any worker count.
 //!
 //! The triangle fan-out earns its threads on the fit path, measured on a
 //! 2-vCPU AVX2+FMA host as two workers against the same run pinned to one
@@ -36,6 +40,7 @@
 //! [`Pca::fit_gram`]: crate::Pca::fit_gram
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Worker cap, matching the fan-out cap used by the synthetic generator.
 pub const MAX_THREADS: usize = 16;
@@ -44,14 +49,22 @@ pub const MAX_THREADS: usize = 16;
 /// equivalent per-element cost unit): the machine's available parallelism,
 /// capped at [`MAX_THREADS`], and 1 when the problem is too small for
 /// spawn overhead to pay off.
+///
+/// The available parallelism is read once per process, at the first call,
+/// and latched: the query costs tens of microseconds, and this runs on
+/// every batch offer, every sealing watermark and every covariance and
+/// Gram. A CPU affinity set before the first call (`taskset`) is seen.
 pub fn workers_for(work: usize) -> usize {
     // Spawning a thread costs on the order of tens of microseconds; only
     // fan out when each worker gets millions of flops to chew on.
     const MIN_WORK_PER_THREAD: usize = 4_000_000;
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_THREADS);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(MAX_THREADS)
+    });
     hw.min(work / MIN_WORK_PER_THREAD).max(1)
 }
 

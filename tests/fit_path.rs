@@ -1,8 +1,9 @@
 //! One fit path — the contract of "training rows → models".
 //!
 //! The batch [`Diagnoser::fit`] and the rolling [`TrainingWindow::fit`]
-//! run the same `fit_rounds`; the window adds nothing but row retention.
-//! Three consequences, each pinned bit for bit (`to_bits`, no tolerance):
+//! run the same `fit_rounds`; the window adds nothing but row retention,
+//! and lends its rows to the fit. Four consequences, each pinned bit for
+//! bit (`to_bits`, no tolerance):
 //!
 //! 1. a window that holds every bin of a dataset fits exactly the models
 //!    the batch pipeline fits on that dataset, trimming round included;
@@ -10,13 +11,16 @@
 //!    granularity, and not on whether the window rolled to get there;
 //! 3. the engine follows the window's shape: Gram (no eigen-iteration)
 //!    when rows < cols, a covariance engine otherwise — and no round is
-//!    ever warm-started or downdated.
+//!    ever warm-started or downdated;
+//! 4. a round that fits the volume models on a second thread beside the
+//!    entropy model fits exactly the models the three fits give one after
+//!    another on one thread.
 //!
 //! And one that is pinned against the all-axes oracles instead: a fit
 //! materializes only the axes its request names, and nothing a detector
 //! reads — thresholds, SPE, T², blamed flows — can tell.
 
-use entromine::linalg::{Mat, Pca};
+use entromine::linalg::{par, Mat, Pca};
 use entromine::net::Topology;
 use entromine::subspace::{DimSelection, MultiwayModel, SubspaceModel, ThresholdPolicy};
 use entromine::synth::{AnomalyEvent, AnomalyLabel, Dataset, DatasetConfig};
@@ -75,20 +79,28 @@ fn window(
     w
 }
 
-/// Two fitted pipelines are the same models: thresholds under both
-/// policies, calibration samples, and SPEs of the probe rows, bit for bit.
-fn assert_bit_identical(a: &FittedDiagnoser, b: &FittedDiagnoser, probes: &[Rows], what: &str) {
-    let alpha = a.config().alpha;
-    fn inner(f: &FittedDiagnoser) -> [&SubspaceModel; 3] {
-        [
-            f.bytes_model(),
-            f.packets_model(),
-            f.entropy_model().inner(),
-        ]
-    }
+/// The three detectors `[bytes, packets, entropy]` of a fitted pipeline.
+fn detectors(f: &FittedDiagnoser) -> [&SubspaceModel; 3] {
+    [
+        f.bytes_model(),
+        f.packets_model(),
+        f.entropy_model().inner(),
+    ]
+}
+
+/// Two detector triples are the same models: thresholds under both
+/// policies at `alpha`, calibration samples, and each detector's SPE of
+/// its probe row, bit for bit.
+fn assert_models_bit_identical(
+    a: [&SubspaceModel; 3],
+    b: [&SubspaceModel; 3],
+    alpha: f64,
+    probes: &[Rows],
+    what: &str,
+) {
     for (name, (ma, mb)) in ["bytes", "packets", "entropy"]
         .iter()
-        .zip(inner(a).into_iter().zip(inner(b)))
+        .zip(a.into_iter().zip(b))
     {
         assert_eq!(ma.normal_dim(), mb.normal_dim(), "{what}/{name}: dim");
         for policy in [
@@ -107,17 +119,24 @@ fn assert_bit_identical(a: &FittedDiagnoser, b: &FittedDiagnoser, probes: &[Rows
             "{what}/{name}: calibration sample"
         );
     }
-    assert_eq!(a.entropy_model().divisors(), b.entropy_model().divisors());
     for (i, (bytes, packets, entropy)) in probes.iter().enumerate() {
-        let spes = |f: &FittedDiagnoser| {
+        let spes = |models: [&SubspaceModel; 3]| {
             [
-                f.bytes_model().spe(bytes).unwrap().to_bits(),
-                f.packets_model().spe(packets).unwrap().to_bits(),
-                f.entropy_model().inner().spe(entropy).unwrap().to_bits(),
+                models[0].spe(bytes).unwrap().to_bits(),
+                models[1].spe(packets).unwrap().to_bits(),
+                models[2].spe(entropy).unwrap().to_bits(),
             ]
         };
         assert_eq!(spes(a), spes(b), "{what}: SPE of probe {i}");
     }
+}
+
+/// Two fitted pipelines are the same models: [`assert_models_bit_identical`]
+/// on their detectors, and the same entropy divisors.
+fn assert_bit_identical(a: &FittedDiagnoser, b: &FittedDiagnoser, probes: &[Rows], what: &str) {
+    let alpha = a.config().alpha;
+    assert_models_bit_identical(detectors(a), detectors(b), alpha, probes, what);
+    assert_eq!(a.entropy_model().divisors(), b.entropy_model().divisors());
 }
 
 #[test]
@@ -250,6 +269,50 @@ fn the_engine_follows_the_window_shape_and_every_round_is_cold() {
     for round in wide_trace.rounds.iter().chain(&tall_trace.rounds) {
         assert!(!round.warm_start && !round.downdated && round.cycles == 0);
     }
+}
+
+#[test]
+fn a_concurrent_round_fits_the_in_order_models_bit_for_bit() {
+    // 520 bins over 128 flows: the two volume covariances come to
+    // 520 · 128 · 129 ≈ 8.6 M work units, past the 8 M at which
+    // `workers_for` grants two workers. So on a host with two or more CPUs
+    // the round fits the byte and packet models on a second thread while
+    // the entropy model fits on this one; pinned to one CPU
+    // (`taskset -c 0`) it fits all three in order, and the pin holds for
+    // that branch too.
+    let (p, t) = (128, 520);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(
+        par::workers_for(t * p * (p + 1)) >= 2,
+        cpus >= 2,
+        "the fixture must cross the fan-out threshold exactly when the host can"
+    );
+    let config = DiagnoserConfig {
+        refit_rounds: 0,
+        ..Default::default()
+    };
+    let (online, trace) = window(p, t, 8, 0..=t - 1, Some(200)).fit(&config).unwrap();
+    assert_eq!(trace.rounds.len(), 1);
+    assert_eq!(trace.rounds[0].training_bins, t);
+
+    let all: Vec<Rows> = (0..t).map(|bin| rows(p, bin, bin == 200)).collect();
+    let bytes = Mat::from_fn(t, p, |i, j| all[i].0[j]);
+    let packets = Mat::from_fn(t, p, |i, j| all[i].1[j]);
+    let entropy = Mat::from_fn(t, 4 * p, |i, j| all[i].2[j]);
+    let dim = DimSelection::Fixed(10);
+    let bytes_model = SubspaceModel::fit(&bytes, dim).unwrap();
+    let packets_model = SubspaceModel::fit(&packets, dim).unwrap();
+    let entropy_model = MultiwayModel::fit_unfolded(entropy, dim, FitStrategy::Auto).unwrap();
+
+    let probes = [rows(p, 0, false), rows(p, 200, true), rows(p, 700, false)];
+    assert_models_bit_identical(
+        detectors(&online),
+        [&bytes_model, &packets_model, entropy_model.inner()],
+        config.alpha,
+        &probes,
+        "concurrent round vs in-order fits",
+    );
+    assert_eq!(online.entropy_model().divisors(), entropy_model.divisors());
 }
 
 /// A `t × 4p` window of unfolded entropy rows at a canonical workload's
