@@ -7,26 +7,20 @@
 //! lifecycle:
 //!
 //! ```text
-//!             window reaches warmup_bins
-//!   Warmup ───────────────────────────────▶ Fitted ◀──────────┐
-//!   (absorb bins,                           │  ▲              │
-//!    nothing to score)                      │  │ model swap   │ model
-//!                          staleness budget │  │ (resets      │ swap
-//!                          exceeded         │  │  staleness)  │
-//!                                           ▼  │              │
-//!                                         Degraded            │
-//!                                  (keeps scoring; verdicts   │
-//!                                   flagged stale)            │
-//!                                           │                 │
-//!                               scheduled cadence reached,    │
-//!                               drift alarm-rate tripped,     │
-//!                               or refit_now()                │
-//!                                           ▼                 │
-//!                                        Refitting ───────────┘
-//!                                   (window.fit; on failure the
-//!                                    old model keeps serving and
-//!                                    the retry backoff grows)
+//!             warmup fit swaps in the first model
+//!   Warmup ───────────────────────────────▶ Fitted ◀──┐ model swap
+//!   (absorb bins,                           │  ▲      │ (a refit
+//!    nothing to score)                      │  │      │  succeeded)
+//!                          staleness budget │  │ model swap
+//!                          exceeded         │  │ (resets the age)
+//!                                           ▼  │
+//!                                         Degraded
+//!                                  (keeps scoring; verdicts
+//!                                   flagged stale)
 //! ```
+//!
+//! The state is derived, never stored: no model means **Warmup**, a model
+//! within its staleness budget **Fitted**, an older one **Degraded**.
 //!
 //! * **Warmup** — bins accumulate into the [`TrainingWindow`]; there is
 //!   no model yet, so bins pass unscored (reported as
@@ -34,15 +28,17 @@
 //! * **Fitted** — every bin is scored against the live model via the
 //!   exact code path batch diagnosis replays, then absorbed into the
 //!   sliding window.
-//! * **Refitting** — entered when a trigger fires, *after* the
-//!   triggering bin was scored: the window's retained rows are refitted
-//!   with the full `refit_rounds` trimming semantics (the same
-//!   `fit_rounds` the batch fit runs), and the new model is swapped in **between
-//!   bins** — the bin that triggered the refit was judged by the old
-//!   model, the next bin by the new one, and no bin is ever scored twice
-//!   or stalled. A refit that fails (degenerate window) keeps the old
-//!   model serving and reports the failure in the step's
-//!   [`RefitReport`].
+//! * **Refits** are not a state: one runs inside the call that observed
+//!   the bin whose trigger fired (the warmup window full, scheduled
+//!   cadence reached, drift alarm-rate tripped, or
+//!   [`Monitor::refit_now`]), *after* that bin was scored. The window's
+//!   retained rows are refitted with the full `refit_rounds` trimming
+//!   semantics (the same `fit_rounds` the batch fit runs), and the new
+//!   model is swapped in **between bins** — the bin that triggered the
+//!   refit was judged by the old model, the next bin by the new one, and
+//!   no bin is ever scored twice or stalled. A refit that fails
+//!   (degenerate window) keeps the old model serving, grows the retry
+//!   backoff, and reports the failure in the step's [`RefitReport`].
 //!
 //! Two automatic triggers, both off the scored stream itself:
 //!
@@ -235,10 +231,6 @@ pub enum MonitorState {
     /// for that long). Serving continues — a stale verdict beats none —
     /// with every verdict flagged via [`MonitorStep::stale`].
     Degraded,
-    /// A refit is in progress (visible to observers only while
-    /// [`observe_rows`](Monitor::observe_rows) executes one; the swap
-    /// completes before the call returns).
-    Refitting,
 }
 
 /// What initiated a refit.
@@ -389,7 +381,6 @@ const RECENT_REFITS: usize = 16;
 #[derive(Debug, Clone)]
 pub struct Monitor {
     config: MonitorConfig,
-    state: MonitorState,
     window: TrainingWindow,
     fitted: Option<FittedDiagnoser>,
     thresholds: (f64, f64, f64),
@@ -488,7 +479,6 @@ impl Monitor {
         let window = TrainingWindow::new(n_flows, config.window_bins, config.chunk_bins)?;
         Ok(Monitor {
             config,
-            state: MonitorState::Warmup,
             window,
             fitted: None,
             thresholds: (0.0, 0.0, 0.0),
@@ -514,9 +504,14 @@ impl Monitor {
         &self.config
     }
 
-    /// Current lifecycle state.
+    /// Current lifecycle state, derived from the serving model and its
+    /// age.
     pub fn state(&self) -> MonitorState {
-        self.state
+        match (self.fitted.is_some(), self.model_is_stale()) {
+            (false, _) => MonitorState::Warmup,
+            (true, false) => MonitorState::Fitted,
+            (true, true) => MonitorState::Degraded,
+        }
     }
 
     /// The live model, once out of Warmup.
@@ -586,7 +581,7 @@ impl Monitor {
     /// model age against the staleness budget, pending retry backoff.
     pub fn health(&self) -> HealthReport {
         HealthReport {
-            state: self.state,
+            state: self.state(),
             bins_observed: self.bins_observed,
             bins_scored: self.bins_scored,
             quarantined_bins: self.quarantined,
@@ -610,16 +605,6 @@ impl Monitor {
         }
     }
 
-    /// Re-derives the resting state from the serving model and its age —
-    /// called whenever either may have changed.
-    fn update_serving_state(&mut self) {
-        self.state = match (self.fitted.is_some(), self.model_is_stale()) {
-            (false, _) => MonitorState::Warmup,
-            (true, false) => MonitorState::Fitted,
-            (true, true) => MonitorState::Degraded,
-        };
-    }
-
     /// Observes one finalized bin from the ingest plane. The measurement
     /// rows are materialized into recycled scratch, so a warm monitor
     /// serves bins without per-bin row allocations.
@@ -637,6 +622,11 @@ impl Monitor {
     /// model is live), absorb into the window, then run any triggered
     /// refit — in that order, so the model swap always lands between
     /// bins.
+    ///
+    /// # Errors
+    ///
+    /// [`DiagnosisError::BadDataset`] unless the rows are `p`, `p` and
+    /// `4p` long, returned before any counter moves.
     pub fn observe_rows(
         &mut self,
         bin: usize,
@@ -644,6 +634,15 @@ impl Monitor {
         packets_row: &[f64],
         entropy_raw: &[f64],
     ) -> Result<MonitorStep, DiagnosisError> {
+        // A row of the wrong width is refused before any counter moves:
+        // it is not a bin of this network, so it neither counts as
+        // observed nor ages the model.
+        let p = self.window.n_flows();
+        if bytes_row.len() != p || packets_row.len() != p || entropy_raw.len() != 4 * p {
+            return Err(DiagnosisError::BadDataset(
+                "monitor rows must be p, p, and 4p long",
+            ));
+        }
         self.bins_observed += 1;
         // Quarantine gate: a non-finite row can neither be scored (NaN
         // defeats every threshold comparison — a silent Clean) nor
@@ -662,7 +661,6 @@ impl Monitor {
             let refit = self
                 .pending_trigger()
                 .map(|trigger| self.run_refit(trigger));
-            self.update_serving_state();
             return Ok(MonitorStep {
                 bin,
                 verdict: Verdict::Quarantined,
@@ -714,7 +712,6 @@ impl Monitor {
         let refit = self
             .pending_trigger()
             .map(|trigger| self.run_refit(trigger));
-        self.update_serving_state();
         Ok(MonitorStep {
             bin,
             verdict,
@@ -757,7 +754,6 @@ impl Monitor {
     /// Fits the window and swaps the model in; on failure the old model
     /// keeps serving. Never panics, never leaves the monitor stalled.
     fn run_refit(&mut self, trigger: RefitTrigger) -> RefitReport {
-        self.state = MonitorState::Refitting;
         let window_bins = self.window.len();
         let alpha = self.config.diagnoser.alpha;
         let fit_start = std::time::Instant::now();
@@ -818,7 +814,6 @@ impl Monitor {
             self.recent_refits.pop_front();
         }
         self.recent_refits.push_back(report.clone());
-        self.update_serving_state();
         report
     }
 }
@@ -1154,6 +1149,47 @@ mod tests {
         }
         // First fit at bin 23; scheduled refits every 16 scored bins.
         assert_eq!(scheduled, vec![39, 55, 71]);
+    }
+
+    #[test]
+    fn a_row_of_the_wrong_width_is_refused_before_any_counter_moves() {
+        // p = 4 flows: rows must be 4, 4 and 16 long. A row of any other
+        // width is not a bin of this network — finite or not, it must
+        // fail with BadDataset and leave every counter, the model's age
+        // and the window exactly as they were, in warmup and once fitted.
+        let mut m = Monitor::new(4, quick_config()).unwrap();
+        let (b, p, e) = rows(4, 0, 0.0);
+        let refuse_all = |m: &mut Monitor| {
+            let before = format!("{:?}", m.health());
+            let window = m.window().bins();
+            let bad: [(&[f64], &[f64], &[f64]); 4] = [
+                (&b[..3], &p, &e),
+                (&b, &[1.0; 5], &e),
+                (&b, &p, &e[..5]),
+                (&[f64::NAN; 3], &p, &e),
+            ];
+            for (bytes, packets, entropy) in bad {
+                let step = m.observe_rows(99, bytes, packets, entropy);
+                assert!(
+                    matches!(step, Err(DiagnosisError::BadDataset(_))),
+                    "{:?}",
+                    step.map(|s| s.verdict)
+                );
+                assert_eq!(format!("{:?}", m.health()), before);
+                assert_eq!(m.window().bins(), window);
+            }
+        };
+        m.observe_rows(0, &b, &p, &e).unwrap();
+        refuse_all(&mut m);
+        assert_eq!((m.state(), m.bins_observed()), (MonitorState::Warmup, 1));
+        for bin in 1..30 {
+            let (b, p, e) = rows(4, bin, 0.0);
+            m.observe_rows(bin, &b, &p, &e).unwrap();
+        }
+        let health = m.health();
+        assert_eq!(health.state, MonitorState::Fitted);
+        assert_eq!((health.bins_observed, health.model_age_bins), (30, 6));
+        refuse_all(&mut m);
     }
 
     #[test]

@@ -68,10 +68,8 @@ impl DiagnoserConfig {
     /// The configured dimension selection, capped below `cols` so small
     /// networks fit with the default config.
     fn capped_dim(&self, cols: usize) -> DimSelection {
-        match self.dim {
-            DimSelection::Fixed(m) => DimSelection::Fixed(m.min(cols.saturating_sub(1)).max(1)),
-            other => other,
-        }
+        let DimSelection::Fixed(m) = self.dim;
+        DimSelection::Fixed(m.min(cols.saturating_sub(1)).max(1))
     }
 
     /// Rejects a non-finite or out-of-`(0, 1)` alpha — the shared
@@ -202,10 +200,9 @@ impl Diagnoser {
     /// count, so small test networks fit with the default config.
     ///
     /// Configuration is validated here, at fit time: `alpha` must be
-    /// finite and strictly inside `(0, 1)` (the subspace layer likewise
-    /// rejects a non-finite or out-of-range variance fraction), so a
-    /// misconfigured pipeline fails loudly before any model exists rather
-    /// than misbehaving bin by bin.
+    /// finite and strictly inside `(0, 1)`, so a misconfigured pipeline
+    /// fails loudly before any model exists rather than misbehaving bin
+    /// by bin.
     pub fn fit(&self, dataset: &Dataset) -> Result<FittedDiagnoser, DiagnosisError> {
         let entropy_raw = dataset.tensor.unfold();
         let rows = [

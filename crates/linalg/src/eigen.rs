@@ -68,8 +68,8 @@ pub fn sym_eigen(a: &Mat) -> Result<SymEigen, LinalgError> {
 ///
 /// `k_of` picks `k` (clamped to `n`) from the complete descending
 /// spectrum, which is known before the first vector is computed — so a
-/// caller that wants "enough axes for 85 % of the variance" pays for
-/// exactly those. The pipeline is [`sym_eigen`]'s; only the inverse
+/// caller whose `k` depends on the spectrum (the PCA Gram engine stops at
+/// the numerical rank) pays for exactly those. The pipeline is [`sym_eigen`]'s; only the inverse
 /// iteration, the reflector back-transform and the final transpose run
 /// over `k` rows instead of `n`. `k_of` runs a second time, on the QL
 /// reference's eigenvalues, when the blocked pipeline declines an input.
@@ -1125,7 +1125,6 @@ fn apply_q(taus: &[f64], vtails: &[Vec<f64>], z: &mut Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Spectrum;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1224,24 +1223,6 @@ mod tests {
         for v in &e.values {
             assert_close(*v, 2.0, 1e-12);
         }
-    }
-
-    #[test]
-    fn explained_variance_helpers() {
-        let e = Spectrum::complete(vec![6.0, 3.0, 1.0], Mat::identity(3)).unwrap();
-        assert_close(e.total_variance(), 10.0, 1e-15);
-        assert_close(e.explained(1), 0.6, 1e-15);
-        assert_close(e.explained(2), 0.9, 1e-15);
-        assert_eq!(e.dims_for_variance(0.85), 2);
-        assert_eq!(e.dims_for_variance(0.95), 3);
-        assert_eq!(e.dims_for_variance(0.5), 1);
-    }
-
-    #[test]
-    fn explained_variance_of_zero_matrix() {
-        let e = Spectrum::complete(vec![0.0, 0.0], Mat::identity(2)).unwrap();
-        assert_eq!(e.explained(1), 1.0);
-        assert_eq!(e.dims_for_variance(0.9), 0);
     }
 
     #[test]

@@ -139,41 +139,6 @@ pub unsafe fn dot4_fused_x4(a: [&[f64]; 4], b: &[f64]) -> [f64; 4] {
     out
 }
 
-/// Four simultaneous FMA axpys sharing one `ys` stream:
-/// `acc[i][j] += xs[i]·ys[j]`. Same rationale as [`dot4_fused_x4`]:
-/// one `ys` stream feeds four output rows. Tolerance-pinned only.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 *and* FMA and that all five
-/// slices have equal length.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy_fused_x4(acc: [&mut [f64]; 4], xs: [f64; 4], ys: &[f64]) {
-    let n = ys.len();
-    let chunks = n / 4;
-    let xv = [
-        _mm256_set1_pd(xs[0]),
-        _mm256_set1_pd(xs[1]),
-        _mm256_set1_pd(xs[2]),
-        _mm256_set1_pd(xs[3]),
-    ];
-    for k in 0..chunks {
-        // SAFETY: 4*k + 4 <= n and every slice has length n; the four acc
-        // slices are disjoint by the borrow rules of the signature.
-        unsafe {
-            let yv = _mm256_loadu_pd(ys.as_ptr().add(4 * k));
-            for i in 0..4 {
-                let p = acc[i].as_mut_ptr().add(4 * k);
-                _mm256_storeu_pd(p, _mm256_fmadd_pd(xv[i], yv, _mm256_loadu_pd(p)));
-            }
-        }
-    }
-    for (row, &x) in acc.into_iter().zip(&xs) {
-        for j in 4 * chunks..n {
-            row[j] = x.mul_add(ys[j], row[j]);
-        }
-    }
-}
-
 /// Eight simultaneous FMA dot products sharing one `b` stream — the
 /// widest profitable tile: 8 accumulators + the shared `b` register still
 /// fit the 16 `ymm` registers. Tolerance-pinned only.
@@ -208,38 +173,6 @@ pub unsafe fn dot4_fused_x8(a: [&[f64]; 8], b: &[f64]) -> [f64; 8] {
         out[i] = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail;
     }
     out
-}
-
-/// Eight simultaneous FMA axpys sharing one `ys` stream. Tolerance-pinned
-/// only.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 *and* FMA and that all nine
-/// slices have equal length.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy_fused_x8(acc: [&mut [f64]; 8], xs: [f64; 8], ys: &[f64]) {
-    let n = ys.len();
-    let chunks = n / 4;
-    let mut xv = [_mm256_setzero_pd(); 8];
-    for i in 0..8 {
-        xv[i] = _mm256_set1_pd(xs[i]);
-    }
-    for k in 0..chunks {
-        // SAFETY: 4*k + 4 <= n and every slice has length n; the eight
-        // acc slices are disjoint by the borrow rules of the signature.
-        unsafe {
-            let yv = _mm256_loadu_pd(ys.as_ptr().add(4 * k));
-            for i in 0..8 {
-                let p = acc[i].as_mut_ptr().add(4 * k);
-                _mm256_storeu_pd(p, _mm256_fmadd_pd(xv[i], yv, _mm256_loadu_pd(p)));
-            }
-        }
-    }
-    for (row, &x) in acc.into_iter().zip(&xs) {
-        for j in 4 * chunks..n {
-            row[j] = x.mul_add(ys[j], row[j]);
-        }
-    }
 }
 
 /// Multi-source accumulation into four rows:

@@ -303,23 +303,6 @@ pub fn dot4_fused_x4(a: [&[f64]; 4], b: &[f64]) -> [f64; 4] {
     ]
 }
 
-/// Four axpys sharing one `ys` stream (`acc[i][j] += xs[i]·ys[j]`),
-/// FMA-contracted where available; otherwise four [`axpy_fused`] calls.
-/// **Tolerance-pinned only.** All five slices must have equal length.
-#[inline]
-pub fn axpy_fused_x4(acc: [&mut [f64]; 4], xs: [f64; 4], ys: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if fused_active() {
-        debug_assert!(acc.iter().all(|r| r.len() == ys.len()));
-        // SAFETY: `fused_active` gates on runtime AVX2+FMA detection.
-        unsafe { avx2::axpy_fused_x4(acc, xs, ys) };
-        return;
-    }
-    for (row, &x) in acc.into_iter().zip(&xs) {
-        axpy_fused(row, x, ys);
-    }
-}
-
 /// Eight dot products sharing one `b` stream — [`dot4_fused_x4`] doubled;
 /// otherwise eight [`dot4_fused`] calls. **Tolerance-pinned only.** All
 /// nine slices must have equal length.
@@ -336,23 +319,6 @@ pub fn dot4_fused_x8(a: [&[f64]; 8], b: &[f64]) -> [f64; 8] {
         *slot = dot4_fused(row, b);
     }
     out
-}
-
-/// Eight axpys sharing one `ys` stream — [`axpy_fused_x4`] doubled;
-/// otherwise eight [`axpy_fused`] calls. **Tolerance-pinned only.** All
-/// nine slices must have equal length.
-#[inline]
-pub fn axpy_fused_x8(acc: [&mut [f64]; 8], xs: [f64; 8], ys: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if fused_active() {
-        debug_assert!(acc.iter().all(|r| r.len() == ys.len()));
-        // SAFETY: `fused_active` gates on runtime AVX2+FMA detection.
-        unsafe { avx2::axpy_fused_x8(acc, xs, ys) };
-        return;
-    }
-    for (row, &x) in acc.into_iter().zip(&xs) {
-        axpy_fused(row, x, ys);
-    }
 }
 
 /// Multi-source accumulation into four rows:

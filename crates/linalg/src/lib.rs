@@ -15,15 +15,14 @@
 //!   threads) and range partitioners behind every scoped-thread kernel,
 //!   public so other layers (the sharded ingest plane) share one fan-out
 //!   discipline.
-//! * [`Spectrum`] — a complete eigenspectrum plus the leading axes, and
-//!   the residual power sums ([`ResidualPowerSums`]) the
-//!   Jackson–Mudholkar threshold reads.
 //! * [`Pca`] — principal component analysis over the rows of a data matrix
 //!   (columns are variables), as used to split traffic into normal and
-//!   residual subspaces. Two fit engines behind the [`FitStrategy`]
-//!   dispatcher ([`Pca::fit_with`]): the dense covariance eigenproblem
-//!   ([`Pca::fit`]) and the `rows × rows` Gram eigenproblem for wide
-//!   matrices ([`Pca::fit_gram`]).
+//!   residual subspaces: every covariance eigenvalue, the `m` leading axes
+//!   the [`DimSelection`] asks for, and the residual power sums
+//!   ([`ResidualPowerSums`]) the Jackson–Mudholkar threshold reads. One
+//!   constructor, [`Pca::fit`], runs one of two engines named by
+//!   [`FitStrategy`]: the dense covariance eigenproblem or the
+//!   `rows × rows` Gram eigenproblem for wide matrices.
 //! * [`MomentAccumulator`] — Welford-style online mean + covariance over a
 //!   row stream (no fit path consumes it; `bench_e2e` times its push).
 //! * [`ScorePlan`] — the fused scoring plane: allocation-free SPE via the
@@ -47,7 +46,7 @@
 //! # Example
 //!
 //! ```
-//! use entromine_linalg::{Mat, Pca};
+//! use entromine_linalg::{DimSelection, FitStrategy, Mat, Pca};
 //!
 //! // Three observations of two correlated variables.
 //! let x = Mat::from_rows(&[
@@ -55,7 +54,7 @@
 //!     &[2.0, 4.1],
 //!     &[3.0, 5.9],
 //! ]);
-//! let pca = Pca::fit(&x).unwrap();
+//! let pca = Pca::fit(&x, FitStrategy::Auto, DimSelection::Fixed(1)).unwrap();
 //! // Almost all variance is captured by the first principal axis.
 //! assert!(pca.explained_variance_ratio(1) > 0.99);
 //! ```
@@ -75,14 +74,12 @@ pub mod par;
 mod pca;
 pub mod score;
 mod solve;
-mod spectrum;
 pub mod stats;
 
 pub use eigen::{sym_eigen, sym_eigen_leading, sym_eigen_ql, SymEigen};
 pub use error::LinalgError;
 pub use matrix::Mat;
 pub use moments::MomentAccumulator;
-pub use pca::{DimSelection, FitStrategy, Pca};
+pub use pca::{DimSelection, FitStrategy, Pca, ResidualPowerSums};
 pub use score::{ScorePlan, GUARD_EPS};
 pub use solve::{solve, solve_regularized};
-pub use spectrum::{ResidualPowerSums, Spectrum};

@@ -348,11 +348,11 @@ impl Mat {
     /// kernel tier; the upper triangle is split across scoped worker
     /// threads (balanced by element count, capped at 16) and mirrored.
     /// Every entry is bitwise equal to per-pair `dot4` of its two rows at
-    /// any split and under every backend. This is the kernel behind
-    /// [`Pca::fit_gram`], which solves the `rows < cols` eigenproblem in
-    /// the small `rows × rows` space.
+    /// any split and under every backend. This is the kernel behind the
+    /// Gram engine of [`Pca::fit`], which solves the `rows < cols`
+    /// eigenproblem in the small `rows × rows` space.
     ///
-    /// [`Pca::fit_gram`]: crate::Pca::fit_gram
+    /// [`Pca::fit`]: crate::Pca::fit
     pub fn gram(&self) -> Mat {
         let t = self.rows;
         let mut g = Mat::zeros(t, t);
@@ -425,15 +425,6 @@ impl Mat {
             }
         }
         true
-    }
-
-    /// Extracts the submatrix made of the given rows, in the given order.
-    pub fn select_rows(&self, rows: &[usize]) -> Mat {
-        let mut out = Mat::zeros(rows.len(), self.cols);
-        for (dst, &src) in rows.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        out
     }
 
     /// Extracts the submatrix made of the given columns, in the given order.
@@ -799,14 +790,6 @@ mod tests {
         let m = Mat::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let s = m.select_cols(&[2, 0]);
         assert_eq!(s, Mat::from_rows(&[&[3.0, 1.0], &[6.0, 4.0]]));
-    }
-
-    #[test]
-    fn select_rows_reorders() {
-        let m = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let s = m.select_rows(&[2, 0]);
-        assert_eq!(s, Mat::from_rows(&[&[5.0, 6.0], &[1.0, 2.0]]));
-        assert_eq!(m.select_rows(&[]).shape(), (0, 2));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! pairwise combination).
 //!
 //! No fit path consumes the accumulator: every model is fitted from
-//! retained rows ([`Pca::fit_with`](crate::Pca::fit_with)). It is kept as
+//! retained rows ([`Pca::fit`](crate::Pca::fit)). It is kept as
 //! the substrate `bench_e2e` times (`linalg.moments.push`).
 //!
 //! The streamed covariance is algebraically identical to

@@ -1,8 +1,8 @@
 //! Scoped-thread partitioning for the blocked kernels.
 //!
 //! The symmetric kernels in this crate — [`Mat::covariance`] (`XᵀX` over
-//! centered columns) and the Gram product behind [`Pca::fit_gram`]
-//! (`XXᵀ` over centered rows) — fill only the upper triangle of their
+//! centered columns) and the Gram product behind [`Pca::fit`]'s Gram
+//! engine (`XXᵀ` over centered rows) — fill only the upper triangle of their
 //! output and mirror it afterwards. Parallelizing them is therefore a
 //! matter of handing each worker a contiguous block of output rows whose
 //! triangle rows it owns exclusively; no locks, no atomics, and — because
@@ -37,7 +37,7 @@
 //! Both stay.
 //!
 //! [`Mat::covariance`]: crate::Mat::covariance
-//! [`Pca::fit_gram`]: crate::Pca::fit_gram
+//! [`Pca::fit`]: crate::Pca::fit
 
 use std::ops::Range;
 use std::sync::OnceLock;

@@ -4,38 +4,52 @@
 //! timepoints, columns = variables) as samples of a correlated process,
 //! finds the principal axes of variation, and splits every observation into
 //! a *normal* component (projection onto the leading axes) and a *residual*
-//! component (everything else). [`Pca`] packages the fitted axes plus a
-//! [`Spectrum`] — every eigenvalue, which is what the detection thresholds
+//! component (everything else). [`Pca`] holds the fitted axes plus every
+//! eigenvalue of the covariance, which is what the detection thresholds
 //! read.
+//!
+//! # The spectrum and its residual power sums
+//!
+//! The Jackson–Mudholkar Q-statistic threshold — the detection test of the
+//! whole pipeline — depends on the residual eigenvalues `λ_{m+1} … λ_n` of
+//! the sample covariance **only** through the three power sums
+//!
+//! ```text
+//! φ_i = Σ_{j>m} λ_j^i ,   i = 1, 2, 3.
+//! ```
+//!
+//! Both fit engines know every eigenvalue before the first eigenvector is
+//! computed (the dense solver from its eigenvalue-only QL pass, the Gram
+//! engine from the `t × t` spectrum padded with exact zeros past the data's
+//! rank), so a fitted [`Pca`] stores the complete descending spectrum and
+//! [`Pca::residual_power_sums`] sums the residual slice directly.
 //!
 //! # Fit engines and dispatch
 //!
 //! Two engines produce the same model at different costs. Both keep the
-//! **whole** eigenvalue spectrum (thresholds, variance fractions and
-//! explained-variance read all of it) and materialize eigen*vectors* only
-//! for the axes the caller's [`DimSelection`] names, because scoring, T²,
+//! **whole** eigenvalue spectrum and materialize eigen*vectors* only for
+//! the `m` axes the caller's [`DimSelection`] names, because scoring, T²,
 //! calibration and flow identification never index past the normal
-//! subspace.
+//! subspace. [`Pca::fit`] runs either one.
 //!
-//! * **Full** ([`Pca::fit`]) — the blocked dense solver on the `n × n`
-//!   covariance: `O(n³)` for the tridiagonalization and the eigenvalues,
-//!   then `O(m·n²)` for the `m` requested vectors. [`Pca::fit`] itself
-//!   asks for all `n` and is the reference oracle.
-//! * **Gram** ([`Pca::fit_gram`]) — the `t × t` Gram eigenproblem,
+//! * **Full** ([`FitStrategy::Full`]) — the blocked dense solver on the
+//!   `n × n` covariance: `O(n³)` for the tridiagonalization and the
+//!   eigenvalues, then `O(m·n²)` for the `m` requested vectors. Asked for
+//!   `Fixed(n)` it carries every axis and is the reference oracle.
+//! * **Gram** ([`FitStrategy::Gram`]) — the `t × t` Gram eigenproblem,
 //!   `O(t²n + t³ + m·t·n)`: the Gram product, its eigenvalues, and the
-//!   back-projection of `m` axes. Exact (the spectrum past the data's
-//!   rank is exactly zero), and the cheap path whenever `rows < cols`.
-//!   [`Pca::fit_gram`] itself back-projects every axis the rank supports.
+//!   back-projection of `m` axes, at most the data's numerical rank.
+//!   Exact (the spectrum past the data's rank is exactly zero), and the
+//!   cheap path whenever `rows < cols`.
 //!
-//! [`FitStrategy`] names the engines; [`FitStrategy::Auto`] picks Gram or
-//! Full from the data shape and the caller's [`DimSelection`]. Both yield
-//! thresholds within round-off of the all-axes dense oracle; the
-//! equivalence is pinned by proptests in the subspace crate.
+//! [`FitStrategy::Auto`] picks Gram or Full from the data shape and the
+//! requested `m`. Both yield thresholds within round-off of the all-axes
+//! dense oracle; the equivalence is pinned by proptests in the subspace
+//! crate.
 
 use crate::eigen::sym_eigen_leading;
 use crate::matrix::dot;
 use crate::score::ScorePlan;
-use crate::spectrum::{leading_dims, ResidualPowerSums, Spectrum};
 use crate::{LinalgError, Mat};
 
 /// Which engine fits the eigenstructure of the data.
@@ -57,13 +71,6 @@ pub enum FitStrategy {
 
 /// How many principal axes a fit keeps: the dimension of the normal
 /// subspace, and the axes the fit materializes.
-///
-/// [`Fixed`] selections come with their dimension attached;
-/// [`VarianceFraction`] selections are resolved against the eigenvalues,
-/// which both engines have in full before the first vector is computed.
-///
-/// [`Fixed`]: Self::Fixed
-/// [`VarianceFraction`]: Self::VarianceFraction
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DimSelection {
     /// Exactly this many leading axes.
@@ -72,9 +79,6 @@ pub enum DimSelection {
     /// m ≈ 10 (which accounted for 85% of the total variance)" and fixed
     /// m = 10 for both networks.
     Fixed(usize),
-    /// The smallest count capturing at least this fraction of total
-    /// variance (e.g. `0.85`).
-    VarianceFraction(f64),
 }
 
 impl Default for DimSelection {
@@ -83,57 +87,103 @@ impl Default for DimSelection {
     }
 }
 
-/// What [`Pca::fit`] and [`Pca::fit_gram`] ask for: every axis the engine
-/// can carry.
-const ALL_AXES: DimSelection = DimSelection::Fixed(usize::MAX);
+/// The residual power sums `φ₁, φ₂, φ₃` of a covariance spectrum past a
+/// normal subspace of dimension `m` — the complete input of the
+/// Jackson–Mudholkar threshold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResidualPowerSums {
+    /// `φ₁ = Σ_{j>m} λ_j` — the residual variance.
+    pub phi1: f64,
+    /// `φ₂ = Σ_{j>m} λ_j²`.
+    pub phi2: f64,
+    /// `φ₃ = Σ_{j>m} λ_j³`.
+    pub phi3: f64,
+}
 
-impl DimSelection {
-    /// The number of leading axes that answers this request over a
-    /// complete, descending spectrum — the same cut
-    /// [`Pca::dims_for_variance`] reports on the fitted model.
-    fn resolve(self, values: &[f64]) -> usize {
-        match self {
-            DimSelection::Fixed(m) => m.min(values.len()),
-            DimSelection::VarianceFraction(f) => {
-                leading_dims(values, values.iter().sum(), f).unwrap_or(values.len())
-            }
+impl ResidualPowerSums {
+    /// Power sums of an explicit residual eigenvalue slice, with each
+    /// eigenvalue clamped at zero against solver round-off — the single
+    /// definition of the clamping convention, shared by the
+    /// slice-adapter threshold entry point and
+    /// [`Pca::residual_power_sums`].
+    pub fn from_slice(residual: &[f64]) -> Self {
+        ResidualPowerSums {
+            phi1: residual.iter().map(|&l| l.max(0.0)).sum(),
+            phi2: residual.iter().map(|&l| l.max(0.0).powi(2)).sum(),
+            phi3: residual.iter().map(|&l| l.max(0.0).powi(3)).sum(),
         }
     }
 }
 
-/// A fitted principal component analysis.
+/// A fitted principal component analysis: every eigenvalue of the
+/// covariance plus the leading axes the fit was asked for.
 ///
-/// Built by [`Pca::fit`] (covariance eigenproblem), [`Pca::fit_gram`] (the
-/// equivalent `rows × rows` Gram eigenproblem, cheaper for wide matrices),
-/// or the [`FitStrategy`] dispatcher ([`Pca::fit_with`]); columns of the
-/// input are centered to zero mean before the covariance is formed (as in
-/// Lakhina et al., SIGCOMM 2004).
-///
-/// [`fit`](Self::fit) carries one principal axis per variable and
-/// [`fit_gram`](Self::fit_gram) one per unit of numerical rank (at most
-/// `rows − 1`); through [`fit_with`](Self::fit_with) both engines carry
-/// only the axes the request names. The eigen*values* are complete either
-/// way. The axis count is exposed as [`n_axes`](Self::n_axes).
+/// Built by [`Pca::fit`]; columns of the input are centered to zero mean
+/// before the covariance is formed (as in Lakhina et al., SIGCOMM 2004).
+/// The eigen*values* are complete whatever the engine; the axis count,
+/// exposed as [`n_axes`](Self::n_axes), is what the [`DimSelection`]
+/// asked for, at most `dim()` on the dense engine and the data's numerical
+/// rank on the Gram engine.
 #[derive(Debug, Clone)]
 pub struct Pca {
     mean: Vec<f64>,
-    spectrum: Spectrum,
+    /// Every eigenvalue, descending (zero-padded past the data's rank on
+    /// the Gram path).
+    values: Vec<f64>,
+    /// Orthonormal eigenvectors, `dim × n_axes`, one column per axis,
+    /// aligned with the leading `values`.
+    axes: Mat,
     strategy: FitStrategy,
 }
 
 impl Pca {
-    /// Fits a PCA to the rows of `x` (columns are variables).
+    /// Fits a PCA to the rows of `x` (columns are variables) with the
+    /// engine `strategy` names, dispatching on the data shape and `m`
+    /// when the strategy is [`Auto`](FitStrategy::Auto).
+    ///
+    /// The dispatch rules, in order:
+    ///
+    /// 1. `rows < cols` and the Gram rank bound (`rank ≤ rows − 1`) can
+    ///    support `m` axes → **Gram** (exact, `O(t²n + t³ + m·t·n)`). A
+    ///    window whose *numerical* rank turns out smaller than `m` falls
+    ///    through to rule 2.
+    /// 2. Otherwise → **Full**.
+    ///
+    /// Either way the model carries every eigenvalue and the `m` axes
+    /// `dim` names, no more (`Fixed(x.cols())` asks for all of them);
+    /// a forced Gram fit stops at the numerical rank. Check
+    /// [`strategy`](Self::strategy) for the engine actually used.
     ///
     /// # Errors
     ///
-    /// Propagates [`LinalgError`] from covariance construction (fewer than
-    /// two rows) or the eigensolver.
-    pub fn fit(x: &Mat) -> Result<Self, LinalgError> {
-        Self::full_for(x, ALL_AXES)
+    /// [`LinalgError::Empty`] for zero columns or fewer than two rows;
+    /// otherwise whatever the eigensolver reports.
+    pub fn fit(x: &Mat, strategy: FitStrategy, dim: DimSelection) -> Result<Self, LinalgError> {
+        let DimSelection::Fixed(m) = dim;
+        let (t, n) = x.shape();
+        match strategy {
+            FitStrategy::Full => Self::full(x, m),
+            FitStrategy::Gram => Self::gram(x, m),
+            FitStrategy::Auto => {
+                if t < n && t >= m.saturating_add(2) {
+                    let gram = Self::gram(x, m)?;
+                    // The row count bounded the rank a priori, but the
+                    // *numerical* rank is only known after the fit: short
+                    // or degenerate windows can support fewer axes than
+                    // the request needs. Auto must then degrade to the
+                    // dense engine (whose rank is `n`), not surface an
+                    // error the dense path never raised.
+                    if gram.n_axes() >= m {
+                        return Ok(gram);
+                    }
+                }
+                Self::full(x, m)
+            }
+        }
     }
 
-    /// The dense engine, materializing the axes `request` names.
-    fn full_for(x: &Mat, request: DimSelection) -> Result<Self, LinalgError> {
+    /// The dense engine, materializing the leading `m` axes.
+    fn full(x: &Mat, m: usize) -> Result<Self, LinalgError> {
         if x.cols() == 0 {
             return Err(LinalgError::Empty {
                 what: "PCA of a matrix with zero columns",
@@ -141,16 +191,18 @@ impl Pca {
         }
         let mean = x.col_means();
         let cov = x.covariance()?;
-        let eigen = sym_eigen_leading(&cov, |values| request.resolve(values))?;
+        let eigen = sym_eigen_leading(&cov, |_| m)?;
         Ok(Pca {
             mean,
-            spectrum: Spectrum::complete(eigen.values, eigen.vectors)?,
+            values: eigen.values,
+            axes: eigen.vectors,
             strategy: FitStrategy::Full,
         })
     }
 
-    /// Fits the same model as [`fit`](Self::fit) by solving the `t × t`
-    /// Gram eigenproblem instead of the `n × n` covariance one.
+    /// The Gram engine: the same model as [`full`](Self::full) from the
+    /// `t × t` Gram eigenproblem instead of the `n × n` covariance one,
+    /// back-projecting the leading `m` axes (at most the numerical rank).
     ///
     /// For `X_c` the centered data, `X_c X_cᵀ u = μ u` implies
     /// `cov · (X_cᵀ u) = (μ / (t-1)) · (X_cᵀ u)`: the Gram spectrum is the
@@ -159,27 +211,10 @@ impl Pca {
     /// e.g. one week of bins against the `4p ≈ 2000` unfolded entropy
     /// columns of a large network — this turns an `O(n³)` eigensolve into
     /// an `O(t³)` one. The Gram product itself runs on the same blocked
-    /// scoped-thread kernel as [`Mat::covariance`].
-    ///
-    /// Numerically the two paths agree to round-off (axes may flip sign);
-    /// they are cross-checked in proptests. The returned model carries
-    /// every axis the data's numerical rank supports
-    /// (`n_axes() ≤ min(t − 1, n)`) plus the full zero-padded eigenvalue
-    /// spectrum, so downstream threshold code sees the exact
-    /// covariance-path spectrum. [`FitStrategy::Auto`] dispatches to this
-    /// engine whenever `rows < cols` and the rank bound supports the
-    /// request — and then back-projects the requested axes only.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`fit`](Self::fit).
-    pub fn fit_gram(x: &Mat) -> Result<Self, LinalgError> {
-        Self::gram_for(x, ALL_AXES)
-    }
-
-    /// The Gram engine, back-projecting the axes `request` names (at most
-    /// the numerical rank).
-    fn gram_for(x: &Mat, request: DimSelection) -> Result<Self, LinalgError> {
+    /// scoped-thread kernel as [`Mat::covariance`]. The eigenvalues are
+    /// the full zero-padded spectrum, so downstream threshold code sees
+    /// the exact covariance-path spectrum.
+    fn gram(x: &Mat, m: usize) -> Result<Self, LinalgError> {
         let (t, n) = x.shape();
         if n == 0 {
             return Err(LinalgError::Empty {
@@ -198,11 +233,11 @@ impl Pca {
         let denom = (t - 1) as f64;
 
         // The covariance spectrum is the Gram spectrum over `t − 1`, all
-        // of it: thresholds and variance fractions read the residual
-        // eigenvalues too. Numerically-zero Gram eigenvalues cannot be
-        // back-projected (the division by √μ blows up), so everything at
-        // or below round-off of the leading one is an exact zero in the
-        // spectrum and out of reach of the request.
+        // of it: thresholds read the residual eigenvalues too.
+        // Numerically-zero Gram eigenvalues cannot be back-projected (the
+        // division by √μ blows up), so everything at or below round-off
+        // of the leading one is an exact zero in the spectrum and out of
+        // reach of the request.
         let mut values = vec![0.0; n];
         let geig = sym_eigen_leading(&gram, |mu| {
             let tol = mu[0].max(0.0) * 1e-12;
@@ -211,7 +246,7 @@ impl Pca {
             for (slot, v) in values.iter_mut().zip(&mu[..rank]) {
                 *slot = v / denom;
             }
-            request.resolve(&values).min(rank)
+            m.min(rank)
         })?;
 
         // Axis j is X_cᵀ u_j / √μ_j. Row j of `axes` accumulates it one
@@ -234,63 +269,10 @@ impl Pca {
         }
         Ok(Pca {
             mean,
-            spectrum: Spectrum::complete(values, axes.transpose())?,
+            values,
+            axes: axes.transpose(),
             strategy: FitStrategy::Gram,
         })
-    }
-
-    /// Fits with an explicit [`FitStrategy`], dispatching on the data
-    /// shape and the [`DimSelection`] when the strategy is
-    /// [`Auto`](FitStrategy::Auto).
-    ///
-    /// The dispatch rules, in order:
-    ///
-    /// 1. `rows < cols` and the Gram rank bound (`rank ≤ rows − 1`) can
-    ///    support the request → **Gram** (exact, `O(t²n + t³ + m·t·n)`).
-    /// 2. Otherwise → **Full**.
-    ///
-    /// Either way the model carries every eigenvalue and the axes
-    /// `request` names, no more: `Fixed(m)` materializes `m`,
-    /// `VarianceFraction(f)` the count the eigenvalues resolve `f` to.
-    /// Check [`strategy`](Self::strategy) for the engine actually used.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::Domain`] for a `VarianceFraction` that is not finite
-    /// and strictly inside `(0, 1)`; otherwise the shape conditions of the
-    /// selected engine.
-    pub fn fit_with(
-        x: &Mat,
-        strategy: FitStrategy,
-        request: DimSelection,
-    ) -> Result<Self, LinalgError> {
-        if let DimSelection::VarianceFraction(f) = request {
-            if !(f > 0.0 && f < 1.0) {
-                return Err(LinalgError::Domain {
-                    what: "variance fraction must be finite and lie strictly inside (0, 1)",
-                });
-            }
-        }
-        let (t, n) = x.shape();
-        match strategy {
-            FitStrategy::Full => Self::full_for(x, request),
-            FitStrategy::Gram => Self::gram_for(x, request),
-            FitStrategy::Auto => {
-                if t < n && t >= 2 && gram_supports(t, request) {
-                    let gram = Self::gram_for(x, request)?;
-                    // The row count bounded the rank a priori, but the
-                    // *numerical* rank is only known after the fit: short
-                    // or degenerate windows can support fewer axes than
-                    // the request needs. Auto must then degrade to the
-                    // dense engine (whose rank is `n`), not surface an
-                    // error the old full path never raised.
-                    if gram_delivers(&gram, request) {
-                        return Ok(gram);
-                    }
-                }
-                Self::full_for(x, request)
-            }
-        }
     }
 
     /// Number of variables (columns of the fitted data).
@@ -300,11 +282,10 @@ impl Pca {
 
     /// Number of principal axes the model carries: what the
     /// [`DimSelection`] asked for, at most `dim()` on the full path and the
-    /// data's numerical rank on the Gram path ([`fit`](Self::fit) and
-    /// [`fit_gram`](Self::fit_gram) ask for everything). Projections
-    /// require `m <= n_axes()`.
+    /// data's numerical rank on the Gram path. Projections require
+    /// `m <= n_axes()`.
     pub fn n_axes(&self) -> usize {
-        self.spectrum.n_axes()
+        self.axes.cols()
     }
 
     /// The per-column means removed before analysis.
@@ -315,12 +296,7 @@ impl Pca {
     /// Every eigenvalue of the covariance, descending (zero-padded past
     /// the data's rank on the Gram path).
     pub fn eigenvalues(&self) -> &[f64] {
-        self.spectrum.values()
-    }
-
-    /// The fitted [`Spectrum`]: every eigenvalue plus the leading axes.
-    pub fn spectrum(&self) -> &Spectrum {
-        &self.spectrum
+        &self.values
     }
 
     /// The engine that actually produced this model (never
@@ -331,17 +307,24 @@ impl Pca {
 
     /// `tr C`: total variance over the full spectrum.
     pub fn total_variance(&self) -> f64 {
-        self.spectrum.total_variance()
+        self.values.iter().sum()
     }
 
     /// Residual power sums `φ₁, φ₂, φ₃` past the leading `m` components —
-    /// the exact input of the Q-statistic threshold.
+    /// the exact input of the Q-statistic threshold — summed over the
+    /// residual eigenvalues with each clamped at zero against solver
+    /// round-off.
     ///
     /// # Errors
     ///
     /// [`LinalgError::Domain`] if `m >= dim()`.
     pub fn residual_power_sums(&self, m: usize) -> Result<ResidualPowerSums, LinalgError> {
-        self.spectrum.residual_power_sums(m)
+        if m >= self.values.len() {
+            return Err(LinalgError::Domain {
+                what: "residual power sums need a non-empty residual space (m < n)",
+            });
+        }
+        Ok(ResidualPowerSums::from_slice(&self.values[m..]))
     }
 
     /// The orthonormal principal axes, one per column, aligned with the
@@ -349,19 +332,17 @@ impl Pca {
     /// [`eigenvalues`](Self::eigenvalues): what the request asked for, at
     /// most the numerical rank.
     pub fn components(&self) -> &Mat {
-        self.spectrum.vectors()
+        &self.axes
     }
 
-    /// Fraction of variance explained by the leading `m` components.
+    /// Fraction of variance explained by the leading `m` components (1.0
+    /// for a zero-variance spectrum: there is no variance to explain).
     pub fn explained_variance_ratio(&self, m: usize) -> f64 {
-        self.spectrum.explained(m)
-    }
-
-    /// Smallest component count capturing at least `fraction` of variance.
-    ///
-    /// Saturates at [`dim`](Self::dim) when the fraction is unreachable.
-    pub fn dims_for_variance(&self, fraction: f64) -> usize {
-        self.spectrum.dims_for_variance(fraction)
+        let total = self.total_variance();
+        if total <= 0.0 {
+            return 1.0;
+        }
+        self.values.iter().take(m).sum::<f64>() / total
     }
 
     /// Centers `x` and projects it onto the leading `m` principal axes,
@@ -392,7 +373,7 @@ impl Pca {
             if ci == 0.0 {
                 continue;
             }
-            for (s, &vij) in scores.iter_mut().zip(&self.spectrum.vectors().row(i)[..m]) {
+            for (s, &vij) in scores.iter_mut().zip(&self.axes.row(i)[..m]) {
                 *s += ci * vij;
             }
         }
@@ -412,7 +393,7 @@ impl Pca {
         let scores = self.scores_of_centered(&centered, m);
         let mut hat = vec![0.0; self.dim()];
         for (i, h) in hat.iter_mut().enumerate() {
-            *h = dot(&scores, &self.spectrum.vectors().row(i)[..m]);
+            *h = dot(&scores, &self.axes.row(i)[..m]);
         }
         Ok(hat)
     }
@@ -455,8 +436,7 @@ impl Pca {
             });
         }
         let n = self.dim();
-        let vectors = self.spectrum.vectors();
-        let axes = Mat::from_fn(m, n, |j, i| vectors[(i, j)]);
+        let axes = Mat::from_fn(m, n, |j, i| self.axes[(i, j)]);
         ScorePlan::new(self.mean.clone(), axes)
     }
 
@@ -474,27 +454,6 @@ impl Pca {
             });
         }
         Ok(())
-    }
-}
-
-/// Whether the Gram path's a-priori rank bound (`rank ≤ t − 1`) can
-/// support the request. Fixed requests need `m` backprojectable axes;
-/// variance fractions always resolve (the Gram spectrum is complete).
-fn gram_supports(t: usize, request: DimSelection) -> bool {
-    match request {
-        DimSelection::Fixed(m) => t >= m.saturating_add(2),
-        DimSelection::VarianceFraction(_) => true,
-    }
-}
-
-/// Whether a *fitted* Gram model actually carries the axes the request
-/// needs (it holds `min(request, numerical rank)`) — the a-posteriori
-/// check behind [`gram_supports`], which only knew the row count.
-fn gram_delivers(gram: &Pca, request: DimSelection) -> bool {
-    match request {
-        DimSelection::Fixed(m) => gram.n_axes() >= m,
-        // A complete spectrum resolves any fraction within its own rank.
-        DimSelection::VarianceFraction(_) => true,
     }
 }
 
@@ -518,6 +477,17 @@ mod tests {
         })
     }
 
+    /// The all-axes dense oracle: every eigenvalue and every axis.
+    fn all_axes(x: &Mat) -> Pca {
+        Pca::fit(x, FitStrategy::Full, DimSelection::Fixed(x.cols())).unwrap()
+    }
+
+    /// The Gram engine asked for every axis: it stops at the numerical
+    /// rank.
+    fn gram_axes(x: &Mat) -> Pca {
+        Pca::fit(x, FitStrategy::Gram, DimSelection::Fixed(x.cols())).unwrap()
+    }
+
     /// Wide low-rank-plus-noise data for the dispatch tests.
     fn wide_data(t: usize, n: usize, seed: u64) -> Mat {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -531,22 +501,84 @@ mod tests {
     #[test]
     fn one_dimensional_data_has_one_component() {
         let x = line_data(200, 0.0, 1);
-        let pca = Pca::fit(&x).unwrap();
+        let pca = all_axes(&x);
         assert!(pca.explained_variance_ratio(1) > 1.0 - 1e-9);
-        assert_eq!(pca.dims_for_variance(0.999), 1);
+    }
+
+    #[test]
+    fn known_spectrum_reads_off_its_variance_and_power_sums() {
+        // Six axis-aligned rows ±a·e₀, ±b·e₁, ±c·e₂ have zero mean and
+        // covariance diag(2a², 2b², 2c²) / 5 = diag(6, 3, 1).
+        let (a, b, c) = (15f64.sqrt(), 7.5f64.sqrt(), 2.5f64.sqrt());
+        let x = Mat::from_rows(&[
+            &[a, 0.0, 0.0],
+            &[-a, 0.0, 0.0],
+            &[0.0, b, 0.0],
+            &[0.0, -b, 0.0],
+            &[0.0, 0.0, c],
+            &[0.0, 0.0, -c],
+        ]);
+        let close = |got: f64, want: f64| assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        let pca = all_axes(&x);
+        for (got, want) in pca.eigenvalues().iter().zip([6.0, 3.0, 1.0]) {
+            close(*got, want);
+        }
+        close(pca.total_variance(), 10.0);
+        for (m, want) in [(0, 0.0), (1, 0.6), (2, 0.9), (3, 1.0)] {
+            close(pca.explained_variance_ratio(m), want);
+        }
+        // φᵢ past m = 1 sums 3ⁱ + 1ⁱ; past m = 2 it is 1ⁱ.
+        let sums = pca.residual_power_sums(1).unwrap();
+        close(sums.phi1, 4.0);
+        close(sums.phi2, 10.0);
+        close(sums.phi3, 28.0);
+        let sums = pca.residual_power_sums(2).unwrap();
+        for phi in [sums.phi1, sums.phi2, sums.phi3] {
+            close(phi, 1.0);
+        }
+        // m = n leaves no residual space.
+        assert!(pca.residual_power_sums(3).is_err());
+        // A zero-variance spectrum explains everything with no axes.
+        let flat = all_axes(&Mat::from_fn(4, 2, |_, _| 1.5));
+        assert_eq!(flat.total_variance(), 0.0);
+        assert_eq!(flat.explained_variance_ratio(1), 1.0);
+    }
+
+    #[test]
+    fn rank_deficient_residual_power_sums_clamp_to_zero() {
+        // Exactly rank-2 data in 12 columns: the dense solver leaves
+        // round-off of either sign past the rank, and the residual sums
+        // must clamp it rather than go negative.
+        let mut rng = StdRng::seed_from_u64(9);
+        let loads: Vec<(f64, f64)> = (0..12)
+            .map(|_| (rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5))
+            .collect();
+        let x = Mat::from_fn(40, 12, |i, j| {
+            let (u, v) = ((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos());
+            u * loads[j].0 + v * loads[j].1
+        });
+        let pca = Pca::fit(&x, FitStrategy::Full, DimSelection::Fixed(2)).unwrap();
+        // This fixture's round-off includes negative eigenvalues, so the
+        // clamp is exercised, not just passed through.
+        let tail = &pca.eigenvalues()[2..];
+        assert!(tail.iter().any(|&l| l < 0.0), "{tail:?}");
+        let sums = pca.residual_power_sums(2).unwrap();
+        for phi in [sums.phi1, sums.phi2, sums.phi3] {
+            assert!((0.0..1e-9).contains(&phi), "{phi}");
+        }
     }
 
     #[test]
     fn noisy_line_mostly_one_component() {
         let x = line_data(500, 0.05, 2);
-        let pca = Pca::fit(&x).unwrap();
+        let pca = all_axes(&x);
         assert!(pca.explained_variance_ratio(1) > 0.98);
     }
 
     #[test]
     fn residual_plus_reconstruction_is_centered_x() {
         let x = line_data(100, 0.3, 3);
-        let pca = Pca::fit(&x).unwrap();
+        let pca = all_axes(&x);
         let probe = x.row(10);
         for m in [0, 1, 2, 3] {
             let hat = pca.reconstruct(probe, m).unwrap();
@@ -561,7 +593,7 @@ mod tests {
     #[test]
     fn full_rank_projection_has_zero_residual() {
         let x = line_data(100, 0.3, 4);
-        let pca = Pca::fit(&x).unwrap();
+        let pca = all_axes(&x);
         let spe = pca.spe_reference(x.row(5), 3).unwrap();
         assert!(spe < 1e-18, "full-dimensional SPE should vanish, got {spe}");
     }
@@ -569,7 +601,7 @@ mod tests {
     #[test]
     fn spe_decreases_with_more_components() {
         let x = line_data(300, 0.4, 5);
-        let pca = Pca::fit(&x).unwrap();
+        let pca = all_axes(&x);
         let probe = x.row(7);
         let spe0 = pca.spe_reference(probe, 0).unwrap();
         let spe1 = pca.spe_reference(probe, 1).unwrap();
@@ -581,7 +613,7 @@ mod tests {
     #[test]
     fn outlier_has_larger_spe_than_inliers() {
         let x = line_data(300, 0.05, 6);
-        let pca = Pca::fit(&x).unwrap();
+        let pca = all_axes(&x);
         let inlier_spe = pca.spe_reference(x.row(50), 1).unwrap();
         // A point far off the line.
         let outlier = [0.0, 20.0, 10.0];
@@ -592,7 +624,7 @@ mod tests {
     #[test]
     fn project_scores_match_reconstruction() {
         let x = line_data(100, 0.2, 7);
-        let pca = Pca::fit(&x).unwrap();
+        let pca = all_axes(&x);
         let probe = x.row(20);
         let scores = pca.project(probe, 2).unwrap();
         // Reconstruction = sum of score_j * axis_j.
@@ -616,8 +648,8 @@ mod tests {
             let t = i as f64 / 40.0;
             (j % 5) as f64 * t + 0.1 * (rng.random::<f64>() - 0.5)
         });
-        let cov_path = Pca::fit(&x).unwrap();
-        let gram_path = Pca::fit_gram(&x).unwrap();
+        let cov_path = all_axes(&x);
+        let gram_path = gram_axes(&x);
         assert_eq!(gram_path.dim(), 90);
         assert!(gram_path.n_axes() <= 40);
         // Spectra agree (Gram pads the rank-deficient tail with zeros).
@@ -644,17 +676,17 @@ mod tests {
     fn auto_dispatch_picks_shape_appropriate_engines() {
         // Wide: Gram.
         let wide = wide_data(30, 80, 22);
-        let pca = Pca::fit_with(&wide, FitStrategy::Auto, DimSelection::Fixed(5)).unwrap();
+        let pca = Pca::fit(&wide, FitStrategy::Auto, DimSelection::Fixed(5)).unwrap();
         assert_eq!(pca.strategy(), FitStrategy::Gram);
         // Rows >= cols: Full, however thin the request against the width.
         for (t, n) in [(150, 64), (150, 8)] {
             let tall = wide_data(t, n, 23);
-            let pca = Pca::fit_with(&tall, FitStrategy::Auto, DimSelection::Fixed(5)).unwrap();
+            let pca = Pca::fit(&tall, FitStrategy::Auto, DimSelection::Fixed(5)).unwrap();
             assert_eq!(pca.strategy(), FitStrategy::Full, "{t}x{n}");
         }
         // Wide but with too few rows to support the request: not Gram.
         let stub = wide_data(5, 80, 25);
-        let pca = Pca::fit_with(&stub, FitStrategy::Auto, DimSelection::Fixed(10)).unwrap();
+        let pca = Pca::fit(&stub, FitStrategy::Auto, DimSelection::Fixed(10)).unwrap();
         assert_ne!(pca.strategy(), FitStrategy::Gram);
         assert!(pca.n_axes() >= 10);
     }
@@ -676,40 +708,12 @@ mod tests {
         let x = Mat::from_fn(t, n, |i, j| {
             coeffs[i].0 * loads[j].0 + coeffs[i].1 * loads[j].1
         });
-        let auto = Pca::fit_with(&x, FitStrategy::Auto, DimSelection::Fixed(10)).unwrap();
+        let auto = Pca::fit(&x, FitStrategy::Auto, DimSelection::Fixed(10)).unwrap();
         assert_eq!(auto.strategy(), FitStrategy::Full);
         assert!(auto.n_axes() >= 10);
         // A forced Gram fit on the same data honestly reports its rank.
-        let gram = Pca::fit_gram(&x).unwrap();
+        let gram = gram_axes(&x);
         assert!(gram.n_axes() < 10, "rank-2 data has no 10 Gram axes");
-    }
-
-    #[test]
-    fn variance_fraction_request_escalates_to_an_answer() {
-        // Wide data dispatches to Gram; the fraction resolves against the
-        // complete spectrum and the model carries exactly the resolved
-        // axes. A fraction that is not finite and strictly inside (0, 1)
-        // answers nothing and is rejected by every engine.
-        let x = wide_data(200, 300, 27);
-        for bad in [f64::NAN, 0.0, 1.0, -1.0, f64::INFINITY] {
-            for strategy in [FitStrategy::Auto, FitStrategy::Full, FitStrategy::Gram] {
-                let fit = Pca::fit_with(&x, strategy, DimSelection::VarianceFraction(bad));
-                assert!(
-                    matches!(fit, Err(LinalgError::Domain { .. })),
-                    "fraction {bad} under {strategy:?}: {:?}",
-                    fit.map(|p| p.n_axes())
-                );
-            }
-        }
-        let pca =
-            Pca::fit_with(&x, FitStrategy::Auto, DimSelection::VarianceFraction(0.9)).unwrap();
-        assert_eq!(pca.strategy(), FitStrategy::Gram);
-        let d = pca.dims_for_variance(0.9);
-        assert!(d >= 1 && d == pca.n_axes(), "d={d} axes={}", pca.n_axes());
-        assert!(pca.explained_variance_ratio(d) >= 0.9);
-        let full =
-            Pca::fit_with(&x, FitStrategy::Full, DimSelection::VarianceFraction(0.9)).unwrap();
-        assert_eq!(full.dims_for_variance(0.9), d);
     }
 
     #[test]
@@ -724,7 +728,7 @@ mod tests {
             let mut x = wide_data(t, n, 41);
             x.row_mut(t / 2).fill(1e300);
             for strategy in [FitStrategy::Auto, FitStrategy::Full, FitStrategy::Gram] {
-                let fit = Pca::fit_with(&x, strategy, DimSelection::Fixed(2));
+                let fit = Pca::fit(&x, strategy, DimSelection::Fixed(2));
                 assert!(
                     matches!(fit, Err(LinalgError::NoConvergence { .. })),
                     "{t}x{n} {strategy:?}: {:?}",
@@ -736,12 +740,14 @@ mod tests {
 
     #[test]
     fn gram_path_rejects_degenerate_input() {
-        assert!(Pca::fit_gram(&Mat::zeros(1, 3)).is_err());
-        assert!(Pca::fit_gram(&Mat::zeros(5, 0)).is_err());
+        for degenerate in [Mat::zeros(1, 3), Mat::zeros(5, 0)] {
+            let fit = Pca::fit(&degenerate, FitStrategy::Gram, DimSelection::Fixed(1));
+            assert!(fit.is_err());
+        }
         // All-constant data: rank zero, no axes, but a valid model whose
         // every projection is the mean.
         let x = Mat::from_fn(10, 4, |_, _| 2.5);
-        let pca = Pca::fit_gram(&x).unwrap();
+        let pca = gram_axes(&x);
         assert_eq!(pca.n_axes(), 0);
         assert!(pca.spe_reference(x.row(0), 0).unwrap() < 1e-18);
         assert!(pca.project(x.row(0), 1).is_err(), "no axes to project on");
@@ -750,10 +756,12 @@ mod tests {
     #[test]
     fn errors_on_bad_arguments() {
         let x = line_data(50, 0.1, 8);
-        let pca = Pca::fit(&x).unwrap();
+        let pca = all_axes(&x);
         assert!(pca.project(&[1.0, 2.0], 1).is_err());
         assert!(pca.project(&[1.0, 2.0, 3.0], 4).is_err());
-        assert!(Pca::fit(&Mat::zeros(1, 3)).is_err());
-        assert!(Pca::fit(&Mat::zeros(5, 0)).is_err());
+        for degenerate in [Mat::zeros(1, 3), Mat::zeros(5, 0)] {
+            let fit = Pca::fit(&degenerate, FitStrategy::Full, DimSelection::Fixed(1));
+            assert!(fit.is_err());
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! monotonicity/symmetry of the normal quantile.
 
 use entromine_linalg::{
-    stats, sym_eigen, sym_eigen_leading, Mat, MomentAccumulator, Pca, SymEigen,
+    stats, sym_eigen, sym_eigen_leading, DimSelection, FitStrategy, Mat, MomentAccumulator, Pca,
+    SymEigen,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,6 +26,12 @@ fn psd_strategy(n: usize, rows: usize) -> impl Strategy<Value = Mat> {
             .matmul(&b)
             .expect("shapes match by construction")
     })
+}
+
+/// The all-axes PCA of `x` on `engine`: every eigenvalue, and every axis
+/// the engine can carry.
+fn all_axes(x: &Mat, engine: FitStrategy) -> Pca {
+    Pca::fit(x, engine, DimSelection::Fixed(x.cols())).unwrap()
 }
 
 /// A full-rank `n × n` PSD matrix `BᵀB`, `B` of `n + 8` seeded uniform rows.
@@ -225,7 +232,7 @@ proptest! {
 
     #[test]
     fn pca_residual_orthogonal_to_normal_part(m in mat_strategy(20, 4), row in 0usize..20) {
-        let pca = Pca::fit(&m).unwrap();
+        let pca = all_axes(&m, FitStrategy::Full);
         let x = m.row(row);
         let hat = pca.reconstruct(x, 2).unwrap();
         let tilde = pca.residual(x, 2).unwrap();
@@ -237,7 +244,7 @@ proptest! {
 
     #[test]
     fn pca_spe_monotone_in_components(m in mat_strategy(25, 5), row in 0usize..25) {
-        let pca = Pca::fit(&m).unwrap();
+        let pca = all_axes(&m, FitStrategy::Full);
         let x = m.row(row);
         let mut prev = f64::INFINITY;
         for k in 0..=5 {
@@ -297,8 +304,8 @@ proptest! {
     fn gram_fit_scores_like_covariance_fit(m in mat_strategy(12, 20), k in 0usize..6) {
         // Wide matrix: Gram path carries at most 12 axes; both models must
         // assign every row the same residual magnitude.
-        let cov_path = Pca::fit(&m).unwrap();
-        let gram_path = Pca::fit_gram(&m).unwrap();
+        let cov_path = all_axes(&m, FitStrategy::Full);
+        let gram_path = all_axes(&m, FitStrategy::Gram);
         prop_assume!(k <= gram_path.n_axes());
         for row in m.row_iter() {
             let a = cov_path.spe_reference(row, k).unwrap();

@@ -18,10 +18,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Fits a PCA over `rows × cols` data packed row-major.
+/// Fits the all-axes dense PCA over `rows × cols` data packed row-major.
 fn fit(rows: usize, cols: usize, data: &[f64]) -> Pca {
     let x = Mat::from_fn(rows, cols, |i, j| data[i * cols + j]);
-    Pca::fit(&x).expect("random matrix fits")
+    Pca::fit(&x, FitStrategy::Full, DimSelection::Fixed(cols)).expect("random matrix fits")
 }
 
 /// A `t × n` low-rank-plus-noise traffic matrix: per-column gains on one
@@ -99,7 +99,7 @@ proptest! {
         // to m·d·‖s‖² of it, so the floor carries that term too.
         let m = 10;
         let x = low_rank_traffic(64, 1936, traffic_seed);
-        let pca = Pca::fit_with(&x, FitStrategy::Auto, DimSelection::Fixed(m)).unwrap();
+        let pca = Pca::fit(&x, FitStrategy::Auto, DimSelection::Fixed(m)).unwrap();
         prop_assert_eq!(pca.strategy(), FitStrategy::Gram);
         let axes = pca.components();
         let defect = axes

@@ -53,11 +53,9 @@ impl SubspaceModel {
     ///
     /// # Errors
     ///
-    /// Fails on degenerate input (fewer than two rows, zero columns), on a
-    /// non-finite or out-of-`(0, 1)` variance fraction (rejected by
-    /// [`Pca::fit_with`]), or if the
-    /// requested dimension does not leave a non-empty residual space (or
-    /// exceeds the axes the chosen engine can support).
+    /// Fails on degenerate input (fewer than two rows, zero columns), or if
+    /// the requested dimension does not leave a non-empty residual space
+    /// (or exceeds the axes the chosen engine can support).
     pub fn fit(x: &Mat, dim: DimSelection) -> Result<Self, SubspaceError> {
         Self::fit_with(x, dim, FitStrategy::Auto)
     }
@@ -74,12 +72,9 @@ impl SubspaceModel {
                 "need at least two timepoints to model variation",
             ));
         }
-        let pca = Pca::fit_with(x, strategy, dim)?;
+        let DimSelection::Fixed(m) = dim;
+        let pca = Pca::fit(x, strategy, dim)?;
         let n = pca.dim();
-        let m = match dim {
-            DimSelection::Fixed(m) => m,
-            DimSelection::VarianceFraction(f) => pca.dims_for_variance(f),
-        };
         if m >= n {
             return Err(SubspaceError::BadDimension {
                 requested: m,
@@ -328,15 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn variance_fraction_selection() {
-        let x = synthetic_traffic(500, 20, 0.01, 2);
-        let model = SubspaceModel::fit(&x, DimSelection::VarianceFraction(0.85)).unwrap();
-        // Two latent patterns dominate.
-        assert!(model.normal_dim() <= 4, "dim = {}", model.normal_dim());
-        assert!(model.explained_variance() >= 0.85);
-    }
-
-    #[test]
     fn clean_data_produces_no_detections_at_high_alpha() {
         let x = synthetic_traffic(400, 15, 0.5, 3);
         let model = SubspaceModel::fit(&x, DimSelection::Fixed(4)).unwrap();
@@ -387,18 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn variance_fraction_validated_at_fit_time() {
-        let x = synthetic_traffic(100, 6, 0.2, 10);
-        for bad in [0.0, 1.0, -0.3, 1.5, f64::NAN, f64::INFINITY] {
-            assert!(
-                SubspaceModel::fit(&x, DimSelection::VarianceFraction(bad)).is_err(),
-                "variance fraction {bad} must be rejected"
-            );
-        }
-        assert!(SubspaceModel::fit(&x, DimSelection::VarianceFraction(0.5)).is_ok());
-    }
-
-    #[test]
     fn bad_inputs_rejected() {
         let x = synthetic_traffic(50, 5, 0.1, 7);
         // Dimension as large as the variable count leaves no residual.
@@ -406,7 +380,6 @@ mod tests {
             SubspaceModel::fit(&x, DimSelection::Fixed(5)),
             Err(SubspaceError::BadDimension { .. })
         ));
-        assert!(SubspaceModel::fit(&x, DimSelection::VarianceFraction(1.5)).is_err());
         let one_row = Mat::zeros(1, 5);
         assert!(SubspaceModel::fit(&one_row, DimSelection::Fixed(2)).is_err());
         // Wrong row width at evaluation time.

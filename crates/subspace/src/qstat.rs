@@ -17,7 +17,7 @@
 //!
 //! The residual spectrum enters **only** through the power sums
 //! `φ₁, φ₂, φ₃` (see
-//! [`Spectrum::residual_power_sums`](entromine_linalg::Spectrum::residual_power_sums)).
+//! [`Pca::residual_power_sums`](entromine_linalg::Pca::residual_power_sums)).
 //! The core entry point here is [`q_threshold_from_power_sums`];
 //! [`q_statistic_threshold`] remains as a thin adapter over an explicit
 //! eigenvalue slice.

@@ -91,7 +91,7 @@ proptest! {
         // The Gram engine carries no axes past the rank, so a model with
         // m > rank is out of its reach; its zero-padded spectrum still
         // feeds the threshold directly.
-        let gram = Pca::fit_gram(&x).unwrap();
+        let gram = Pca::fit(&x, FitStrategy::Gram, DimSelection::Fixed(n)).unwrap();
         let trace = full.pca().total_variance();
         let oracle = full.threshold(alpha).unwrap();
         let other =

@@ -317,7 +317,7 @@ fn a_concurrent_round_fits_the_in_order_models_bit_for_bit() {
 
 /// A `t × 4p` window of unfolded entropy rows at a canonical workload's
 /// shape: fourteen well-separated components (strengths falling by 0.9 per
-/// step, so neither a 10-axis cut nor an 85 % one lands in a cluster) over
+/// step, so a 10-axis cut does not land in a cluster) over
 /// a noise floor three orders of magnitude down. No RNG.
 fn low_rank_window(t: usize, p: usize) -> Mat {
     // SplitMix64's finalizer over the pair: a linear hash would make the
@@ -351,14 +351,25 @@ fn a_fit_materializes_the_requested_axes_and_the_detector_cannot_tell() {
         let x = low_rank_window(648, p);
         let n = 4 * p;
         let what = format!("648 x {n}");
-        let lean = Pca::fit_with(&x, FitStrategy::Auto, DimSelection::Fixed(m)).unwrap();
-        let oracle = match engine {
-            FitStrategy::Gram => Pca::fit_gram(&x),
-            _ => Pca::fit(&x),
-        }
-        .unwrap();
+        let lean = Pca::fit(&x, FitStrategy::Auto, DimSelection::Fixed(m)).unwrap();
+        let oracle = Pca::fit(&x, engine, DimSelection::Fixed(n)).unwrap();
         assert_eq!(lean.strategy(), engine, "{what}");
         assert_eq!(lean.n_axes(), m, "{what}");
+
+        // The dispatcher only chooses an engine: Auto is the engine it
+        // picked, asked for the same axes, bit for bit.
+        let forced = Pca::fit(&x, engine, DimSelection::Fixed(m)).unwrap();
+        assert_eq!(forced.strategy(), engine, "{what}");
+        assert_eq!(
+            bits(lean.eigenvalues()),
+            bits(forced.eigenvalues()),
+            "{what}: Auto vs forced eigenvalues"
+        );
+        assert_eq!(
+            bits(lean.components().as_slice()),
+            bits(forced.components().as_slice()),
+            "{what}: Auto vs forced axes"
+        );
         // Centring costs one rank: 647 axes from 648 rows, or all 484.
         let rank = n.min(648 - 1);
         assert_eq!(
@@ -427,40 +438,5 @@ fn a_fit_materializes_the_requested_axes_and_the_detector_cannot_tell() {
         };
         assert_eq!(blamed(&auto), blamed(&cross), "{what}");
         assert_eq!(blamed(&auto)[..2], [3, 77], "{what}");
-    }
-}
-
-#[test]
-fn a_variance_fraction_fit_is_the_fixed_fit_of_the_dimension_it_resolves_to() {
-    for p in [484usize, 121] {
-        let x = low_rank_window(648, p);
-        let by_fraction =
-            SubspaceModel::fit_with(&x, DimSelection::VarianceFraction(0.85), FitStrategy::Auto)
-                .unwrap();
-        let m = by_fraction.normal_dim();
-        assert!((2..14).contains(&m), "p={p}: resolved m={m}");
-        assert_eq!(by_fraction.pca().n_axes(), m, "p={p}");
-        let fixed = SubspaceModel::fit_with(&x, DimSelection::Fixed(m), FitStrategy::Auto).unwrap();
-        assert_eq!(by_fraction.pca().strategy(), fixed.pca().strategy());
-        for policy in [
-            ThresholdPolicy::JacksonMudholkar,
-            ThresholdPolicy::Empirical,
-        ] {
-            assert_eq!(
-                by_fraction.threshold_with(0.999, policy).unwrap().to_bits(),
-                fixed.threshold_with(0.999, policy).unwrap().to_bits(),
-                "p={p}: {policy:?}"
-            );
-        }
-        assert_eq!(
-            bits(by_fraction.pca().components().as_slice()),
-            bits(fixed.pca().components().as_slice()),
-            "p={p}: axes"
-        );
-        assert_eq!(
-            bits(by_fraction.calibration()),
-            bits(fixed.calibration()),
-            "p={p}: calibration sample"
-        );
     }
 }

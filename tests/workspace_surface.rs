@@ -21,9 +21,7 @@ use entromine::entropy::{
     sample_entropy, BinAccumulator, BinSummary, EntropyTensor, Feature, FeatureHistogram,
     VolumeMatrix, FEATURES,
 };
-use entromine::linalg::{
-    stats, sym_eigen, Mat, MomentAccumulator, Pca, ResidualPowerSums, Spectrum,
-};
+use entromine::linalg::{stats, sym_eigen, Mat, MomentAccumulator, Pca, ResidualPowerSums};
 use entromine::net::{
     AddressPlan, FlowKey, FlowRecord, Ipv4, OdIndexer, OdPair, PacketHeader, Prefix, Protocol,
     Topology, ABILENE_ANON_BITS,
